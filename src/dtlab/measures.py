@@ -68,6 +68,10 @@ class ComplexityMeasure:
     default_weight: int = 1
     children: tuple["ComplexityMeasure", ...] = ()
     cost_fn: Callable | None = field(default=None, compare=False)
+    # Subset orders of the solvers, grown lazily and kept per instance
+    # (not per value: opaque measures compare equal whatever cost_fn is).
+    # The memo is not locked: solve with one instance in one thread at a time.
+    subset_orders: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:

@@ -21,11 +21,24 @@ For a table T and complexity measure psi this module computes:
                            inequality between the parameters re-checked
                            in exact integer arithmetic.
 
-Subset searches enumerate candidate attribute sets in nondecreasing
-(cost, tie) order by lazy powerset expansion; the measure's nondecreasing
-axiom makes the first satisfying subset optimal.  Ties break to the
+Subset searches share one subset order per (measure instance, column
+set, cardinality-first flag): every column subset as a bitmask, in
+nondecreasing (cost, [cardinality,] index-tuple) order, popped lazily
+from a single heap and memoized on the measure.  Ties break to the
 lexicographically smallest attribute-index set (optionally smallest
-cardinality first), so witnesses are deterministic.
+cardinality first), so witnesses are deterministic, and the measure's
+nondecreasing axiom makes the first satisfying subset optimal.  Tests
+and row separators are hitting sets: the first subset meeting every
+row-difference mask of a family, with masks that contain another mask
+dropped.  Fixings and rules narrow the agreeing rows by one AND per
+subset along the heap's parent links.
+
+Closure separation never builds a projection.  For a kept column set C
+it merges the rows whose difference misses C and searches the shared
+order restricted to subsets of C; that restriction is exactly the order
+the projection would build, because a key depends only on the
+attribute set.  C itself separates every projected row, so a C with
+cost(C) <= the best value so far cannot raise it and is skipped.
 
 The deterministic-tree search memoizes on (surviving row set, accumulator
 state).  Keying on the accumulator matters: under combinator measures the
@@ -37,10 +50,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import combinations, product
-from typing import Callable
+from itertools import product
+from typing import Callable, Iterable, Iterator
 
-from .closure import remove_columns
 from .measures import ComplexityMeasure, NotDecomposable, depth, table_costs
 from .tables import (
     Attribute,
@@ -50,6 +62,7 @@ from .tables import (
     ValueOutOfRange,
     is_constant,
     is_test,
+    separates_row,
 )
 from .trees import (
     DecisionTree,
@@ -61,6 +74,7 @@ from .trees import (
 
 MAX_SUBSET_COLUMNS = 20
 MAX_TUPLE_SPACE = 1 << 24
+_NO_SUBSET = "no subset satisfied the predicate; full column set should"
 
 
 class RowNotInTable(DtError):
@@ -88,6 +102,175 @@ def _ones_mask(table: DecisionTable) -> int:
     return m
 
 
+# ---------------------------------------------------------------------------
+# the shared subset order and its searches
+
+
+def _rank_positions(table: DecisionTable) -> list[int]:
+    """Column positions by ascending attribute index: rank r -> position."""
+    return sorted(range(table.n_cols), key=lambda p: table.columns[p].index)
+
+
+def _ranked_rows(table: DecisionTable) -> list[tuple[int, ...]]:
+    """The rows with their values listed in column-rank order."""
+    ranks = _rank_positions(table)
+    return [tuple(row[p] for p in ranks) for row in table.rows]
+
+
+def _diff(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """Mask of the column ranks on which two rank-ordered rows differ."""
+    m = 0
+    for r, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            m |= 1 << r
+    return m
+
+
+def _minimal(family: Iterable[int]) -> list[int]:
+    """The masks of ``family`` that contain no other family mask.
+
+    A set meeting every kept mask meets every dropped one too.
+    """
+    kept: list[int] = []
+    for m in sorted(set(family), key=int.bit_count):
+        if all(k & m != k for k in kept):
+            kept.append(m)
+    return kept
+
+
+class _SubsetOrder:
+    """Every subset of one column set, in (cost, [cardinality,] index-tuple) order.
+
+    Entry i is the subset ``masks[i]`` of cost ``costs[i]``; bit r of a
+    mask stands for ``attrs[r]``, the column of the r-th smallest
+    attribute index.  Entries come off one heap by lazy powerset
+    expansion and are kept, so every later search over the same column
+    set replays the prefix without recomputing a cost.  Entry i is entry
+    ``parents[i]`` (-1 for the empty set) plus its highest column rank
+    ``lasts[i]``; a parent always comes before its children.
+    """
+
+    def __init__(self, measure: ComplexityMeasure, attrs: tuple[Attribute, ...], card_first: bool):
+        self.measure = measure
+        self.attrs = attrs
+        self.card_first = card_first
+        self.costs: list[int] = []
+        self.masks: list[int] = []
+        self.parents: list[int] = []
+        self.lasts: list[int] = []
+        self._heap = [self._entry((), -1)]
+
+    def _entry(self, ranks: tuple[int, ...], parent: int):
+        attrs = tuple(self.attrs[r] for r in ranks)
+        cost = self.measure.set_cost(attrs)
+        idx = tuple(a.index for a in attrs)
+        key = (cost, len(ranks), idx) if self.card_first else (cost, idx)
+        return key, ranks, parent
+
+    def grow(self) -> None:
+        """Append the next subset to the order."""
+        key, ranks, parent = heapq.heappop(self._heap)
+        last = ranks[-1] if ranks else -1
+        i = len(self.masks)
+        self.costs.append(key[0])
+        self.masks.append(sum(1 << r for r in ranks))
+        self.parents.append(parent)
+        self.lasts.append(last)
+        for nr in range(last + 1, len(self.attrs)):
+            heapq.heappush(self._heap, self._entry(ranks + (nr,), i))
+
+    def complete(self) -> None:
+        """Grow the order to hold every subset."""
+        while self._heap:
+            self.grow()
+
+    def walk(self) -> Iterator[int]:
+        """Every entry index in order, growing the order as needed."""
+        i = 0
+        while i < len(self.masks) or self._heap:
+            if i == len(self.masks):
+                self.grow()
+            yield i
+            i += 1
+
+    def attributes(self, mask: int) -> tuple[Attribute, ...]:
+        return tuple(a for r, a in enumerate(self.attrs) if mask >> r & 1)
+
+
+def _subset_order(
+    measure: ComplexityMeasure, columns: tuple[Attribute, ...], card_first: bool = False
+) -> _SubsetOrder:
+    """The shared subset order of ``columns`` under ``measure``.
+
+    It is memoized on the measure instance, never by measure value:
+    opaque measures compare equal whatever their cost functions.
+    """
+    if len(columns) > MAX_SUBSET_COLUMNS:
+        raise TooLarge(
+            f"subset search over {len(columns)} columns exceeds the "
+            f"{MAX_SUBSET_COLUMNS}-column guard rail"
+        )
+    attrs = tuple(sorted(columns))
+    memo = measure.subset_orders
+    order = memo.get((attrs, card_first))
+    if order is None:
+        order = memo[(attrs, card_first)] = _SubsetOrder(measure, attrs, card_first)
+    return order
+
+
+def _first_hitting(order: _SubsetOrder, family: list[int], within: int = -1) -> tuple[int, int]:
+    """First subset of the order inside ``within`` meeting every family mask."""
+    masks = order.masks
+    for i in order.walk():
+        s = masks[i]
+        if s & within != s:
+            continue
+        for f in family:
+            if not f & s:
+                break
+        else:
+            return order.costs[i], s
+    raise AssertionError(_NO_SUBSET)
+
+
+class _Fixings:
+    """Cheapest fixings of one table that leave rows of a single decision."""
+
+    def __init__(self, measure: ComplexityMeasure, table: DecisionTable):
+        self.order = _subset_order(measure, table.columns)
+        self.ranks = _rank_positions(table)
+        masks = _value_masks(table)
+        self.rank_masks = [masks[p] for p in self.ranks]
+        self.ones = _ones_mask(table)
+        self.full = (1 << table.n_rows) - 1
+
+    def search(self, values: tuple[int, ...]) -> tuple[int, int]:
+        """(cost, column-rank mask) of the first subset S of the order on
+        which the rows agreeing with ``values`` (one per column position)
+        all carry one decision.
+
+        A subset's agreeing rows are its parent's, narrowed by its highest
+        column, so each entry of the order costs one AND.
+        """
+        order, ones = self.order, self.ones
+        parents, lasts = order.parents, order.lasts
+        rank_values = [masks[values[p]] for masks, p in zip(self.rank_masks, self.ranks)]
+        agree: list[int] = []
+        for i in order.walk():
+            p = parents[i]
+            m = self.full if p < 0 else agree[p] & rank_values[lasts[i]]
+            x = m & ones
+            if x == 0 or x == m:
+                return order.costs[i], order.masks[i]
+            agree.append(m)
+        raise AssertionError(_NO_SUBSET)
+
+    def fixings(self, values: tuple[int, ...]) -> tuple[int, tuple[tuple[Attribute, int], ...]]:
+        cost, mask = self.search(values)
+        chosen = zip(self.order.attrs, self.ranks)
+        return cost, tuple((a, values[p]) for r, (a, p) in enumerate(chosen) if mask >> r & 1)
+
+
 def min_cost_subset(
     measure: ComplexityMeasure,
     table: DecisionTable,
@@ -98,52 +281,33 @@ def min_cost_subset(
 
     ``predicate`` receives an ascending tuple of column positions.
     Monotonicity (supersets of a satisfying set also satisfy) plus the
-    nondecreasing axiom guarantee the first subset popped in
-    (cost, [cardinality,] index-tuple) order is optimal.
+    nondecreasing axiom guarantee the first satisfying subset of the
+    shared (cost, [cardinality,] index-tuple) order is optimal.
     """
-    if table.n_cols > MAX_SUBSET_COLUMNS:
-        raise TooLarge(
-            f"subset search over {table.n_cols} columns exceeds the "
-            f"{MAX_SUBSET_COLUMNS}-column guard rail"
-        )
-    order = sorted(range(table.n_cols), key=lambda p: table.columns[p].index)
-
-    def entry(ranks: tuple[int, ...]):
-        attrs = tuple(table.columns[order[r]] for r in ranks)
-        cost = measure.set_cost(attrs)
-        idx = tuple(a.index for a in attrs)
-        key = (cost, len(ranks), idx) if card_first else (cost, idx)
-        return (key, ranks)
-
-    heap = [entry(())]
-    while heap:
-        (key, ranks) = heapq.heappop(heap)
-        positions = tuple(sorted(order[r] for r in ranks))
-        if predicate(positions):
-            return key[0], tuple(sorted(table.columns[p] for p in positions))
-        last = ranks[-1] if ranks else -1
-        for nr in range(last + 1, len(order)):
-            heapq.heappush(heap, entry(ranks + (nr,)))
-    raise AssertionError("no subset satisfied the predicate; full column set should")
+    order = _subset_order(measure, table.columns, card_first)
+    ranks = _rank_positions(table)
+    for i in order.walk():
+        mask = order.masks[i]
+        if predicate(tuple(sorted(p for r, p in enumerate(ranks) if mask >> r & 1))):
+            return order.costs[i], order.attributes(mask)
+    raise AssertionError(_NO_SUBSET)
 
 
 def min_test_cost(
     measure: ComplexityMeasure, table: DecisionTable
 ) -> tuple[int, tuple[Attribute, ...]]:
-    """Cheapest test of the table; (0, empty) for constant tables."""
+    """Cheapest test of the table; (0, empty) for constant tables.
+
+    A test must meet the difference of every 0-row and 1-row pair.
+    """
     if is_constant(table):
         return 0, ()
-    zero_rows = [r for r, d in table.entries() if d == 0]
-    one_rows = [r for r, d in table.entries() if d == 1]
-
-    def separates(positions: tuple[int, ...]) -> bool:
-        for a in zero_rows:
-            for b in one_rows:
-                if all(a[p] == b[p] for p in positions):
-                    return False
-        return True
-
-    return min_cost_subset(measure, table, separates)
+    order = _subset_order(measure, table.columns)
+    rows = _ranked_rows(table)
+    zeros = [r for r, d in zip(rows, table.decisions) if d == 0]
+    ones = [r for r, d in zip(rows, table.decisions) if d == 1]
+    cost, mask = _first_hitting(order, _minimal(_diff(a, b) for a in zeros for b in ones))
+    return cost, order.attributes(mask)
 
 
 def row_separation_cost(
@@ -156,12 +320,11 @@ def row_separation_cost(
     row = tuple(row)
     if row not in table.rows:
         raise RowNotInTable(f"{row} is not a row of the table")
-    others = [r for r in table.rows if r != row]
-
-    def separates(positions: tuple[int, ...]) -> bool:
-        return all(any(o[p] != row[p] for p in positions) for o in others)
-
-    return min_cost_subset(measure, table, separates, card_first=card_first)
+    order = _subset_order(measure, table.columns, card_first)
+    rows = _ranked_rows(table)
+    target = rows[table.rows.index(row)]
+    cost, mask = _first_hitting(order, _minimal(_diff(target, o) for o in rows if o != target))
+    return cost, order.attributes(mask)
 
 
 def table_separation_cost(measure: ComplexityMeasure, table: DecisionTable) -> int:
@@ -176,17 +339,31 @@ def closure_separation_cost(measure: ComplexityMeasure, table: DecisionTable) ->
 
     Relabelings never change which rows a projection has, and separation
     ignores decisions, so ranging over the 2^columns projections covers
-    the whole closure.
+    the whole closure.  Each projection, named by its kept column set C,
+    is solved without building it: rows merge when their difference
+    misses C, and a merged row's separators are the subsets of C meeting
+    its differences with the other rows.
     """
     if table.is_empty:
         return 0
     if table.n_cols > MAX_SUBSET_COLUMNS:
         raise TooLarge(f"projection sweep over {table.n_cols} columns is too large")
+    order = _subset_order(measure, table.columns)
+    order.complete()
+    rows = _ranked_rows(table)
+    diffs = [[_diff(a, b) for b in rows] for a in rows]
     best = 0
-    for r in range(table.n_cols + 1):
-        for removed in combinations(table.columns, r):
-            proj = remove_columns(removed, table)
-            best = max(best, table_separation_cost(measure, proj))
+    for cost_c, c in zip(order.costs, order.masks):
+        if cost_c <= best:
+            continue  # C separates every projected row, so none costs more
+        kept = [r for r in range(len(order.attrs)) if c >> r & 1]
+        reps: dict[tuple[int, ...], int] = {}
+        rep_of = [reps.setdefault(tuple(row[r] for r in kept), a) for a, row in enumerate(rows)]
+        for a in reps.values():
+            family = _minimal(d & c for d, ra in zip(diffs[a], rep_of) if ra != a)
+            best = max(best, _first_hitting(order, family, c)[0])
+            if best >= cost_c:
+                break
     return best
 
 
@@ -208,20 +385,7 @@ def fixing_cost_for_tuple(
             raise ValueOutOfRange(f"tuple entry {v!r} is outside E_{table.k}")
     if is_constant(table):
         return 0, ()
-    masks = _value_masks(table)
-    ones = _ones_mask(table)
-    full = (1 << table.n_rows) - 1
-
-    def lands_constant(positions: tuple[int, ...]) -> bool:
-        m = full
-        for p in positions:
-            m &= masks[p][values[p]]
-        x = m & ones
-        return x == 0 or x == m
-
-    cost, attrs = min_cost_subset(measure, table, lands_constant)
-    fixings = tuple((a, values[table.column_position(a)]) for a in attrs)
-    return cost, fixings
+    return _Fixings(measure, table).fixings(values)
 
 
 def fixing_cost(
@@ -234,10 +398,11 @@ def fixing_cost(
         raise TooLarge(
             f"{table.k}^{table.n_cols} value tuples exceed the exact-sweep guard rail"
         )
+    fixings = _Fixings(measure, table)
     best = -1
     worst_tuple = None
     for values in product(range(table.k), repeat=table.n_cols):
-        c, _ = fixing_cost_for_tuple(measure, table, values)
+        c, _ = fixings.search(values)
         if c > best:
             best, worst_tuple = c, values
     return best, worst_tuple
@@ -372,18 +537,8 @@ def minimal_rule(
         raise RowNotInTable(f"{row} is not a row of the table")
     if table.decisions[table.rows.index(row)] != 1:
         raise RowNotInTable(f"{row} is not labeled 1; rules cover 1-rows")
-    masks = _value_masks(table)
-    ones = _ones_mask(table)
-    full = (1 << table.n_rows) - 1
-
-    def all_ones(positions: tuple[int, ...]) -> bool:
-        m = full
-        for p in positions:
-            m &= masks[p][row[p]]
-        return m & ~ones == 0
-
-    cost, attrs = min_cost_subset(measure, table, all_ones)
-    return cost, tuple((a, row[table.column_position(a)]) for a in attrs)
+    # The row itself agrees and is a 1-row, so "one decision" means "all 1".
+    return _Fixings(measure, table).fixings(row)
 
 
 def snd_tree_cost(
@@ -400,10 +555,11 @@ def snd_tree_cost(
         return 0, None
     rules: list[tuple[tuple[Attribute, int], ...]] = []
     value = 0
+    rules_of = _Fixings(measure, table)
     for row, d in table.entries():
         if d != 1:
             continue
-        cost, fixings = minimal_rule(measure, table, row)
+        cost, fixings = rules_of.fixings(row)  # the row's minimal_rule
         assert fixings, "a non-constant table cannot have an empty rule"
         value = max(value, cost)
         rules.append(fixings)
@@ -561,12 +717,7 @@ def parameter_report(measure: ComplexityMeasure, table: DecisionTable) -> Parame
     check("test-witness-is-test", is_test(table, test_witness))
     for row, _cost, attrs in seps:
         positions = [table.column_position(a) for a in attrs]
-        idx = table.rows.index(row)
-        ok = all(
-            any(other[p] != row[p] for p in positions)
-            for j, other in enumerate(table.rows)
-            if j != idx
-        )
+        ok = separates_row(table, table.rows.index(row), positions)
         check("row-separator-separates", ok)
         if not ok:
             break

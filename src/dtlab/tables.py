@@ -91,9 +91,6 @@ class Attribute:
         return self.name
 
 
-AttrLike = "Attribute | int | str"
-
-
 def as_attribute(a) -> Attribute:
     """Coerce an Attribute, bare index, or name string to an Attribute."""
     if isinstance(a, Attribute):

@@ -280,6 +280,18 @@ def parse_tree(text: str, k: int = 2) -> DecisionTree:
             raise TreeFormatError(f"expected {tok!r}, got {got!r}")
         pos += 1
 
+    def integer(what: str) -> int:
+        nonlocal pos
+        if pos >= len(tokens):
+            raise TreeFormatError(f"expected {what}, got end of input")
+        tok = tokens[pos]
+        try:
+            value = int(tok)
+        except ValueError:
+            raise TreeFormatError(f"expected {what}, got {tok!r}") from None
+        pos += 1
+        return value
+
     def parse_node() -> TreeNode:
         nonlocal pos
         expect("(")
@@ -288,16 +300,14 @@ def parse_tree(text: str, k: int = 2) -> DecisionTree:
         head = tokens[pos]
         pos += 1
         if head == "leaf":
-            decision = int(tokens[pos])
-            pos += 1
+            decision = integer("a leaf decision")
             expect(")")
             return Leaf(decision)
         attr = Attribute.parse(head)
         edges = []
         while pos < len(tokens) and tokens[pos] == "(":
             pos += 1
-            value = int(tokens[pos])
-            pos += 1
+            value = integer("an edge value")
             child = parse_node()
             expect(")")
             edges.append((value, child))

@@ -175,3 +175,16 @@ def test_parse_rejects_garbage():
         parse_tree("(root (leaf 1)) junk")
     with pytest.raises(TreeFormatError):
         parse_tree("root")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(root (leaf",  # input ends where the decision belongs
+        "(root (leaf x))",  # non-integer decision
+        "(root (f4 (a (leaf 1))))",  # non-integer edge value
+    ],
+)
+def test_parse_malformed_values_raise_format_error(text):
+    with pytest.raises(TreeFormatError):
+        parse_tree(text)
