@@ -11,15 +11,26 @@ Only the relabeling's values on actual rows matter, so the enumeration
 walks 2^rows decision assignments per retained column subset instead of
 all functions on value tuples; the emitted set is the same.  Emission is
 deterministic: members appear in nondecreasing (column count, row count)
-order, deduplicated by canonical key, relabelings in binary counter order
-over canonically sorted rows (counter bit j is the decision of sorted row
-j).
+order, relabelings in binary counter order over canonically sorted rows
+(counter bit j is the decision of sorted row j).
+
+No member is emitted twice, and no set of seen keys is needed to ensure
+it.  A member is a base (retained columns, sorted projected rows) plus a
+decision vector.  Bases within one column count are distinct, bases of
+different column counts have different column tuples, and the canonical
+key of a table with at least one row spells out its columns, rows and
+decisions.  So only zero-row members can coincide: they all share the key
+of the empty table, and only the first of them is emitted.
+
+Each base's member keys, ``nu_bits`` and decision vectors are glued from
+two precomputed half tables, one per half of the sorted rows, so a member
+costs a few string and tuple concatenations instead of a key build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Mapping, Sequence
 
 from .tables import (
@@ -27,16 +38,23 @@ from .tables import (
     BadDecision,
     CanonicalKey,
     DecisionTable,
+    DtError,
     TableError,
     UnknownAttribute,
     as_attribute,
     canonical_key,
     empty_table,
+    key_entries,
+    key_head,
 )
 
 
 class PartialRelabeling(TableError):
     """The relabeling assigns no decision to some row of the table."""
+
+
+class BadLimit(DtError):
+    """A closure limit is not a nonnegative integer."""
 
 
 def remove_columns(removed: Iterable, table: DecisionTable) -> DecisionTable:
@@ -126,11 +144,20 @@ def is_critical(table: DecisionTable) -> tuple[bool, dict[Attribute, tuple[tuple
 
 @dataclass(frozen=True)
 class ClosureLimits:
-    """Truncation knobs for closure enumeration; None means unlimited."""
+    """Truncation knobs for closure enumeration; None means unlimited.
+
+    A limit that is not a nonnegative integer raises :class:`BadLimit`.
+    """
 
     max_tables: int | None = None
     max_columns: int | None = None
     max_rows: int | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("max_tables", "max_columns", "max_rows"):
+            value = getattr(self, name)
+            if value is not None and (not isinstance(value, int) or value < 0):
+                raise BadLimit(f"{name} must be a nonnegative integer or None, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -169,6 +196,22 @@ class ClosureEnumeration:
         return [m.table for m in self.members]
 
 
+def _half_table(
+    rows: Sequence[tuple[int, ...]], lead: str
+) -> list[tuple[str, str, tuple[int, ...]]]:
+    """(key fragment, bits, decisions) for every decision vector on the rows.
+
+    Vectors come in binary counter order (bit j is the decision of row j);
+    ``lead`` starts every key fragment.
+    """
+    out = []
+    for counter in range(1 << len(rows)):
+        decisions = tuple((counter >> j) & 1 for j in range(len(rows)))
+        key = lead + key_entries(zip(rows, decisions))
+        out.append((key, "".join(map(str, decisions)), decisions))
+    return out
+
+
 def enumerate_closure(
     generators: Sequence[DecisionTable],
     limits: ClosureLimits = ClosureLimits(),
@@ -181,7 +224,7 @@ def enumerate_closure(
         raise TableError("closure generators must share one value alphabet")
 
     out = ClosureEnumeration()
-    visited: set[CanonicalKey] = set()
+    empty_emitted = False
     max_cols = max((g.n_cols for g in generators), default=0)
     col_ceiling = max_cols if limits.max_columns is None else min(max_cols, limits.max_columns)
     if col_ceiling < max_cols:
@@ -211,27 +254,36 @@ def enumerate_closure(
                 out.exhausted = False
                 level_complete = False
                 continue
-            for counter in range(1 << n):
-                if limits.max_tables is not None and len(out.members) >= limits.max_tables:
-                    out.exhausted = False
-                    level_complete = False
-                    stopped = True
-                    break
-                decisions = tuple((counter >> j) & 1 for j in range(n))
-                member = DecisionTable(k, cols, rows, decisions)
-                key = canonical_key(member)
-                if key in visited:
-                    continue
-                visited.add(key)
-                out.members.append(
+            # the base has 2^n relabelings; max_tables stops the walk at the
+            # first one that would exceed it, even a zero-row repeat
+            take = 1 << n
+            if limits.max_tables is not None and limits.max_tables - len(out.members) < take:
+                take = limits.max_tables - len(out.members)
+                out.exhausted = False
+                level_complete = False
+                stopped = True
+            if n == 0:
+                if take and not empty_emitted:
+                    empty = DecisionTable(k, cols, rows, ())
+                    out.members.append(ClosureMember(empty, canonical_key(empty), gi, removed, ""))
+                    empty_emitted = True
+            else:
+                h = n // 2
+                low = _half_table(rows[:h], key_head(k, cols))
+                high = _half_table(rows[h:], ";" if h else "")
+                # counter = (high index << h) | low index, so high is the outer loop
+                members = (
                     ClosureMember(
-                        table=member,
-                        key=key,
-                        generator_index=gi,
-                        removed=removed,
-                        nu_bits="".join(map(str, decisions)),
+                        DecisionTable(k, cols, rows, low_dec + high_dec),
+                        low_key + high_key,
+                        gi,
+                        removed,
+                        low_bits + high_bits,
                     )
+                    for high_key, high_bits, high_dec in high
+                    for low_key, low_bits, low_dec in low
                 )
+                out.members.extend(islice(members, take))
             if stopped:
                 break
         if level_complete and out.complete_column_count == c - 1:

@@ -421,8 +421,11 @@ def det_tree_cost(
     (row set, accumulator state).  Candidate attributes at a node are
     those taking at least two values among the surviving rows; testing
     any other attribute can never lower the cost of a path because
-    extension never decreases the accumulator value.  The empty table has
-    cost 0 and no tree by fiat.
+    extension never decreases the accumulator value.  An attribute's
+    children stop being solved once its worst child reaches the best cost
+    so far (alpha cutoff): it can no longer be picked, and every memo entry
+    still holds an exact value.  The empty table has cost 0 and no tree by
+    fiat.
     """
     if table.is_empty:
         return 0, None
@@ -460,6 +463,8 @@ def det_tree_cost(
                 c = solve(m, st)
                 if c > worst:
                     worst = c
+                if best is not None and worst >= best:
+                    break  # p can no longer beat best, so its exact worst is not needed
             if best is None or worst < best:
                 best, best_p = worst, p
         assert best is not None, "non-constant subtable with no splitting attribute"

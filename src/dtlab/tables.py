@@ -194,15 +194,23 @@ def empty_table(k: int = 2) -> DecisionTable:
 CanonicalKey = str
 
 
+def key_head(k: int, columns: Sequence[Attribute]) -> str:
+    """The canonical key of a table with rows, up to its first entry."""
+    return f"k{k}|{','.join(c.name for c in columns)}|"
+
+
+def key_entries(entries: Iterable[tuple[tuple[int, ...], int]]) -> str:
+    """The canonical key text of ``(values, decision)`` entries, in order.
+
+    The text of a run of entries is the texts of its parts joined by ``;``.
+    """
+    return ";".join(",".join(map(str, values)) + ":" + str(d) for values, d in entries)
+
+
 def canonical_key(table: DecisionTable) -> CanonicalKey:
     if table.is_empty:
         return "empty"
-    cols = ",".join(c.name for c in table.columns)
-    body = ";".join(
-        ",".join(map(str, values)) + ":" + str(d)
-        for values, d in sorted(table.entries())
-    )
-    return f"k{table.k}|{cols}|{body}"
+    return key_head(table.k, table.columns) + key_entries(sorted(table.entries()))
 
 
 def restrict(table: DecisionTable, fixings: Iterable) -> DecisionTable:

@@ -83,6 +83,22 @@ def test_closure_directory_and_index(capsys, tmp_path, example6_path, or_image):
     assert canonical_key(member) == canonical_key(or_image)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["closure", "{table}", "--out", "{out}", "--limit", "-1"],
+        ["closure", "{table}", "--out", "{out}", "--max-rows", "-2"],
+        ["explore", "--fn", "FW", "--gen", "builtin:id2", "--max-n", "2", "--limit-tables", "-1"],
+    ],
+)
+def test_negative_closure_limit_exits_2(capsys, tmp_path, example6_path, argv):
+    out_dir = tmp_path / "closure"
+    argv = [a.format(table=example6_path, out=out_dir) for a in argv]
+    assert main(argv) == 2
+    assert "must be a nonnegative integer" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_construct_lemma12_and_isolate(capsys, tmp_path, example6_path):
     out = tmp_path / "tight.dt"
     code, _ = run(capsys, "construct", "lemma12", example6_path, "-o", out)

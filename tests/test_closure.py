@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtlab.closure import (
+    BadLimit,
     ClosureLimits,
     PartialRelabeling,
     enumerate_closure,
@@ -169,6 +170,14 @@ def test_closure_max_rows_limit(example6):
     enum = enumerate_closure([example6], ClosureLimits(max_rows=4))
     assert not enum.exhausted
     assert all(m.table.n_rows <= 4 for m in enum.members)
+
+
+@pytest.mark.parametrize("field", ["max_tables", "max_columns", "max_rows"])
+def test_closure_bad_limit_rejected(field):
+    for bad in (-1, 2.5, "3"):
+        with pytest.raises(BadLimit, match=field):
+            ClosureLimits(**{field: bad})
+    assert getattr(ClosureLimits(**{field: 0}), field) == 0
 
 
 def test_is_critical_projection(example6):

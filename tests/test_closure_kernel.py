@@ -1,0 +1,154 @@
+"""Closure enumeration against a naive per-member reference.
+
+``enumerate_closure`` glues each member's key, ``nu_bits`` and decisions
+from per-base half tables and keeps no set of seen keys.  The reference
+below builds every member directly, with one ``canonical_key`` per member
+and a visited set.  Both must emit the same members in the same order and
+report the same truncation bookkeeping under every limit.
+"""
+
+from itertools import combinations
+
+import pytest
+
+from dtlab.closure import (
+    ClosureEnumeration,
+    ClosureLimits,
+    ClosureMember,
+    enumerate_closure,
+    remove_columns,
+)
+from dtlab.randgen import random_table
+from dtlab.tables import DecisionTable, canonical_key, validate
+
+
+def reference_closure(generators, limits=ClosureLimits()):
+    """Every relabeling of every base, deduplicated by canonical key."""
+    if not generators:
+        return ClosureEnumeration(exhausted=True, complete_column_count=0)
+    k = generators[0].k
+    out = ClosureEnumeration()
+    visited = set()
+    max_cols = max(g.n_cols for g in generators)
+    col_ceiling = max_cols if limits.max_columns is None else min(max_cols, limits.max_columns)
+    if col_ceiling < max_cols:
+        out.exhausted = False
+    stopped = False
+    for c in range(col_ceiling + 1):
+        bases = {}
+        for gi, g in enumerate(generators):
+            if g.n_cols < c:
+                continue
+            for keep in combinations(range(g.n_cols), c):
+                removed = tuple(sorted(g.columns[p] for p in range(g.n_cols) if p not in keep))
+                proj = remove_columns(removed, g)
+                bases.setdefault((proj.columns, tuple(sorted(proj.rows))), (gi, removed))
+        level_complete = True
+        for base in sorted(bases, key=lambda b: (len(b[1]), tuple(a.index for a in b[0]), b[1])):
+            cols, rows = base
+            gi, removed = bases[base]
+            n = len(rows)
+            if limits.max_rows is not None and n > limits.max_rows:
+                out.exhausted = False
+                level_complete = False
+                continue
+            for counter in range(1 << n):
+                if limits.max_tables is not None and len(out.members) >= limits.max_tables:
+                    out.exhausted = False
+                    level_complete = False
+                    stopped = True
+                    break
+                decisions = tuple((counter >> j) & 1 for j in range(n))
+                member = DecisionTable(k, cols, rows, decisions)
+                key = canonical_key(member)
+                if key in visited:
+                    continue
+                visited.add(key)
+                out.members.append(
+                    ClosureMember(member, key, gi, removed, "".join(map(str, decisions)))
+                )
+            if stopped:
+                break
+        if level_complete and out.complete_column_count == c - 1:
+            out.complete_column_count = c
+        if stopped:
+            break
+    return out
+
+
+def summary(enum):
+    members = [(m.table, m.key, m.generator_index, m.removed, m.nu_bits) for m in enum.members]
+    return members, enum.exhausted, enum.complete_column_count
+
+
+def assert_same(generators, limits=ClosureLimits()):
+    got = enumerate_closure(generators, limits)
+    assert summary(got) == summary(reference_closure(generators, limits))
+    for m in got.members:
+        assert m.key == canonical_key(m.table)
+    return got
+
+
+ZERO_ROWS = validate(2, ["f0", "f1"], [])
+
+GENERATOR_SETS = {
+    "k2-odd": [random_table(2, 3, 5, seed=11)],
+    "k2-even": [random_table(2, 4, 8, seed=12)],
+    "k2-one-row": [random_table(2, 3, 1, seed=13)],
+    "k3-odd": [random_table(3, 2, 7, seed=14)],
+    "k3-three-cols": [random_table(3, 3, 6, seed=15)],
+    "k3-one-row": [random_table(3, 2, 1, seed=16)],
+    "k2-multi": [random_table(2, 3, 4, seed=17), random_table(2, 2, 3, seed=18)],
+    "k3-multi": [random_table(3, 2, 3, seed=19), random_table(3, 3, 4, seed=20)],
+    "zero-rows": [ZERO_ROWS],
+    "zero-rows-first": [ZERO_ROWS, random_table(2, 2, 3, seed=21)],
+    "zero-rows-last": [random_table(2, 3, 3, seed=22), ZERO_ROWS],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_SETS))
+def test_unlimited_matches_reference(name):
+    got = assert_same(GENERATOR_SETS[name])
+    assert got.exhausted
+
+
+def base_ends(enum):
+    """Member counts at which one base's relabelings end and the next begin."""
+    bases = [(m.table.columns, m.table.rows) for m in enum.members]
+    return [i for i in range(1, len(bases)) if bases[i] != bases[i - 1]]
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_SETS))
+def test_table_limits_match_reference(name):
+    # 0, the count through each base, one short of and one past it, and
+    # the whole closure; with zero-row generators a count through a base
+    # can stop the walk just before a repeated zero-row member
+    generators = GENERATOR_SETS[name]
+    full = enumerate_closure(generators)
+    total = len(full.members)
+    limits = {0, 1, total, total + 1}
+    for end in base_ends(full):
+        limits |= {end - 1, end, end + 1}
+    for max_tables in sorted(limits):
+        assert_same(generators, ClosureLimits(max_tables=max_tables))
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_SETS))
+def test_row_and_column_limits_match_reference(name):
+    generators = GENERATOR_SETS[name]
+    for bound in range(5):
+        assert_same(generators, ClosureLimits(max_rows=bound))
+        assert_same(generators, ClosureLimits(max_columns=bound))
+        assert_same(generators, ClosureLimits(max_tables=7 * bound, max_rows=bound, max_columns=2))
+
+
+def test_zero_row_members_emitted_once():
+    enum = assert_same([ZERO_ROWS, random_table(2, 2, 3, seed=21)])
+    empties = [m for m in enum.members if m.table.is_empty]
+    assert len(empties) == 1
+    assert empties[0].key == "empty"
+
+
+def test_larger_closure_matches_reference():
+    assert_same([random_table(2, 4, 12, seed=23)])
+    assert_same([random_table(3, 3, 11, seed=24)], ClosureLimits(max_tables=3000))

@@ -19,6 +19,7 @@ from dtlab.solvers import (
     snd_tree_cost,
     table_separation_cost,
 )
+from dtlab.randgen import SplitMix64, random_table
 from dtlab.tables import Attribute, TooLarge, empty_table, is_test, validate
 from dtlab.trees import (
     attributes_of,
@@ -27,6 +28,8 @@ from dtlab.trees import (
     validate_deterministic,
     validate_strongly_nondeterministic,
 )
+
+from dtlab.verify import standard_measures
 
 from conftest import measures_st, tables_st
 import oracles
@@ -186,6 +189,22 @@ def test_det_tree_weighted_matches_oracle(example6, weighted):
     assert cost == det_tree_cost_bruteforce(weighted, example6) == 4
     assert validate_deterministic(tree, example6).ok
     assert tree_cost(weighted, tree) == 4
+
+
+@pytest.mark.parametrize("name,measure", standard_measures(), ids=[n for n, _ in standard_measures()])
+def test_det_tree_cutoff_matches_bruteforce(name, measure):
+    # the alpha cutoff skips children of attributes that can no longer win;
+    # values must still equal the unpruned oracle and witnesses stay valid
+    rng = SplitMix64(20261018)
+    for _ in range(40):
+        k = 2 + rng.below(2)
+        cols = 1 + rng.below(4)
+        rows = 1 + rng.below(min(10, k**cols))
+        table = random_table(k, cols, rows, seed=rng)
+        cost, tree = det_tree_cost(measure, table)
+        assert cost == det_tree_cost_bruteforce(measure, table), (name, table)
+        assert validate_deterministic(tree, table).ok
+        assert tree_cost(measure, tree) == cost
 
 
 def test_det_tree_opaque_measure_rejected(example6):
