@@ -11,6 +11,7 @@ answers, so this doubles as a quick end-to-end smoke run.
 import sys
 from pathlib import Path
 
+from dtlab.closure import enumerate_closure
 from dtlab.constructions import (
     identity_table,
     single_attribute_generators,
@@ -25,13 +26,20 @@ def main() -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = []
 
+    # one closure walk per generator set, shared by its growth functions
     staircase = [identity_table(m) for m in range(1, 6)]
+    enum = enumerate_closure(staircase)
     for fn in ("FW", "FTheta", "G"):
-        reports.append(growth(fn, staircase, depth(), max_n=5, generator_label="staircase<=5"))
+        reports.append(
+            growth(fn, staircase, depth(), max_n=5, generator_label="staircase<=5", enumeration=enum)
+        )
 
     gens, measure = single_attribute_generators({2, 5, 9})
+    enum = enumerate_closure(gens)
     for fn in ("FW", "FTheta"):
-        reports.append(growth(fn, gens, measure, max_n=12, generator_label="steps(2,5,9)"))
+        reports.append(
+            growth(fn, gens, measure, max_n=12, generator_label="steps(2,5,9)", enumeration=enum)
+        )
 
     phi = (0, 1, 4, 9, 16)
     members = [unit_rows_family(phi, n) for n in range(1, len(phi))]

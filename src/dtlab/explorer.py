@@ -19,6 +19,21 @@ with at most n columns were seen, because a bounded measure forces a
 member with column-set cost at most n to have at most n columns.  Points
 that are not exhausted are certified lower bounds.
 
+``growth`` sweeps the members once, in emission order, keeping the
+running value best[n] of every point n <= max_n.  A member with filter
+value f can only raise the points n >= f, and best is nondecreasing in
+n, so its objective is solved only when f <= max_n and an upper bound u
+on the objective exceeds best[f]; otherwise it cannot raise any point,
+now or later, because running values only grow.  The bound is the cost u
+of the member's column set: det <= min test cost <= u (the full column
+set is a test, and a tree that tests each column of a test at most once
+per path costs at most the test), and snd <= det.  These rest on the
+measure axioms, which the built-in kinds satisfy; a measure with an
+opaque part is arbitrary code, so under one every member is solved.  A
+skipped solve never hides a raise: the tree solvers cannot raise under
+built-in measures except ``snd_tree_cost`` on members wider than its
+subset guard rail, and those are always solved.
+
 ``StepFunction`` is the staircase equal to the largest member of a set
 of integers not exceeding n (zero below the smallest member); the
 planted generator scenarios reproduce it exactly.
@@ -34,6 +49,7 @@ from typing import Sequence
 from .closure import ClosureEnumeration, ClosureLimits, enumerate_closure
 from .measures import ComplexityMeasure, depth, table_costs
 from .solvers import (
+    MAX_SUBSET_COLUMNS,
     det_tree_cost,
     min_test_cost,
     snd_tree_cost,
@@ -91,6 +107,7 @@ class GrowthReport:
     measure_label: str
     members_seen: int
     closure_exhausted: bool
+    members_solved: int  # objective solves; not printed, so output bytes do not depend on it
 
     def as_text(self) -> str:
         lines = [
@@ -118,19 +135,6 @@ class GrowthReport:
         return [p.value for p in self.points]
 
 
-def _member_stats(measure: ComplexityMeasure, table: DecisionTable, fn: str) -> tuple[int, int]:
-    """(filter value, objective value) of one closure member for one growth fn."""
-    if fn == "FW":
-        return table_costs(measure, table)[0], det_tree_cost(measure, table)[0]
-    if fn == "FTheta":
-        return min_test_cost(measure, table)[0], det_tree_cost(measure, table)[0]
-    if fn == "F":
-        return snd_tree_cost(measure, table)[0], det_tree_cost(measure, table)[0]
-    if fn == "G":
-        return table_costs(measure, table)[0], snd_tree_cost(measure, table)[0]
-    raise DtError(f"unknown growth function {fn!r}; pick one of {GROWTH_FUNCTIONS}")
-
-
 def growth(
     fn: str,
     generators: Sequence[DecisionTable],
@@ -152,17 +156,46 @@ def growth(
             "growth functions need a bounded measure (cost must dominate word length)"
         )
     enum = enumeration if enumeration is not None else enumerate_closure(generators, limits)
-    pairs = [_member_stats(measure, m.table, fn) for m in enum.members]
+    objective = snd_tree_cost if fn == "G" else det_tree_cost
+    prune = measure.decomposable  # no opaque part, so the bound holds
+    set_costs: dict[tuple, int] = {}  # the column-set cost depends on the columns only
+
+    def attr_set_cost(table: DecisionTable) -> int:
+        cost = set_costs.get(table.columns)
+        if cost is None:
+            cost = set_costs[table.columns] = table_costs(measure, table)[0]
+        return cost
+
+    def filter_value(table: DecisionTable) -> int:
+        if fn == "FTheta":
+            return min_test_cost(measure, table)[0]
+        if fn == "F":
+            return snd_tree_cost(measure, table)[0]
+        return attr_set_cost(table)
+
+    best = [0] * (max_n + 1)
+    solved = 0
+    for m in enum.members:
+        table = m.table
+        f = filter_value(table)
+        # snd_tree_cost raises TooLarge past its guard rail, so such members are solved
+        if prune and not (fn == "G" and table.n_cols > MAX_SUBSET_COLUMNS):
+            if f > max_n or attr_set_cost(table) <= best[f]:
+                continue
+        value = objective(measure, table)[0]
+        solved += 1
+        while f <= max_n and best[f] < value:
+            best[f] = value
+            f += 1
     points: list[GrowthPoint] = []
     for n in range(max_n + 1):
-        value = max((obj for filt, obj in pairs if filt <= n), default=0)
         exhausted = enum.exhausted or (
             fn in ("FW", "G") and n <= enum.complete_column_count
         )
         points.append(
             GrowthPoint(
                 n=n,
-                value=value,
+                value=best[n],
                 exhausted=exhausted,
                 possibly_undefined=(fn == "F" and not exhausted),
             )
@@ -174,6 +207,7 @@ def growth(
         measure_label=measure.describe(),
         members_seen=len(enum.members),
         closure_exhausted=enum.exhausted,
+        members_solved=solved,
     )
 
 

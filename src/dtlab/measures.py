@@ -111,7 +111,9 @@ class ComplexityMeasure:
 
     @property
     def decomposable(self) -> bool:
-        return self.kind != "opaque"
+        """Does the measure have an accumulator form?  A combinator has
+        one only when every child has one."""
+        return self.kind != "opaque" and all(c.decomposable for c in self.children)
 
     def initial_state(self):
         if self.kind in ("depth", "additive", "maxw"):

@@ -38,6 +38,7 @@ from .constructions import (
     two_color,
     unit_rows_family,
 )
+from .closure import enumerate_closure
 from .explorer import StepFunction, growth
 from .measures import ComplexityMeasure, additive, depth, max_weight, table_costs
 from .randgen import SplitMix64, enumerate_small_tables, random_table
@@ -349,10 +350,13 @@ def staircase_scenario(max_m: int = 5) -> list[ScenarioCheck]:
     """Identity-style staircase family under depth: every growth function
     climbs exactly linearly and every point is exact."""
     gens = [identity_table(m) for m in range(1, max_m + 1)]
+    enum = enumerate_closure(gens)
     h = depth()
     checks = []
     for fn in ("FW", "FTheta", "G"):
-        rep = growth(fn, gens, h, max_n=max_m, generator_label=f"staircase<= {max_m}")
+        rep = growth(
+            fn, gens, h, max_n=max_m, generator_label=f"staircase<= {max_m}", enumeration=enum
+        )
         want = list(range(max_m + 1))
         ok = rep.values() == want and all(p.exhausted for p in rep.points)
         checks.append(
@@ -369,11 +373,15 @@ def step_scenario(indices: Sequence[int] = (2, 5, 9), max_n: int = 10) -> list[S
     """Single-attribute generators weighted by index: the deterministic
     growth functions reproduce the step function of the index set."""
     gens, measure = single_attribute_generators(indices)
+    enum = enumerate_closure(gens)
     step = StepFunction(tuple(sorted(indices)))
     want = [step.value(n) for n in range(max_n + 1)]
     checks = []
     for fn in ("FW", "FTheta"):
-        rep = growth(fn, gens, measure, max_n=max_n, generator_label=f"steps{tuple(indices)}")
+        rep = growth(
+            fn, gens, measure, max_n=max_n, generator_label=f"steps{tuple(indices)}",
+            enumeration=enum,
+        )
         ok = rep.values() == want and all(p.exhausted for p in rep.points)
         checks.append(
             ScenarioCheck(

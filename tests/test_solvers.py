@@ -214,6 +214,16 @@ def test_det_tree_opaque_measure_rejected(example6):
     assert det_tree_cost_bruteforce(m, example6) == 2
 
 
+def test_combinator_with_opaque_part_falls_back_to_bruteforce(example6):
+    m = max_of(depth(), opaque(lambda idx: len(idx)))
+    assert not m.decomposable
+    with pytest.raises(NotDecomposable):
+        det_tree_cost(m, example6)
+    report = parameter_report(m, example6)
+    assert report.det_cost == det_tree_cost_bruteforce(m, example6) == 2
+    assert report.det_tree is None and report.consistent
+
+
 def test_bruteforce_examples(example6, or_image):
     assert det_tree_cost_bruteforce(depth(), example6) == 2
     assert det_tree_cost_bruteforce(depth(), validate(2, [5], [((0,), 0), ((1,), 1)])) == 1
