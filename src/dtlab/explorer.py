@@ -19,20 +19,36 @@ with at most n columns were seen, because a bounded measure forces a
 member with column-set cost at most n to have at most n columns.  Points
 that are not exhausted are certified lower bounds.
 
-``growth`` sweeps the members once, in emission order, keeping the
-running value best[n] of every point n <= max_n.  A member with filter
-value f can only raise the points n >= f, and best is nondecreasing in
-n, so its objective is solved only when f <= max_n and an upper bound u
-on the objective exceeds best[f]; otherwise it cannot raise any point,
-now or later, because running values only grow.  The bound is the cost u
-of the member's column set: det <= min test cost <= u (the full column
-set is a test, and a tree that tests each column of a test at most once
-per path costs at most the test), and snd <= det.  These rest on the
-measure axioms, which the built-in kinds satisfy; a measure with an
-opaque part is arbitrary code, so under one every member is solved.  A
-skipped solve never hides a raise: the tree solvers cannot raise under
-built-in measures except ``snd_tree_cost`` on members wider than its
-subset guard rail, and those are always solved.
+``growth`` sweeps the members once, base by base (a base is a column
+set with its rows; its members differ only in their decisions), keeping
+the running value best[n] of every point n <= max_n.  A member with
+filter value f can only raise the points n >= f, and best is
+nondecreasing in n, so its objective is solved only when f <= max_n and
+an upper bound on the objective exceeds best[f]; otherwise it cannot
+raise any point, now or later, because running values only grow.  The
+bound is the cost u of the member's column set: det <= min test cost <=
+u (the full column set is a test, and a tree that tests each column of a
+test at most once per path costs at most the test), and snd <= det.
+
+FW and G filter every member of a base by the same u, and G has a
+sharper bound there.  A set on which no other row agrees with a row is
+a rule for it, so snd <= s, the worst row separation cost of the base,
+and the member whose only 1-row is that worst row costs exactly s (its
+rule must tell that row from every other row).  So FW and G solve that
+member first: G's bound is then reached, and FW's too whenever s = u,
+because det >= snd.  When s < u, FW next solves the parity labelling
+(decision = sum of the row's values mod 2), under which, for k = 2, any
+two rows one value apart disagree: on a full cube it needs every
+column, and on the 16 ``explore`` benchmark generators and on
+``random_table(2, 4, 8)`` seeds 1-8 it reached u whenever any member did.  FW goes on in emission order only while best[u] < u after
+these.  Solving in another order changes which members are solved,
+never the maxima.
+
+The bounds rest on the measure axioms, which the built-in kinds
+satisfy; a measure with an opaque part is arbitrary code, so under one
+every member is solved.  A skipped solve never hides a raise: the tree
+solvers cannot raise under built-in measures except ``snd_tree_cost`` on
+members wider than its subset guard rail, and those are always solved.
 
 ``StepFunction`` is the staircase equal to the largest member of a set
 of integers not exceeding n (zero below the smallest member); the
@@ -44,6 +60,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
 from .closure import ClosureEnumeration, ClosureLimits, enumerate_closure
@@ -52,6 +69,7 @@ from .solvers import (
     MAX_SUBSET_COLUMNS,
     det_tree_cost,
     min_test_cost,
+    row_separation_cost,
     snd_tree_cost,
     table_separation_cost,
 )
@@ -157,36 +175,68 @@ def growth(
         )
     enum = enumeration if enumeration is not None else enumerate_closure(generators, limits)
     objective = snd_tree_cost if fn == "G" else det_tree_cost
-    prune = measure.decomposable  # no opaque part, so the bound holds
-    set_costs: dict[tuple, int] = {}  # the column-set cost depends on the columns only
+    prune = measure.decomposable  # no opaque part, so the bounds hold
+    best = [0] * (max_n + 1)
+    solved = 0
 
-    def attr_set_cost(table: DecisionTable) -> int:
-        cost = set_costs.get(table.columns)
-        if cost is None:
-            cost = set_costs[table.columns] = table_costs(measure, table)[0]
-        return cost
+    def solve(table: DecisionTable, f: int) -> None:
+        nonlocal solved
+        value = objective(measure, table)[0]
+        solved += 1
+        while f <= max_n and best[f] < value:
+            best[f] = value
+            f += 1
 
     def filter_value(table: DecisionTable) -> int:
         if fn == "FTheta":
             return min_test_cost(measure, table)[0]
         if fn == "F":
             return snd_tree_cost(measure, table)[0]
-        return attr_set_cost(table)
+        return table_costs(measure, table)[0]
 
-    best = [0] * (max_n + 1)
-    solved = 0
-    for m in enum.members:
-        table = m.table
-        f = filter_value(table)
+    # The members of one base share its column and row tuples, so a run of
+    # members with the same two tuple ids is (part of) one base.
+    for _, run in groupby(enum.members, key=lambda m: (id(m.table.columns), id(m.table.rows))):
+        tables = [m.table for m in run]
+        first = tables[0]
         # snd_tree_cost raises TooLarge past its guard rail, so such members are solved
-        if prune and not (fn == "G" and table.n_cols > MAX_SUBSET_COLUMNS):
-            if f > max_n or attr_set_cost(table) <= best[f]:
-                continue
-        value = objective(measure, table)[0]
-        solved += 1
-        while f <= max_n and best[f] < value:
-            best[f] = value
-            f += 1
+        if not prune or (fn == "G" and first.n_cols > MAX_SUBSET_COLUMNS):
+            for table in tables:
+                solve(table, filter_value(table))
+            continue
+        u = table_costs(measure, first)[0]
+        if fn in ("FTheta", "F"):
+            for table in tables:
+                f = filter_value(table)
+                if f <= max_n and u > best[f]:
+                    solve(table, f)
+            continue
+        # FW and G: every member of the base has filter value u
+        if u > max_n or u <= best[u] or not first.n_rows:
+            continue
+        seps = [row_separation_cost(measure, first, row)[0] for row in first.rows]
+        bound = max(seps) if fn == "G" else u
+        if bound <= best[u]:
+            continue
+        # members likely to reach the bound go first: the one whose only
+        # 1-row is the worst-separated row (snd exactly s, so det >= s), and
+        # for det the parity labelling, under which (for k = 2) any two rows
+        # one value apart disagree
+        worst = seps.index(max(seps))
+        tries = [tuple(int(i == worst) for i in range(first.n_rows))]
+        parity = tuple(sum(row) % 2 for row in first.rows)
+        if fn == "FW" and parity != tries[0]:
+            tries.append(parity)
+        leads = [t for t in (_member_with(tables, d) for d in tries) if t is not None]
+        for table in leads:
+            if bound <= best[u]:
+                break
+            solve(table, u)
+        for table in tables:
+            if bound <= best[u]:
+                break
+            if table not in leads:
+                solve(table, u)
     points: list[GrowthPoint] = []
     for n in range(max_n + 1):
         exhausted = enum.exhausted or (
@@ -209,6 +259,18 @@ def growth(
         closure_exhausted=enum.exhausted,
         members_solved=solved,
     )
+
+
+def _member_with(tables: list[DecisionTable], decisions: tuple[int, ...]) -> DecisionTable | None:
+    """The member of one base with these decisions, if it is there.
+
+    In the closure's counter order (bit j is the decision of row j) it is
+    the base's member with that counter.
+    """
+    counter = sum(d << j for j, d in enumerate(decisions))
+    if counter < len(tables) and tables[counter].decisions == decisions:
+        return tables[counter]
+    return next((t for t in tables if t.decisions == decisions), None)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,17 @@
 """The bound-pruned growth sweep against the all-members reference loop.
 
 ``growth`` solves a member's objective only when an upper bound on it
-(the member's attribute-set cost) exceeds the running value at the
-member's filter point.  The reference below is the plain loop it
+(the member's attribute-set cost, or for G the worst row separation
+cost of its base) exceeds the running value at the member's filter
+point, and within a base it solves the member whose only 1-row is the
+worst-separated row first.  The reference below is the plain loop it
 replaced: filter and objective for every member, then a max per point.
 Both must give the same report, raise where the other raises, and the
 inequalities the bound rests on are pinned here as well.
 """
 
 import dataclasses
+import random
 from functools import lru_cache
 
 import pytest
@@ -28,7 +31,7 @@ from dtlab.measures import (
 )
 from dtlab.randgen import SplitMix64, random_table
 from dtlab.solvers import det_tree_cost, min_test_cost, snd_tree_cost
-from dtlab.tables import DtError, TooLarge
+from dtlab.tables import DtError, TooLarge, validate
 from dtlab.verify import standard_measures
 
 
@@ -192,6 +195,112 @@ def test_bound_prunes_explore_shaped_closure():
         assert public(report) == public(reference_reports(fn, enum, depth(), [5])[5])
 
 
+def _bases(enum):
+    return {(m.table.columns, m.table.rows) for m in enum.members}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_g_solves_one_member_per_base(seed):
+    """G solves only the one-1-row member of the worst row of a base, whose
+    cost is the base's bound, so no base costs a second solve."""
+    gens = [random_table(2, 4, 9, seed=seed)]
+    enum = enumerate_closure(gens)
+    report = growth("G", gens, depth(), 5, enumeration=enum)
+    assert report.members_solved <= len(_bases(enum))
+    assert public(report) == public(reference_reports("G", enum, depth(), [5])[5])
+
+
+def test_g_flat_base_costs_one_solve():
+    """A base whose worst row separation is below its column count: G's
+    value flattens there, yet the base costs one solve, not one per member."""
+    flat = random_table(2, 3, 6, seed=7)
+    assert solvers.table_separation_cost(depth(), flat) < flat.n_cols
+    enum = enumerate_closure([flat])
+    report = growth("G", [flat], depth(), 3, enumeration=enum)
+    assert report.values()[3] < 3
+    assert report.members_solved <= len(_bases(enum))
+    assert public(report) == public(reference_reports("G", enum, depth(), [3])[3])
+
+
+def test_fw_value_above_worst_row_separation():
+    """det can exceed every row separation cost (here FW reaches 4 on a
+    four-column base whose rows separate with 3), so s bounds G only."""
+    gens = [random_table(2, 4, 8, seed=7)]
+    assert solvers.table_separation_cost(depth(), gens[0]) == 3
+    enum = enumerate_closure(gens)
+    report = growth("FW", gens, depth(), 4, enumeration=enum)
+    assert report.values()[4] == 4
+    assert report.members_solved <= 2 * len(_bases(enum))  # the parity member reaches 4
+    assert public(report) == public(reference_reports("FW", enum, depth(), [4])[4])
+
+
+@pytest.mark.parametrize("fn", ["FW", "G"])
+@pytest.mark.parametrize("gens_name", ["k2", "k3", "k2-multi"])
+def test_sweep_matches_reference_without_one_1_row_members(gens_name, fn):
+    """An enumeration need not hold the member a base's sweep tries first."""
+    gens, enum = seeded_case(gens_name, "full")
+    members = [m for m in enum.members if sum(m.table.decisions) != 1]
+    assert_matches(fn, gens, depth(), dataclasses.replace(enum, members=members), MAX_NS)
+
+
+@pytest.mark.parametrize("fn", ["FW", "G"])
+def test_sweep_matches_reference_adjacent_bases_on_one_column_set(fn):
+    """Two bases with the same column tuple but different rows, back to
+    back, in both orders: each keeps its own separation costs."""
+    sparse = validate(2, range(3), [((0, 0, 0), 1), ((0, 1, 1), 0), ((1, 0, 1), 0), ((1, 1, 0), 0)])
+    dense = validate(2, range(3), [((0, 0, 0), 1), ((0, 0, 1), 0), ((0, 1, 0), 0), ((1, 0, 0), 0)])
+    assert solvers.table_separation_cost(depth(), sparse) < solvers.table_separation_cost(depth(), dense)
+    full = [[m for m in enumerate_closure([g]).members if m.table.n_cols == 3] for g in (sparse, dense)]
+    shared = full[0][0].table.columns  # one column tuple object for both bases
+    full[1] = [dataclasses.replace(m, table=dataclasses.replace(m.table, columns=shared)) for m in full[1]]
+    for members in (full[0] + full[1], full[1] + full[0]):
+        enum = dataclasses.replace(enumerate_closure([sparse]), members=members)
+        assert_matches(fn, [sparse, dense], depth(), enum, [3])
+
+
+@pytest.mark.parametrize("fn", GROWTH_FUNCTIONS)
+def test_zero_row_member_with_columns(fn):
+    """A zero-row table has no row to separate; its tree costs are 0."""
+    gens, enum = seeded_case("k2", "full")
+    blank = dataclasses.replace(enum.members[-1], table=validate(2, range(3), []))
+    enum = dataclasses.replace(enum, members=[blank] + enum.members)
+    assert_matches(fn, gens, depth(), enum, MAX_NS)
+
+
+@pytest.mark.parametrize("fn", ["FW", "G"])
+def test_sweep_matches_reference_at_every_truncation(fn):
+    """``max_tables`` can cut a base before or after its one-1-row member."""
+    gens = [random_table(2, 3, 5, seed=14)]
+    full = enumerate_closure(gens)
+    for limit in range(len(full.members) + 2):
+        enum = enumerate_closure(gens, ClosureLimits(max_tables=limit))
+        assert_matches(fn, gens, depth(), enum, [3])
+
+
+@pytest.mark.parametrize("fn", GROWTH_FUNCTIONS)
+@pytest.mark.parametrize("order", ["reversed", "shuffled", "copied"])
+def test_sweep_matches_reference_out_of_emission_order(order, fn):
+    """Any member order: bases split into several runs, one-1-row members
+    away from position 2^j, equal rows held in distinct tuples."""
+    gens, enum = seeded_case("k2-multi", "full")
+    members = list(enum.members)
+    if order == "reversed":
+        members.reverse()
+    elif order == "shuffled":
+        random.Random(20261018).shuffle(members)
+    else:
+        members = [
+            dataclasses.replace(m, table=dataclasses.replace(
+                m.table, columns=tuple(list(m.table.columns)), rows=tuple(list(m.table.rows))
+            ))
+            for m in members
+        ]
+    enum = dataclasses.replace(enum, members=members)
+    assert_matches(fn, gens, depth(), enum, MAX_NS)
+    if fn == "G" and order == "reversed":  # whole bases, so still one solve each
+        assert growth(fn, gens, depth(), 8, enumeration=enum).members_solved <= len(_bases(enum))
+
+
 def test_bound_inequalities_seeded():
     """det <= min test cost <= attr-set cost and snd <= det, the
     inequalities that make skipping a member's objective safe."""
@@ -208,3 +317,23 @@ def test_bound_inequalities_seeded():
             snd = snd_tree_cost(measure, table)[0]
             assert det <= theta <= attr_set, (name, table)
             assert snd <= det, (name, table)
+
+
+def test_separation_bound_seeded():
+    """snd <= max separation cost of the 1-rows <= worst row separation
+    cost, with equality for the member whose only 1-row is the worst row:
+    the bound and the lead member behind G's one solve per base."""
+    rng = SplitMix64(20261019)
+    for _ in range(120):
+        k = 2 + rng.below(2)
+        cols = 1 + rng.below(5 if k == 2 else 4)
+        rows = 1 + rng.below(min(12, k**cols))
+        table = random_table(k, cols, rows, seed=rng)
+        for name, measure in standard_measures():
+            seps = [solvers.row_separation_cost(measure, table, r)[0] for r in table.rows]
+            snd = snd_tree_cost(measure, table)[0]
+            assert snd <= max((s for s, d in zip(seps, table.decisions) if d), default=0), (name, table)
+            j = seps.index(max(seps))
+            lead = dataclasses.replace(table, decisions=tuple(int(i == j) for i in range(table.n_rows)))
+            assert snd_tree_cost(measure, lead)[0] == max(seps), (name, table)
+            assert det_tree_cost(measure, lead)[0] >= max(seps), (name, table)
