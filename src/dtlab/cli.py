@@ -239,6 +239,8 @@ def _scenario_generators(spec: str):
     if spec.startswith("builtin:unitrows:"):
         phi = _int_list(spec[len("builtin:unitrows:"):])
         members = [constructions.unit_rows_family(phi, n) for n in range(1, len(phi))]
+        if not members:
+            raise DtError(f"{spec!r} needs phi tabulated through at least n=1")
         return [m.table for m in members], members[-1].measure
     paths = sorted(Path(spec).glob("*.dt"))
     if not paths:

@@ -22,15 +22,16 @@ key of a table with at least one row spells out its columns, rows and
 decisions.  So only zero-row members can coincide: they all share the key
 of the empty table, and only the first of them is emitted.
 
-Each base's member keys, ``nu_bits`` and decision vectors are glued from
-two precomputed half tables, one per half of the sorted rows, so a member
-costs a few string and tuple concatenations instead of a key build.
+A member stores only its table and provenance.  Its canonical key and
+relabeling bits are read from the table on demand: only ``dt closure``'s
+index prints them, while growth sweeps and suites read the tables alone,
+so building them for every member would be wasted work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 from typing import Iterable, Mapping, Sequence
 
 from .tables import (
@@ -44,8 +45,6 @@ from .tables import (
     as_attribute,
     canonical_key,
     empty_table,
-    key_entries,
-    key_head,
 )
 
 
@@ -164,16 +163,24 @@ class ClosureLimits:
 class ClosureMember:
     """One emitted closure member with its provenance.
 
-    ``removed`` is the column set deleted from the generator and
-    ``nu_bits`` the decision string over the member's canonically sorted
-    rows (leftmost character = first sorted row).
+    ``removed`` is the column set deleted from the generator.  The key
+    and ``nu_bits``, the decision string over the member's canonically
+    sorted rows (leftmost character = first sorted row), are derived from
+    the table on each read, so members that nobody prints cost nothing
+    beyond their table.
     """
 
     table: DecisionTable
-    key: CanonicalKey
     generator_index: int
     removed: tuple[Attribute, ...]
-    nu_bits: str
+
+    @property
+    def key(self) -> CanonicalKey:
+        return canonical_key(self.table)
+
+    @property
+    def nu_bits(self) -> str:
+        return "".join(str(d) for _, d in sorted(self.table.entries()))
 
 
 @dataclass
@@ -194,22 +201,6 @@ class ClosureEnumeration:
 
     def tables(self) -> list[DecisionTable]:
         return [m.table for m in self.members]
-
-
-def _half_table(
-    rows: Sequence[tuple[int, ...]], lead: str
-) -> list[tuple[str, str, tuple[int, ...]]]:
-    """(key fragment, bits, decisions) for every decision vector on the rows.
-
-    Vectors come in binary counter order (bit j is the decision of row j);
-    ``lead`` starts every key fragment.
-    """
-    out = []
-    for counter in range(1 << len(rows)):
-        decisions = tuple((counter >> j) & 1 for j in range(len(rows)))
-        key = lead + key_entries(zip(rows, decisions))
-        out.append((key, "".join(map(str, decisions)), decisions))
-    return out
 
 
 def enumerate_closure(
@@ -264,26 +255,15 @@ def enumerate_closure(
                 stopped = True
             if n == 0:
                 if take and not empty_emitted:
-                    empty = DecisionTable(k, cols, rows, ())
-                    out.members.append(ClosureMember(empty, canonical_key(empty), gi, removed, ""))
+                    out.members.append(ClosureMember(DecisionTable(k, cols, rows, ()), gi, removed))
                     empty_emitted = True
             else:
-                h = n // 2
-                low = _half_table(rows[:h], key_head(k, cols))
-                high = _half_table(rows[h:], ";" if h else "")
-                # counter = (high index << h) | low index, so high is the outer loop
-                members = (
-                    ClosureMember(
-                        DecisionTable(k, cols, rows, low_dec + high_dec),
-                        low_key + high_key,
-                        gi,
-                        removed,
-                        low_bits + high_bits,
-                    )
-                    for high_key, high_bits, high_dec in high
-                    for low_key, low_bits, low_dec in low
+                # product counts with its last place fastest; reversed, bit j
+                # of the counter is the decision of sorted row j
+                out.members.extend(
+                    ClosureMember(DecisionTable(k, cols, rows, bits[::-1]), gi, removed)
+                    for bits in islice(product((0, 1), repeat=n), take)
                 )
-                out.members.extend(islice(members, take))
             if stopped:
                 break
         if level_complete and out.complete_column_count == c - 1:

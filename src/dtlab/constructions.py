@@ -157,32 +157,19 @@ def adversarial_relabel(table: DecisionTable) -> tuple[Callable, DecisionTable]:
 def separation_tight_table(measure: ComplexityMeasure, table: DecisionTable) -> DecisionTable:
     """A closure member tying tree cost, column cost, and separation cost.
 
-    Picks a row of worst separation cost, keeps only a minimum-cardinality
-    cheapest separator of it, and labels exactly that row's projection 0.
-    Minimum cardinality makes every kept column indispensable: some row
-    differs from the chosen one only there, so the lone 0-row needs the
-    whole column set to be told apart.
+    Isolates the first row of worst separation cost with
+    :func:`isolate_row` and flips every decision, so exactly that row's
+    projection is labeled 0.  Minimum cardinality of the kept separator
+    makes every kept column indispensable: some row differs from the
+    chosen one only there, so the lone 0-row needs the whole column set to
+    be told apart.
     """
     if table.n_rows < 2:
         raise TooFewRows("need at least two rows")
-    best_row = None
-    best_cost = -1
-    for row in table.rows:
-        c, _ = row_separation_cost(measure, table, row)
-        if c > best_cost:
-            best_row, best_cost = row, c
-    _, keep = row_separation_cost(measure, table, best_row, card_first=True)
-    keep_set = set(keep)
-    removed = tuple(a for a in table.columns if a not in keep_set)
-    proj = remove_columns(removed, table)
-    sigma = tuple(
-        best_row[table.column_position(a)] for a in proj.columns
-    )
-
-    def nu(row: tuple[int, ...]) -> int:
-        return 0 if row == sigma else 1
-
-    return relabel(nu, proj)
+    worst = max(table.rows, key=lambda row: row_separation_cost(measure, table, row)[0])
+    member = isolate_row(measure, table, worst)
+    flipped = tuple(1 - d for d in member.decisions)
+    return DecisionTable(member.k, member.columns, member.rows, flipped)
 
 
 def minimum_key_core(table: DecisionTable) -> DecisionTable:

@@ -169,6 +169,8 @@ def growth(
     """
     if fn not in GROWTH_FUNCTIONS:
         raise DtError(f"unknown growth function {fn!r}; pick one of {GROWTH_FUNCTIONS}")
+    if not isinstance(max_n, int) or max_n < 0:
+        raise DtError(f"max_n must be a nonnegative integer, got {max_n!r}")
     if not measure.is_bounded:
         raise UnboundedMeasure(
             "growth functions need a bounded measure (cost must dominate word length)"

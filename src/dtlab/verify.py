@@ -52,7 +52,7 @@ from .solvers import (
     table_separation_cost,
     closure_separation_cost,
 )
-from .tables import DecisionTable, format_table
+from .tables import DecisionTable, DtError, format_table
 from .trees import validate_deterministic
 
 SUITES = ("lemmas", "dp-oracle", "constructions", "growth")
@@ -85,6 +85,13 @@ class VerifySuiteConfig:
     samples: int = 0
     seed: int = 0
     measures: tuple[tuple[str, ComplexityMeasure], ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.k < 2:
+            raise DtError(f"k must be at least 2, got {self.k}")
+        for name in ("max_cols", "max_rows", "samples"):
+            if getattr(self, name) < 0:
+                raise DtError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
     def measure_bundle(self) -> tuple[tuple[str, ComplexityMeasure], ...]:
         return self.measures if self.measures else standard_measures()

@@ -81,6 +81,13 @@ def test_closure_directory_and_index(capsys, tmp_path, example6_path, or_image):
     assert len(hits) == 1
     member = load_table(out_dir / hits[0][1])
     assert canonical_key(member) == canonical_key(or_image)
+    for row in rows:
+        fields = dict(f.split("=", 1) for f in row[2:])
+        table = load_table(out_dir / row[1])
+        assert fields["key"] == canonical_key(table)
+        bits = "".join(str(d) for _, d in sorted(table.entries()))
+        assert fields["nu"] == (bits or "-")
+    assert any("nu=-" in row for row in rows)
 
 
 @pytest.mark.parametrize(
@@ -97,6 +104,21 @@ def test_negative_closure_limit_exits_2(capsys, tmp_path, example6_path, argv):
     assert main(argv) == 2
     assert "must be a nonnegative integer" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["explore", "--fn", "FW", "--gen", "builtin:unitrows:0", "--max-n", "2"],
+        ["explore", "--fn", "FW", "--gen", "builtin:unitrows:", "--max-n", "2"],
+        ["explore", "--fn", "FW", "--gen", "builtin:id2", "--max-n", "-1"],
+    ],
+)
+def test_explore_bad_input_exits_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
 
 
 def test_construct_lemma12_and_isolate(capsys, tmp_path, example6_path):
@@ -189,6 +211,18 @@ def test_verify_cli_lemmas_small(capsys, tmp_path):
     )
     assert code == 0
     assert "checked 9 inputs" in out
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--k", "1"), ("--max-cols", "-1"), ("--max-rows", "-1"), ("--samples", "-1")],
+)
+def test_verify_cli_bad_config_exits_2(capsys, tmp_path, flag, value):
+    dump_dir = tmp_path / "dumps"
+    code = main(["verify", "--suite", "lemmas", flag, value, "--dump-dir", str(dump_dir)])
+    assert code == 2
+    assert capsys.readouterr().out == ""
+    assert not dump_dir.exists()
 
 
 def test_verify_cli_dumps_counterexamples(capsys, tmp_path, monkeypatch):

@@ -1,10 +1,12 @@
 """Closure enumeration against a naive per-member reference.
 
-``enumerate_closure`` glues each member's key, ``nu_bits`` and decisions
-from per-base half tables and keeps no set of seen keys.  The reference
-below builds every member directly, with one ``canonical_key`` per member
-and a visited set.  Both must emit the same members in the same order and
-report the same truncation bookkeeping under every limit.
+``enumerate_closure`` stores only each member's table and provenance,
+derives its key and ``nu_bits`` on read, and keeps no set of seen keys.
+The reference below builds every member directly, with one
+``canonical_key`` per member, its own bit string and a visited set.  Both
+must emit the same ``(table, key, generator_index, removed, nu_bits)``
+tuples in the same order and report the same truncation bookkeeping
+under every limit.
 """
 
 from itertools import combinations
@@ -12,9 +14,7 @@ from itertools import combinations
 import pytest
 
 from dtlab.closure import (
-    ClosureEnumeration,
     ClosureLimits,
-    ClosureMember,
     enumerate_closure,
     remove_columns,
 )
@@ -23,16 +23,21 @@ from dtlab.tables import DecisionTable, canonical_key, validate
 
 
 def reference_closure(generators, limits=ClosureLimits()):
-    """Every relabeling of every base, deduplicated by canonical key."""
+    """Every relabeling of every base, deduplicated by canonical key.
+
+    Returns the member tuples, ``exhausted`` and ``complete_column_count``.
+    """
     if not generators:
-        return ClosureEnumeration(exhausted=True, complete_column_count=0)
+        return [], True, 0
     k = generators[0].k
-    out = ClosureEnumeration()
+    members = []
+    exhausted = True
+    complete_column_count = -1
     visited = set()
     max_cols = max(g.n_cols for g in generators)
     col_ceiling = max_cols if limits.max_columns is None else min(max_cols, limits.max_columns)
     if col_ceiling < max_cols:
-        out.exhausted = False
+        exhausted = False
     stopped = False
     for c in range(col_ceiling + 1):
         bases = {}
@@ -49,12 +54,12 @@ def reference_closure(generators, limits=ClosureLimits()):
             gi, removed = bases[base]
             n = len(rows)
             if limits.max_rows is not None and n > limits.max_rows:
-                out.exhausted = False
+                exhausted = False
                 level_complete = False
                 continue
             for counter in range(1 << n):
-                if limits.max_tables is not None and len(out.members) >= limits.max_tables:
-                    out.exhausted = False
+                if limits.max_tables is not None and len(members) >= limits.max_tables:
+                    exhausted = False
                     level_complete = False
                     stopped = True
                     break
@@ -64,16 +69,14 @@ def reference_closure(generators, limits=ClosureLimits()):
                 if key in visited:
                     continue
                 visited.add(key)
-                out.members.append(
-                    ClosureMember(member, key, gi, removed, "".join(map(str, decisions)))
-                )
+                members.append((member, key, gi, removed, "".join(map(str, decisions))))
             if stopped:
                 break
-        if level_complete and out.complete_column_count == c - 1:
-            out.complete_column_count = c
+        if level_complete and complete_column_count == c - 1:
+            complete_column_count = c
         if stopped:
             break
-    return out
+    return members, exhausted, complete_column_count
 
 
 def summary(enum):
@@ -83,7 +86,7 @@ def summary(enum):
 
 def assert_same(generators, limits=ClosureLimits()):
     got = enumerate_closure(generators, limits)
-    assert summary(got) == summary(reference_closure(generators, limits))
+    assert summary(got) == reference_closure(generators, limits)
     for m in got.members:
         assert m.key == canonical_key(m.table)
     return got

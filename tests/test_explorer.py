@@ -60,6 +60,8 @@ def test_growth_rejects_unbounded_measure():
         growth("FW", gens, max_weight(default=3), max_n=2)
     with pytest.raises(DtError):
         growth("XX", gens, depth(), max_n=2)
+    with pytest.raises(DtError):
+        growth("FW", gens, depth(), max_n=-1)
 
 
 def test_growth_points_monotone_and_sandwiched():
