@@ -39,11 +39,12 @@ from typing import Callable, Iterable, Sequence
 
 from .closure import is_critical, relabel, remove_columns
 from .measures import ComplexityMeasure, additive, depth
-from .solvers import min_cost_subset, row_separation_cost
+from .solvers import _row_separations, min_cost_subset, row_separation_cost
 from .tables import (
     Attribute,
     DecisionTable,
     DtError,
+    _TableBits,
     validate,
 )
 
@@ -166,8 +167,8 @@ def separation_tight_table(measure: ComplexityMeasure, table: DecisionTable) -> 
     """
     if table.n_rows < 2:
         raise TooFewRows("need at least two rows")
-    worst = max(table.rows, key=lambda row: row_separation_cost(measure, table, row)[0])
-    member = isolate_row(measure, table, worst)
+    costs = [c for c, _ in _row_separations(measure, _TableBits(table))]
+    member = isolate_row(measure, table, table.rows[costs.index(max(costs))])
     flipped = tuple(1 - d for d in member.decisions)
     return DecisionTable(member.k, member.columns, member.rows, flipped)
 

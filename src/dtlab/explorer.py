@@ -67,13 +67,13 @@ from .closure import ClosureEnumeration, ClosureLimits, enumerate_closure
 from .measures import ComplexityMeasure, depth, table_costs
 from .solvers import (
     MAX_SUBSET_COLUMNS,
+    _row_separations,
     det_tree_cost,
     min_test_cost,
-    row_separation_cost,
     snd_tree_cost,
     table_separation_cost,
 )
-from .tables import DecisionTable, DtError
+from .tables import DecisionTable, DtError, _TableBits
 
 GROWTH_FUNCTIONS = ("FW", "FTheta", "F", "G")
 
@@ -216,7 +216,7 @@ def growth(
         # FW and G: every member of the base has filter value u
         if u > max_n or u <= best[u] or not first.n_rows:
             continue
-        seps = [row_separation_cost(measure, first, row)[0] for row in first.rows]
+        seps = [c for c, _ in _row_separations(measure, _TableBits(first))]
         bound = max(seps) if fn == "G" else u
         if bound <= best[u]:
             continue

@@ -121,6 +121,8 @@ def enumerate_small_tables(
         raise TooLarge(f"{total} tables exceed the enumeration cap of {max_count}")
     if include_empty:
         yield empty_table(k)
+    if max_rows < 1:
+        return  # no value space is needed when no row can be drawn
     for c in range(1, max_cols + 1):
         attrs = tuple(Attribute(i) for i in range(c))
         space = sorted(product(range(k), repeat=c))

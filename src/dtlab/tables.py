@@ -11,7 +11,16 @@ collapse into a single canonical class, every parameter of which is zero.
 A zero-column table may not carry rows.
 
 Tables are immutable after validation and all operations here are pure,
-so instances can be shared freely across threads.
+so instances can be shared freely across threads.  The one value ever
+stored on a table is the depth triple (min test, det and separation cost
+under the depth measure) that a depth parameter report leaves for later
+reports on the same table object.  It is a function of the table alone
+and the write is idempotent, so sharing tables across threads stays safe.
+
+``_TableBits`` is the bit kernel of the solvers and validators: the
+rows as bitmasks per column value, the decisions as a row mask, and the
+pairwise row differences as column masks.  It is built for one call and
+never stored on its table.
 
 File format (.dt, UTF-8, line oriented)::
 
@@ -27,6 +36,8 @@ written as a ``k`` line plus a bare ``attrs`` line.
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -205,6 +216,153 @@ def canonical_key(table: DecisionTable) -> CanonicalKey:
     return f"k{table.k}|{cols}|{body}"
 
 
+class _lazy:
+    """A field computed on first read, then stored on the instance.
+
+    ``functools.cached_property`` does the same, but on Python 3.11 it
+    takes one lock shared by all instances on every first read, which
+    made it the largest self-time entry of a ``verify`` pass.
+    """
+
+    def __init__(self, build):
+        self.build = build
+        self.name = build.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.build(obj)
+        return value
+
+
+class _Lanes:
+    """Rows' column masks side by side in one integer, one lane per row.
+
+    Lane j (``w`` bits wide) holds row j.  ``agree[r][v]`` sets bit r of
+    the lane of each row with value v at rank r, and ``spread`` sets the
+    low n_cols bits of every lane.  So ``spread`` minus the lanes of
+    one value tuple is its difference with every row, which ``array``
+    unpacks in one C call.
+    """
+
+    def __init__(self, k: int, n_cols: int, ranked_rows: Sequence[tuple[int, ...]]):
+        self.typecode = next((t for t in "BHIQ" if array(t).itemsize * 8 >= n_cols), None)
+        if self.typecode is None:
+            raise TooLarge(f"row differences over {n_cols} columns exceed 64-bit lanes")
+        w = array(self.typecode).itemsize * 8
+        self.size = w // 8 * len(ranked_rows)
+        self.agree = [[0] * k for _ in range(n_cols)]
+        self.spread = 0
+        for j, row in enumerate(ranked_rows):
+            self.spread |= ((1 << n_cols) - 1) << (w * j)
+            for r, v in enumerate(row):
+                self.agree[r][v] |= 1 << (w * j + r)
+
+    def diffs(self, values: tuple[int, ...]) -> list[int]:
+        """Column masks of the ranks on which ``values`` differs from each row."""
+        same = 0
+        for lanes, v in zip(self.agree, values):
+            same |= lanes[v]
+        return array(self.typecode, (self.spread ^ same).to_bytes(self.size, sys.byteorder)).tolist()
+
+
+class _TableBits:
+    """Bit views of one table, each computed on first use.
+
+    Bit i of a row mask stands for row i.  Bit r of a column mask stands
+    for the column of rank r, the one with the r-th smallest attribute
+    index.  A kernel serves one call (a parameter report, a solve or a
+    validation) and is dropped with it.
+    """
+
+    def __init__(self, table: DecisionTable):
+        self.table = table
+        self.full = (1 << table.n_rows) - 1
+
+    @_lazy
+    def ranks(self) -> list[int]:
+        """Column positions by ascending attribute index: rank r -> position."""
+        cols = self.table.columns
+        return sorted(range(len(cols)), key=lambda p: cols[p].index)
+
+    @_lazy
+    def ranked_rows(self) -> Sequence[tuple[int, ...]]:
+        """The rows with their values listed in column-rank order."""
+        ranks = self.ranks
+        if ranks == list(range(len(ranks))):
+            return self.table.rows
+        return [tuple(row[p] for p in ranks) for row in self.table.rows]
+
+    @_lazy
+    def masks(self) -> list[list[int]]:
+        """Per column position, per value, the mask of rows with that value."""
+        table = self.table
+        masks = [[0] * table.k for _ in range(table.n_cols)]
+        for i, row in enumerate(table.rows):
+            for p, v in enumerate(row):
+                masks[p][v] |= 1 << i
+        return masks
+
+    @_lazy
+    def rank_masks(self) -> list[list[int]]:
+        """The value masks by column rank."""
+        masks = self.masks
+        return [masks[p] for p in self.ranks]
+
+    @_lazy
+    def ones(self) -> int:
+        """Mask of the rows labeled 1."""
+        return sum(1 << i for i, d in enumerate(self.table.decisions) if d)
+
+    @_lazy
+    def position(self) -> dict[Attribute, int]:
+        """The column position of each attribute."""
+        return {a: p for p, a in enumerate(self.table.columns)}
+
+    @_lazy
+    def _lanes(self) -> _Lanes:
+        return _Lanes(self.table.k, self.table.n_cols, self.ranked_rows)
+
+    def diff_row(self, i: int) -> list[int]:
+        """Column masks of the ranks on which row i differs from each row."""
+        if "diffs" in self.__dict__:
+            return self.diffs[i]
+        return self._lanes.diffs(self.ranked_rows[i])
+
+    @_lazy
+    def diffs(self) -> list[list[int]]:
+        """The n x n row-difference matrix: ``diffs[i][j]`` as in ``diff_row``."""
+        lanes = self._lanes
+        return [lanes.diffs(row) for row in self.ranked_rows]
+
+    def cross_diffs(self) -> list[int]:
+        """The difference of every 0-row with every 1-row, and no others."""
+        ranked, decisions = self.ranked_rows, self.table.decisions
+        ones = _Lanes(self.table.k, self.table.n_cols, [r for r, d in zip(ranked, decisions) if d])
+        out: list[int] = []
+        for row, d in zip(ranked, decisions):
+            if not d:
+                out += ones.diffs(row)
+        return out
+
+    def agreeing(self, i: int, positions: Iterable[int]) -> int:
+        """Mask of the rows equal to row i on the given column positions."""
+        row, masks = self.table.rows[i], self.masks
+        m = self.full
+        for p in positions:
+            m &= masks[p][row[p]]
+        return m
+
+    def is_test(self, positions: Sequence[int]) -> bool:
+        """Do rows with different decisions differ on the given positions?"""
+        ones = self.ones
+        return not any(
+            self.agreeing(i, positions) & ones
+            for i in range(self.table.n_rows)
+            if not ones >> i & 1
+        )
+
+
 def restrict(table: DecisionTable, fixings: Iterable) -> DecisionTable:
     """Keep exactly the rows matching every ``(attribute, value)`` fixing.
 
@@ -243,24 +401,7 @@ def is_test(table: DecisionTable, attrs: Iterable) -> bool:
     constant table.
     """
     positions = [table.column_position(a) for a in set(as_attribute(a) for a in attrs)]
-    zeros = [r for r, d in table.entries() if d == 0]
-    ones = [r for r, d in table.entries() if d == 1]
-    for a in zeros:
-        for b in ones:
-            if all(a[p] == b[p] for p in positions):
-                return False
-    return True
-
-
-def separates_row(table: DecisionTable, row_index: int, positions: Sequence[int]) -> bool:
-    """Does the given column set distinguish one row from every other row?"""
-    target = table.rows[row_index]
-    for i, other in enumerate(table.rows):
-        if i == row_index:
-            continue
-        if all(other[p] == target[p] for p in positions):
-            return False
-    return True
+    return _TableBits(table).is_test(positions)
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,9 @@ from .tables import (
     Attribute,
     DecisionTable,
     DtError,
+    ValueOutOfRange,
+    _TableBits,
     is_constant,
-    is_test,
     restrict,
 )
 from .measures import ComplexityMeasure
@@ -172,12 +173,32 @@ def _check_attributes(tree: DecisionTree, table: DecisionTable) -> list[str]:
     return []
 
 
-def _row_on_path(row: tuple[int, ...], table: DecisionTable, path: CompletePath) -> bool:
-    return all(row[table.column_position(a)] == v for a, v in path.fixings)
+def _path_rows(bits: _TableBits, path: CompletePath) -> int:
+    """Mask of the rows of the path's subtable: one AND per fixing.
+
+    A fixing value outside the table's alphabet raises as in ``restrict``.
+    """
+    k = bits.table.k
+    masks, position = bits.masks, bits.position
+    m = bits.full
+    for attr, value in path.fixings:
+        if not isinstance(value, int) or not 0 <= value < k:
+            raise ValueOutOfRange(f"fixing value {value!r} is outside E_{k}")
+        m &= masks[position[attr]][value]
+    return m
+
+
+def _queries_test(tree: DecisionTree, bits: _TableBits) -> bool:
+    return bits.is_test([bits.position[a] for a in attributes_of(tree)])
 
 
 def validate_deterministic(tree: DecisionTree, table: DecisionTable) -> ValidationResult:
     """Check the five deterministic-tree conditions, naming each violation."""
+    return _validate_deterministic(tree, _TableBits(table))
+
+
+def _validate_deterministic(tree: DecisionTree, bits: _TableBits) -> ValidationResult:
+    table = bits.table
     if table.is_empty:
         raise NotApplicable("deterministic trees are defined for nonempty tables only")
     problems = structural_problems(tree)
@@ -200,14 +221,15 @@ def validate_deterministic(tree: DecisionTree, table: DecisionTable) -> Validati
         return ValidationResult(False, tuple(problems))
 
     paths = complete_paths(tree)
-    for row in table.rows:
-        if not any(_row_on_path(row, table, p) for p in paths):
+    path_rows = [_path_rows(bits, p) for p in paths]
+    reached = 0
+    for m in path_rows:
+        reached |= m
+    for i, row in enumerate(table.rows):
+        if not reached >> i & 1:
             problems.append(f"row {row} reaches no complete path")
-    for i, path in enumerate(paths):
-        sub = path_subtable(table, path)
-        if sub.is_empty:
-            continue
-        if any(d != path.decision for d in sub.decisions):
+    for i, (path, m) in enumerate(zip(paths, path_rows)):
+        if m & (~bits.ones if path.decision else bits.ones):
             problems.append(
                 f"path {i} ends in decision {path.decision} but its subtable "
                 f"has rows labeled otherwise"
@@ -215,7 +237,7 @@ def validate_deterministic(tree: DecisionTree, table: DecisionTable) -> Validati
     ok = not problems
     if ok:
         # any tree valid for the table queries a test of the table
-        assert is_test(table, attributes_of(tree)), "validated tree whose attributes are not a test"
+        assert _queries_test(tree, bits), "validated tree whose attributes are not a test"
     return ValidationResult(ok, tuple(problems))
 
 
@@ -223,6 +245,11 @@ def validate_strongly_nondeterministic(
     tree: DecisionTree, table: DecisionTable
 ) -> ValidationResult:
     """Check the strongly nondeterministic tree conditions against a table."""
+    return _validate_strongly_nondeterministic(tree, _TableBits(table))
+
+
+def _validate_strongly_nondeterministic(tree: DecisionTree, bits: _TableBits) -> ValidationResult:
+    table = bits.table
     if is_constant(table):
         raise NotApplicable(
             "strongly nondeterministic trees are defined for non-constant tables only"
@@ -237,16 +264,19 @@ def validate_strongly_nondeterministic(
     if problems:
         return ValidationResult(False, tuple(problems))
 
-    for row, d in table.entries():
-        if d == 1 and not any(_row_on_path(row, table, p) for p in paths):
+    path_rows = [_path_rows(bits, p) for p in paths]
+    reached = 0
+    for m in path_rows:
+        reached |= m
+    for i, (row, d) in enumerate(table.entries()):
+        if d == 1 and not reached >> i & 1:
             problems.append(f"1-row {row} reaches no complete path")
-    for i, path in enumerate(paths):
-        sub = path_subtable(table, path)
-        if not sub.is_empty and any(d != 1 for d in sub.decisions):
+    for i, m in enumerate(path_rows):
+        if m & ~bits.ones:
             problems.append(f"path {i} has a subtable with a 0-row")
     ok = not problems
     if ok:
-        assert is_test(table, attributes_of(tree)), "validated tree whose attributes are not a test"
+        assert _queries_test(tree, bits), "validated tree whose attributes are not a test"
     return ValidationResult(ok, tuple(problems))
 
 

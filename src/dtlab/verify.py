@@ -92,6 +92,11 @@ class VerifySuiteConfig:
         for name in ("max_cols", "max_rows", "samples"):
             if getattr(self, name) < 0:
                 raise DtError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        # the constructions suite samples at least one round whatever samples says
+        if self.samples > 0 or self.suite == "constructions":
+            for name in ("max_cols", "max_rows"):
+                if getattr(self, name) == 0:
+                    raise DtError(f"{name} must be positive when tables are sampled, got 0")
 
     def measure_bundle(self) -> tuple[tuple[str, ComplexityMeasure], ...]:
         return self.measures if self.measures else standard_measures()
@@ -191,9 +196,10 @@ def lemma_findings(measure: ComplexityMeasure, table: DecisionTable) -> list[str
 
 def run_lemma_suite(config: VerifySuiteConfig) -> VerifyReport:
     report = VerifyReport(suite="lemmas", checked=0)
+    measures = config.measure_bundle()
     for table in table_stream(config):
         report.checked += 1
-        for label, measure in config.measure_bundle():
+        for label, measure in measures:
             bad = lemma_findings(measure, table)
             if bad:
                 shrunk = shrink_table(table, lambda t: bool(lemma_findings(measure, t)))
@@ -209,11 +215,12 @@ def run_lemma_suite(config: VerifySuiteConfig) -> VerifyReport:
 
 def run_dp_oracle_suite(config: VerifySuiteConfig) -> VerifyReport:
     report = VerifyReport(suite="dp-oracle", checked=0)
+    measures = config.measure_bundle()
     for table in table_stream(config):
         if table.n_cols > 4 or table.k > 3:
             continue
         report.checked += 1
-        for label, measure in config.measure_bundle():
+        for label, measure in measures:
             got = det_tree_cost(measure, table)[0]
             want = det_tree_cost_bruteforce(measure, table)
             if got != want:

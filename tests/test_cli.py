@@ -214,12 +214,19 @@ def test_verify_cli_lemmas_small(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flag, value",
-    [("--k", "1"), ("--max-cols", "-1"), ("--max-rows", "-1"), ("--samples", "-1")],
+    "flag, value, extra",
+    [
+        pytest.param("--k", "1", (), id="--k-1"),
+        pytest.param("--max-cols", "-1", (), id="--max-cols--1"),
+        pytest.param("--max-rows", "-1", (), id="--max-rows--1"),
+        pytest.param("--samples", "-1", (), id="--samples--1"),
+        pytest.param("--max-cols", "0", ("--samples", "3"), id="--max-cols-0-sampled"),
+        pytest.param("--max-rows", "0", ("--samples", "3"), id="--max-rows-0-sampled"),
+    ],
 )
-def test_verify_cli_bad_config_exits_2(capsys, tmp_path, flag, value):
+def test_verify_cli_bad_config_exits_2(capsys, tmp_path, flag, value, extra):
     dump_dir = tmp_path / "dumps"
-    code = main(["verify", "--suite", "lemmas", flag, value, "--dump-dir", str(dump_dir)])
+    code = main(["verify", "--suite", "lemmas", flag, value, *extra, "--dump-dir", str(dump_dir)])
     assert code == 2
     assert capsys.readouterr().out == ""
     assert not dump_dir.exists()

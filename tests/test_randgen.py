@@ -9,7 +9,7 @@ from dtlab.randgen import (
     enumerate_small_tables,
     random_table,
 )
-from dtlab.tables import TooLarge, canonical_key, validate
+from dtlab.tables import TooLarge, canonical_key, empty_table, validate
 
 
 def test_splitmix64_reference_vector():
@@ -78,6 +78,12 @@ def test_enumerate_counts_one_column():
 def test_enumerate_zero_columns():
     tables = list(enumerate_small_tables(2, 0, 4))
     assert len(tables) == 1 and tables[0].is_empty
+
+
+def test_enumerate_zero_rows_builds_no_value_space():
+    # 2^30 value tuples per column count would never finish
+    assert list(enumerate_small_tables(2, 30, 0)) == [empty_table(2)]
+    assert list(enumerate_small_tables(3, 30, -1, include_empty=False)) == []
 
 
 def test_enumerate_contains_renamed_or_pattern(or_image):

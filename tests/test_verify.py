@@ -1,5 +1,7 @@
+import pytest
+
 from dtlab.measures import depth
-from dtlab.tables import validate
+from dtlab.tables import DtError, validate
 from dtlab.verify import (
     VerifySuiteConfig,
     lemma_findings,
@@ -34,6 +36,34 @@ def test_table_stream_exhaustive_and_sampled():
     assert first == second
     assert len(first) == 17
     assert all(1 <= t.n_cols <= 2 and 1 <= t.n_rows <= 4 for t in first)
+
+
+@pytest.mark.parametrize("suite, samples", [("lemmas", 3), ("dp-oracle", 1), ("constructions", 0)])
+@pytest.mark.parametrize("field", ["max_cols", "max_rows"])
+def test_zero_limits_rejected_when_sampling(suite, samples, field):
+    with pytest.raises(DtError, match=f"{field} must be positive"):
+        VerifySuiteConfig(suite=suite, samples=samples, **{field: 0})
+
+
+def test_zero_limits_allowed_when_exhaustive():
+    report = run_suite(VerifySuiteConfig(suite="lemmas", max_cols=0, max_rows=0))
+    assert report.passed and report.checked == 1
+
+
+@pytest.mark.parametrize("suite", ["lemmas", "dp-oracle"])
+def test_suite_builds_one_measure_bundle(monkeypatch, suite):
+    import dtlab.verify as verify_mod
+
+    built = []
+
+    def counted():
+        built.append(1)
+        return standard_measures()
+
+    monkeypatch.setattr(verify_mod, "standard_measures", counted)
+    report = run_suite(VerifySuiteConfig(suite=suite, k=2, max_cols=2, max_rows=2))
+    assert report.passed and report.checked > 1
+    assert len(built) == 1
 
 
 def test_lemma_suite_small_exhaustive_passes():
