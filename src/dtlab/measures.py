@@ -369,12 +369,20 @@ def load_measure_spec(spec: str) -> ComplexityMeasure:
 
     ``depth`` or ``h`` name the depth measure; ``sum:a.cm,b.cm`` and
     ``max:a.cm,b.cm`` compose children loaded from files; anything else is
-    a .cm path.
+    a .cm path.  A file that cannot be read or decoded raises
+    ``MeasureError`` with the message of the underlying error.
     """
     if spec in ("depth", "h"):
         return depth()
     for tag, combine in (("sum:", sum_of), ("max:", max_of)):
         if spec.startswith(tag):
             parts = spec[len(tag):].split(",")
-            return combine(*(load_measure_spec(p) for p in parts))
-    return load_measure(spec)
+            try:
+                children = [load_measure_spec(p) for p in parts]
+            except RecursionError:
+                raise MeasureError("measure spec nests combinators too deeply") from None
+            return combine(*children)
+    try:
+        return load_measure(spec)
+    except (OSError, ValueError) as exc:  # missing file, bad path, not UTF-8
+        raise MeasureError(str(exc)) from exc

@@ -39,6 +39,9 @@ order restricted to subsets of C; that restriction is exactly the order
 the projection would build, because a key depends only on the
 attribute set.  C itself separates every projected row, so a C with
 cost(C) <= the best value so far cannot raise it and is skipped.
+``parameter_report`` starts that best value at the table's separation
+cost, which the projection keeping every column has anyway, so the skip
+drops every column set no dearer than the table's own separation cost.
 
 Every solver reads its table through one bit kernel,
 ``tables._TableBits``: rank order, value masks, the ones mask and the
@@ -61,6 +64,10 @@ The deterministic-tree search memoizes on (surviving row set, accumulator
 state).  Keying on the accumulator matters: under combinator measures the
 best subtree genuinely depends on the tested prefix, so a row-set-only
 memo would be wrong; the brute-force oracle pins this down in the tests.
+Its recursive helpers refer to themselves through closure cells, which
+are cleared before the search returns: a call leaves no reference cycle,
+so its memo and trees are freed by reference counting, not by the cyclic
+garbage collector.
 """
 
 from __future__ import annotations
@@ -341,7 +348,12 @@ def closure_separation_cost(measure: ComplexityMeasure, table: DecisionTable) ->
     return _closure_separation(measure, _TableBits(table))
 
 
-def _closure_separation(measure: ComplexityMeasure, bits: _TableBits) -> int:
+def _closure_separation(measure: ComplexityMeasure, bits: _TableBits, best: int = 0) -> int:
+    """The sweep of ``closure_separation_cost``, starting from ``best``.
+
+    ``best`` must not exceed the table's separation cost, which is the
+    value of the projection that keeps every column.
+    """
     table = bits.table
     if table.is_empty:
         return 0
@@ -351,7 +363,6 @@ def _closure_separation(measure: ComplexityMeasure, bits: _TableBits) -> int:
     order.complete()
     rows = bits.ranked_rows
     diffs = bits.diffs
-    best = 0
     for cost_c, c in zip(order.costs, order.masks):
         if cost_c <= best:
             continue  # C separates every projected row, so none costs more
@@ -491,8 +502,11 @@ def _det_tree(measure: ComplexityMeasure, bits: _TableBits) -> tuple[int, Decisi
         return Node(cols[p], edges)
 
     s0 = measure.initial_state()
-    total = solve(full, s0)
-    tree = DecisionTree(k, (rebuild(full, s0),))
+    try:
+        total = solve(full, s0)
+        tree = DecisionTree(k, (rebuild(full, s0),))
+    finally:
+        del solve, rebuild  # each refers to itself through its closure cell
     return total, tree
 
 
@@ -534,7 +548,10 @@ def _det_tree_bruteforce(measure: ComplexityMeasure, bits: _TableBits) -> int:
         assert res is not None, "ran out of attributes on a non-constant subtable"
         return res
 
-    return best(full, tuple(range(len(cols))), ())
+    try:
+        return best(full, tuple(range(len(cols))), ())
+    finally:
+        del best  # it refers to itself through its closure cell
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +733,7 @@ def parameter_report(measure: ComplexityMeasure, table: DecisionTable) -> Parame
     theta, test_witness = _min_test(measure, bits)
     seps = tuple((row, *sep) for row, sep in zip(table.rows, _row_separations(measure, bits)))
     separation = max((c for _, c, _ in seps), default=0)
-    closure_sep = _closure_separation(measure, bits)
+    closure_sep = _closure_separation(measure, bits, separation)
     fix, worst = _fixing_cost(measure, bits)
     if measure.decomposable:
         det, det_tree = _det_tree(measure, bits)

@@ -96,7 +96,10 @@ class Attribute:
         m = _ATTR_RE.match(text)
         if m is None:
             raise UnknownAttribute(f"attribute names must look like f3, got {text!r}")
-        return cls(int(m.group(1)))
+        try:
+            return cls(int(m.group(1)))
+        except ValueError:  # more digits than int() converts
+            raise UnknownAttribute(f"attribute index of {text[:20]}... is too long") from None
 
     def __repr__(self) -> str:
         return self.name

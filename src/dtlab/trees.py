@@ -73,12 +73,18 @@ class DecisionTree:
     children: tuple[TreeNode, ...]
 
     def node_count(self) -> int:
-        def count(node: TreeNode) -> int:
-            if isinstance(node, Leaf):
-                return 1
-            return 1 + sum(count(c) for _, c in node.edges)
+        return 1 + sum(_count_nodes(c) for c in self.children)
 
-        return 1 + sum(count(c) for c in self.children)
+
+# The tree walks below are module functions rather than nested closures: a
+# nested recursive function refers to itself through its closure cell, so
+# every call would leave a reference cycle for the cyclic collector.
+
+
+def _count_nodes(node: TreeNode) -> int:
+    if isinstance(node, Leaf):
+        return 1
+    return 1 + sum(_count_nodes(c) for _, c in node.edges)
 
 
 @dataclass(frozen=True)
@@ -92,32 +98,32 @@ class CompletePath:
 
 def attributes_of(tree: DecisionTree) -> frozenset[Attribute]:
     found: set[Attribute] = set()
-
-    def walk(node: TreeNode):
-        if isinstance(node, Node):
-            found.add(node.attribute)
-            for _, child in node.edges:
-                walk(child)
-
     for child in tree.children:
-        walk(child)
+        _collect_attributes(child, found)
     return frozenset(found)
+
+
+def _collect_attributes(node: TreeNode, found: set[Attribute]) -> None:
+    if isinstance(node, Node):
+        found.add(node.attribute)
+        for _, child in node.edges:
+            _collect_attributes(child, found)
 
 
 def complete_paths(tree: DecisionTree) -> tuple[CompletePath, ...]:
     """All complete paths, one per terminal, in left-to-right tree order."""
     paths: list[CompletePath] = []
-
-    def walk(node: TreeNode, word, fixings):
-        if isinstance(node, Leaf):
-            paths.append(CompletePath(tuple(word), tuple(fixings), node.decision))
-            return
-        for value, child in node.edges:
-            walk(child, word + [node.attribute], fixings + [(node.attribute, value)])
-
     for child in tree.children:
-        walk(child, [], [])
+        _collect_paths(child, [], [], paths)
     return tuple(paths)
+
+
+def _collect_paths(node: TreeNode, word, fixings, paths: list[CompletePath]) -> None:
+    if isinstance(node, Leaf):
+        paths.append(CompletePath(tuple(word), tuple(fixings), node.decision))
+        return
+    for value, child in node.edges:
+        _collect_paths(child, word + [node.attribute], fixings + [(node.attribute, value)], paths)
 
 
 def path_subtable(table: DecisionTable, path: CompletePath) -> DecisionTable:
@@ -136,24 +142,22 @@ def structural_problems(tree: DecisionTree) -> list[str]:
         problems.append("the root has no outgoing edges; a tree needs at least two nodes")
     if tree.k < 2:
         problems.append(f"alphabet size k must be >= 2, got {tree.k}")
-
-    def walk(node: TreeNode):
-        if isinstance(node, Leaf):
-            if node.decision not in (0, 1):
-                problems.append(f"terminal decision {node.decision!r} is not 0 or 1")
-            return
-        if not node.edges:
-            problems.append(f"attribute node {node.attribute.name} has no outgoing edges")
-        for value, child in node.edges:
-            if not 0 <= value < tree.k:
-                problems.append(
-                    f"edge value {value} at {node.attribute.name} is outside E_{tree.k}"
-                )
-            walk(child)
-
     for child in tree.children:
-        walk(child)
+        _shape_problems(child, tree.k, problems)
     return problems
+
+
+def _shape_problems(node: TreeNode, k: int, problems: list[str]) -> None:
+    if isinstance(node, Leaf):
+        if node.decision not in (0, 1):
+            problems.append(f"terminal decision {node.decision!r} is not 0 or 1")
+        return
+    if not node.edges:
+        problems.append(f"attribute node {node.attribute.name} has no outgoing edges")
+    for value, child in node.edges:
+        if not 0 <= value < k:
+            problems.append(f"edge value {value} at {node.attribute.name} is outside E_{k}")
+        _shape_problems(child, k, problems)
 
 
 @dataclass(frozen=True)
@@ -204,18 +208,8 @@ def _validate_deterministic(tree: DecisionTree, bits: _TableBits) -> ValidationR
     problems = structural_problems(tree)
     if len(tree.children) != 1:
         problems.append(f"{len(tree.children)} edges leave the root; exactly one is allowed")
-
-    def walk(node: TreeNode):
-        if isinstance(node, Leaf):
-            return
-        values = [v for v, _ in node.edges]
-        if len(set(values)) != len(values):
-            problems.append(f"duplicate edge values {values} at node {node.attribute.name}")
-        for _, child in node.edges:
-            walk(child)
-
     for child in tree.children:
-        walk(child)
+        _duplicate_values(child, problems)
     problems += _check_attributes(tree, table)
     if problems:
         return ValidationResult(False, tuple(problems))
@@ -239,6 +233,16 @@ def _validate_deterministic(tree: DecisionTree, bits: _TableBits) -> ValidationR
         # any tree valid for the table queries a test of the table
         assert _queries_test(tree, bits), "validated tree whose attributes are not a test"
     return ValidationResult(ok, tuple(problems))
+
+
+def _duplicate_values(node: TreeNode, problems: list[str]) -> None:
+    if isinstance(node, Leaf):
+        return
+    values = [v for v, _ in node.edges]
+    if len(set(values)) != len(values):
+        problems.append(f"duplicate edge values {values} at node {node.attribute.name}")
+    for _, child in node.edges:
+        _duplicate_values(child, problems)
 
 
 def validate_strongly_nondeterministic(
@@ -285,13 +289,14 @@ def _validate_strongly_nondeterministic(tree: DecisionTree, bits: _TableBits) ->
 
 
 def format_tree(tree: DecisionTree) -> str:
-    def fmt(node: TreeNode) -> str:
-        if isinstance(node, Leaf):
-            return f"(leaf {node.decision})"
-        edges = " ".join(f"({v} {fmt(c)})" for v, c in node.edges)
-        return f"({node.attribute.name} {edges})"
+    return "(root " + " ".join(_format_node(c) for c in tree.children) + ")"
 
-    return "(root " + " ".join(fmt(c) for c in tree.children) + ")"
+
+def _format_node(node: TreeNode) -> str:
+    if isinstance(node, Leaf):
+        return f"(leaf {node.decision})"
+    edges = " ".join(f"({v} {_format_node(c)})" for v, c in node.edges)
+    return f"({node.attribute.name} {edges})"
 
 
 def _tokenize(text: str) -> Iterator[str]:
@@ -347,8 +352,13 @@ def parse_tree(text: str, k: int = 2) -> DecisionTree:
     expect("(")
     expect("root")
     children = []
-    while pos < len(tokens) and tokens[pos] == "(":
-        children.append(parse_node())
+    try:
+        while pos < len(tokens) and tokens[pos] == "(":
+            children.append(parse_node())
+    except RecursionError:
+        raise TreeFormatError("tree text is nested too deeply to parse") from None
+    finally:
+        del parse_node  # it refers to itself through its closure cell
     expect(")")
     if pos != len(tokens):
         raise TreeFormatError(f"trailing input after tree: {tokens[pos:]}")

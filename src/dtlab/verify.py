@@ -43,6 +43,7 @@ from .explorer import StepFunction, growth
 from .measures import ComplexityMeasure, additive, depth, max_weight, table_costs
 from .randgen import SplitMix64, enumerate_small_tables, random_table
 from .solvers import (
+    ParameterReport,
     det_tree_cost,
     det_tree_cost_bruteforce,
     min_test_cost,
@@ -169,18 +170,35 @@ def shrink_table(table: DecisionTable, fails: Callable[[DecisionTable], bool]) -
     return current
 
 
-def transfer_findings(measure: ComplexityMeasure, table: DecisionTable) -> list[str]:
+def transfer_findings(
+    measure: ComplexityMeasure, table: DecisionTable, report: ParameterReport | None = None
+) -> list[str]:
     """A cheapest deterministic tree for the test-collapsed table must
-    also be a deterministic tree for the original table."""
+    also be a deterministic tree for the original table.
+
+    ``report``, when given, is ``parameter_report(measure, table)``, and
+    its results are reused: the test is its minimal-test witness.  When
+    that test keeps every column, the collapsed table equals the table,
+    so the tree to check is the report's own det tree, and the report's
+    ``det-witness-validates`` check has already validated it against the
+    table; only a failed check is validated again, for its diagnostics.
+    A measure with an opaque part has no report tree, and the tree search
+    raises ``NotDecomposable`` as it does without a report.
+    """
     if table.is_empty or table.n_cols == 0:
         return []
-    _, test = min_test_cost(measure, table)
+    test = min_test_cost(measure, table)[1] if report is None else report.test_witness
     if not test:
         test = (table.columns[0],)
     keep = set(test)
     removed = tuple(a for a in table.columns if a not in keep)
-    collapsed = remove_columns(removed, table)
-    _, tree = det_tree_cost(measure, collapsed)
+    if removed or report is None or report.det_tree is None:
+        _, tree = det_tree_cost(measure, remove_columns(removed, table))
+    else:
+        check = "det-witness-validates"
+        if check in report.checks and check not in report.failed_checks:
+            return []
+        tree = report.det_tree
     result = validate_deterministic(tree, table)
     if not result:
         return ["det-tree-transfer: " + "; ".join(result.diagnostics)]
@@ -189,9 +207,7 @@ def transfer_findings(measure: ComplexityMeasure, table: DecisionTable) -> list[
 
 def lemma_findings(measure: ComplexityMeasure, table: DecisionTable) -> list[str]:
     report = parameter_report(measure, table)
-    bad = list(report.failed_checks)
-    bad.extend(transfer_findings(measure, table))
-    return bad
+    return [*report.failed_checks, *transfer_findings(measure, table, report)]
 
 
 def run_lemma_suite(config: VerifySuiteConfig) -> VerifyReport:
