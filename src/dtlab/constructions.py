@@ -44,7 +44,6 @@ from .tables import (
     Attribute,
     DecisionTable,
     DtError,
-    _TableBits,
     validate,
 )
 
@@ -167,7 +166,7 @@ def separation_tight_table(measure: ComplexityMeasure, table: DecisionTable) -> 
     """
     if table.n_rows < 2:
         raise TooFewRows("need at least two rows")
-    costs = [c for c, _ in _row_separations(measure, _TableBits(table))]
+    costs = [c for c, _ in _row_separations(measure, table)]
     member = isolate_row(measure, table, table.rows[costs.index(max(costs))])
     flipped = tuple(1 - d for d in member.decisions)
     return DecisionTable(member.k, member.columns, member.rows, flipped)

@@ -73,7 +73,7 @@ from .solvers import (
     snd_tree_cost,
     table_separation_cost,
 )
-from .tables import DecisionTable, DtError, _TableBits
+from .tables import DecisionTable, DtError
 
 GROWTH_FUNCTIONS = ("FW", "FTheta", "F", "G")
 
@@ -216,7 +216,7 @@ def growth(
         # FW and G: every member of the base has filter value u
         if u > max_n or u <= best[u] or not first.n_rows:
             continue
-        seps = [c for c, _ in _row_separations(measure, _TableBits(first))]
+        seps = [c for c, _ in _row_separations(measure, first)]
         bound = max(seps) if fn == "G" else u
         if bound <= best[u]:
             continue

@@ -45,6 +45,8 @@ from typing import Callable, Iterable, Sequence
 from .tables import Attribute, DecisionTable, DtError, as_attribute
 
 KINDS = ("depth", "additive", "maxw", "sum", "max", "opaque")
+# From the CLI, specs 320 levels deep ran and 350 exceeded Python's default recursion limit.
+MAX_SPEC_NESTING = 100
 
 
 class MeasureError(DtError):
@@ -370,18 +372,23 @@ def load_measure_spec(spec: str) -> ComplexityMeasure:
     ``depth`` or ``h`` name the depth measure; ``sum:a.cm,b.cm`` and
     ``max:a.cm,b.cm`` compose children loaded from files; anything else is
     a .cm path.  A file that cannot be read or decoded raises
-    ``MeasureError`` with the message of the underlying error.
+    ``MeasureError`` with the message of the underlying error, and so do
+    combinators nested more than ``MAX_SPEC_NESTING`` deep: the measure
+    and the solvers recurse once per level.
     """
+    return _load_spec(spec, MAX_SPEC_NESTING)
+
+
+def _load_spec(spec: str, levels: int) -> ComplexityMeasure:
     if spec in ("depth", "h"):
         return depth()
     for tag, combine in (("sum:", sum_of), ("max:", max_of)):
         if spec.startswith(tag):
-            parts = spec[len(tag):].split(",")
-            try:
-                children = [load_measure_spec(p) for p in parts]
-            except RecursionError:
-                raise MeasureError("measure spec nests combinators too deeply") from None
-            return combine(*children)
+            if levels == 0:
+                raise MeasureError(
+                    f"measure spec nests combinators too deeply (more than {MAX_SPEC_NESTING} levels)"
+                )
+            return combine(*(_load_spec(p, levels - 1) for p in spec[len(tag):].split(",")))
     try:
         return load_measure(spec)
     except (OSError, ValueError) as exc:  # missing file, bad path, not UTF-8

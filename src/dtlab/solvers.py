@@ -43,17 +43,20 @@ cost(C) <= the best value so far cannot raise it and is skipped.
 cost, which the projection keeping every column has anyway, so the skip
 drops every column set no dearer than the table's own separation cost.
 
-Every solver reads its table through one bit kernel,
+Every solver and validator reads its table through one bit kernel,
 ``tables._TableBits``: rank order, value masks, the ones mask and the
-n x n row-difference matrix, each built on first use.  A public call
-builds its own kernel and touches only what it needs (one difference
-row for ``row_separation_cost``, the 0-row x 1-row differences for
-``min_test_cost``); ``parameter_report`` builds one kernel and hands it
-to every solver and witness validator it runs, so each row's separator
-comes from one difference matrix rather than n re-rankings.  The kernel
-lives for one call and is never stored on its table: a closure keeps
-tens of thousands of member tables alive, and a variant that kept bits
-on its tables took FTheta growth over the 28,341-member closure of
+n x n row-difference matrix, each built on first use.  It takes the
+kernel from ``tables._bits_of``, a slot holding the kernel of the last
+table asked for, so calls on one table object in a row share one
+kernel and touch only what they need (one difference row for
+``row_separation_cost``, the 0-row x 1-row differences for
+``min_test_cost``).  ``parameter_report`` calls the public solvers and
+validators one after another on its table, so each row's separator
+comes from one difference matrix rather than n re-rankings, and the
+reports of several measures on one table share it too.  The slot holds
+one table and no kernel is stored on a table: a closure keeps tens of
+thousands of member tables alive, and a variant that kept bits on its
+tables took FTheta growth over the 28,341-member closure of
 ``random_table(2, 5, 14, seed=3)`` from 9.1 s to 12.9 s and its peak
 RSS from 28 MB to 186 MB (2-vCPU VM, Python 3.11.7).  The only value a
 report leaves on a table is the depth triple (min test, det and
@@ -73,6 +76,7 @@ garbage collector.
 from __future__ import annotations
 
 import heapq
+import weakref
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Iterator
@@ -84,15 +88,15 @@ from .tables import (
     DtError,
     TooLarge,
     ValueOutOfRange,
-    _TableBits,
+    _bits_of,
     is_constant,
 )
 from .trees import (
     DecisionTree,
     Leaf,
     Node,
-    _validate_deterministic,
-    _validate_strongly_nondeterministic,
+    validate_deterministic,
+    validate_strongly_nondeterministic,
 )
 
 MAX_SUBSET_COLUMNS = 20
@@ -135,10 +139,14 @@ class _SubsetOrder:
     set replays the prefix without recomputing a cost.  Entry i is entry
     ``parents[i]`` (-1 for the empty set) plus its highest column rank
     ``lasts[i]``; a parent always comes before its children.
+
+    The order is memoized on its measure, so it refers back to the
+    measure weakly: a strong reference would make a cycle that only the
+    cyclic garbage collector frees.
     """
 
     def __init__(self, measure: ComplexityMeasure, attrs: tuple[Attribute, ...], card_first: bool):
-        self.measure = measure
+        self.measure = weakref.ref(measure)
         self.attrs = attrs
         self.card_first = card_first
         self.costs: list[int] = []
@@ -149,7 +157,7 @@ class _SubsetOrder:
 
     def _entry(self, ranks: tuple[int, ...], parent: int):
         attrs = tuple(self.attrs[r] for r in ranks)
-        cost = self.measure.set_cost(attrs)
+        cost = self.measure().set_cost(attrs)
         idx = tuple(a.index for a in attrs)
         key = (cost, len(ranks), idx) if self.card_first else (cost, idx)
         return key, ranks, parent
@@ -224,8 +232,9 @@ def _first_hitting(order: _SubsetOrder, family: list[int], within: int = -1) -> 
 class _Fixings:
     """Cheapest fixings of one table that leave rows of a single decision."""
 
-    def __init__(self, measure: ComplexityMeasure, bits: _TableBits):
-        self.order = _subset_order(measure, bits.table.columns)
+    def __init__(self, measure: ComplexityMeasure, table: DecisionTable):
+        bits = _bits_of(table)
+        self.order = _subset_order(measure, table.columns)
         self.ranks = bits.ranks
         self.rank_masks = bits.rank_masks
         self.ones = bits.ones
@@ -272,7 +281,7 @@ def min_cost_subset(
     shared (cost, [cardinality,] index-tuple) order is optimal.
     """
     order = _subset_order(measure, table.columns, card_first)
-    ranks = _TableBits(table).ranks
+    ranks = _bits_of(table).ranks
     for i in order.walk():
         mask = order.masks[i]
         if predicate(tuple(sorted(p for r, p in enumerate(ranks) if mask >> r & 1))):
@@ -287,14 +296,10 @@ def min_test_cost(
 
     A test must meet the difference of every 0-row and 1-row pair.
     """
-    return _min_test(measure, _TableBits(table))
-
-
-def _min_test(measure: ComplexityMeasure, bits: _TableBits) -> tuple[int, tuple[Attribute, ...]]:
-    if is_constant(bits.table):
+    if is_constant(table):
         return 0, ()
-    order = _subset_order(measure, bits.table.columns)
-    cost, mask = _first_hitting(order, _minimal(bits.cross_diffs()))
+    order = _subset_order(measure, table.columns)
+    cost, mask = _first_hitting(order, _minimal(_bits_of(table).cross_diffs()))
     return cost, order.attributes(mask)
 
 
@@ -310,7 +315,7 @@ def row_separation_cost(
         raise RowNotInTable(f"{row} is not a row of the table")
     order = _subset_order(measure, table.columns, card_first)
     i = table.rows.index(row)
-    return _separator(order, _TableBits(table).diff_row(i), i)
+    return _separator(order, _bits_of(table).diff_row(i), i)
 
 
 def _separator(order: _SubsetOrder, diffs: list[int], i: int) -> tuple[int, tuple[Attribute, ...]]:
@@ -320,19 +325,19 @@ def _separator(order: _SubsetOrder, diffs: list[int], i: int) -> tuple[int, tupl
 
 
 def _row_separations(
-    measure: ComplexityMeasure, bits: _TableBits
+    measure: ComplexityMeasure, table: DecisionTable
 ) -> list[tuple[int, tuple[Attribute, ...]]]:
     """Every row's (cost, witness) of ``row_separation_cost``, in row order,
     from one difference matrix."""
-    if not bits.table.rows:
+    if not table.rows:
         return []
-    order = _subset_order(measure, bits.table.columns)
-    return [_separator(order, diffs, i) for i, diffs in enumerate(bits.diffs)]
+    order = _subset_order(measure, table.columns)
+    return [_separator(order, diffs, i) for i, diffs in enumerate(_bits_of(table).diffs)]
 
 
 def table_separation_cost(measure: ComplexityMeasure, table: DecisionTable) -> int:
     """Worst row separation cost over the table's rows (0 when empty)."""
-    return max((c for c, _ in _row_separations(measure, _TableBits(table))), default=0)
+    return max((c for c, _ in _row_separations(measure, table)), default=0)
 
 
 def closure_separation_cost(measure: ComplexityMeasure, table: DecisionTable) -> int:
@@ -345,22 +350,25 @@ def closure_separation_cost(measure: ComplexityMeasure, table: DecisionTable) ->
     misses C, and a merged row's separators are the subsets of C meeting
     its differences with the other rows.
     """
-    return _closure_separation(measure, _TableBits(table))
+    return _closure_separation(measure, table)
 
 
-def _closure_separation(measure: ComplexityMeasure, bits: _TableBits, best: int = 0) -> int:
+def _closure_separation(measure: ComplexityMeasure, table: DecisionTable, best: int = 0) -> int:
     """The sweep of ``closure_separation_cost``, starting from ``best``.
 
     ``best`` must not exceed the table's separation cost, which is the
-    value of the projection that keeps every column.
+    value of the projection that keeps every column.  This stays apart
+    from the public function because ``parameter_report`` seeds it with
+    the separation cost it has already solved; a public call seeding
+    itself would solve every row's separator a second time.
     """
-    table = bits.table
     if table.is_empty:
         return 0
     if table.n_cols > MAX_SUBSET_COLUMNS:
         raise TooLarge(f"projection sweep over {table.n_cols} columns is too large")
     order = _subset_order(measure, table.columns)
     order.complete()
+    bits = _bits_of(table)
     rows = bits.ranked_rows
     diffs = bits.diffs
     for cost_c, c in zip(order.costs, order.masks):
@@ -395,25 +403,20 @@ def fixing_cost_for_tuple(
             raise ValueOutOfRange(f"tuple entry {v!r} is outside E_{table.k}")
     if is_constant(table):
         return 0, ()
-    return _Fixings(measure, _TableBits(table)).fixings(values)
+    return _Fixings(measure, table).fixings(values)
 
 
 def fixing_cost(
     measure: ComplexityMeasure, table: DecisionTable
 ) -> tuple[int, tuple[int, ...] | None]:
     """Worst fixing cost over all value tuples, with the first worst tuple."""
-    return _fixing_cost(measure, _TableBits(table))
-
-
-def _fixing_cost(measure: ComplexityMeasure, bits: _TableBits) -> tuple[int, tuple[int, ...] | None]:
-    table = bits.table
     if is_constant(table):
         return 0, None
     if table.k**table.n_cols > MAX_TUPLE_SPACE:
         raise TooLarge(
             f"{table.k}^{table.n_cols} value tuples exceed the exact-sweep guard rail"
         )
-    fixings = _Fixings(measure, bits)
+    fixings = _Fixings(measure, table)
     best = -1
     worst_tuple = None
     for values in product(range(table.k), repeat=table.n_cols):
@@ -442,15 +445,11 @@ def det_tree_cost(
     still holds an exact value.  The empty table has cost 0 and no tree by
     fiat.
     """
-    return _det_tree(measure, _TableBits(table))
-
-
-def _det_tree(measure: ComplexityMeasure, bits: _TableBits) -> tuple[int, DecisionTree | None]:
-    table = bits.table
     if table.is_empty:
         return 0, None
     if not measure.decomposable:
         raise NotDecomposable("exact tree search needs the accumulator contract")
+    bits = _bits_of(table)
     k = table.k
     cols = table.columns
     masks, ones, full, order = bits.masks, bits.ones, bits.full, bits.ranks
@@ -518,15 +517,11 @@ def det_tree_cost_bruteforce(measure: ComplexityMeasure, table: DecisionTable) -
     memoization, no pruning of useless tests.  Guard rails keep the
     enumeration exhaustive and finite.
     """
-    return _det_tree_bruteforce(measure, _TableBits(table))
-
-
-def _det_tree_bruteforce(measure: ComplexityMeasure, bits: _TableBits) -> int:
-    table = bits.table
     if table.is_empty:
         return 0
     if table.n_cols > 4 or table.k > 3:
         raise TooLarge("brute-force tree search allows at most 4 columns and k <= 3")
+    bits = _bits_of(table)
     cols = table.columns
     masks, ones, full = bits.masks, bits.ones, bits.full
 
@@ -569,7 +564,7 @@ def minimal_rule(
     if table.decisions[table.rows.index(row)] != 1:
         raise RowNotInTable(f"{row} is not labeled 1; rules cover 1-rows")
     # The row itself agrees and is a 1-row, so "one decision" means "all 1".
-    return _Fixings(measure, _TableBits(table)).fixings(row)
+    return _Fixings(measure, table).fixings(row)
 
 
 def snd_tree_cost(
@@ -582,16 +577,11 @@ def snd_tree_cost(
     hands every 1-row a covering path whose attribute set is a rule of no
     larger cost, so the value is exact.
     """
-    return _snd_tree(measure, _TableBits(table))
-
-
-def _snd_tree(measure: ComplexityMeasure, bits: _TableBits) -> tuple[int, DecisionTree | None]:
-    table = bits.table
     if is_constant(table):
         return 0, None
     rules: list[tuple[tuple[Attribute, int], ...]] = []
     value = 0
-    rules_of = _Fixings(measure, bits)
+    rules_of = _Fixings(measure, table)
     for row, d in table.entries():
         if d != 1:
             continue
@@ -670,13 +660,6 @@ def inequality_findings(measure: ComplexityMeasure, table: DecisionTable, vals: 
     depth).  When the report's measure is something else, they read the
     triple that a depth report stored on this table object, or solve it.
     """
-    return _inequality_findings(measure, _TableBits(table), vals)
-
-
-def _inequality_findings(
-    measure: ComplexityMeasure, bits: _TableBits, vals: dict
-) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    table = bits.table
     checks: list[str] = []
     failed: list[str] = []
 
@@ -697,8 +680,11 @@ def _inequality_findings(
         triple = vars(table).get(_DEPTH_TRIPLE)
         if triple is None:
             h = depth()
-            seps = _row_separations(h, bits)
-            triple = _min_test(h, bits)[0], _det_tree(h, bits)[0], max(c for c, _ in seps)
+            triple = (
+                min_test_cost(h, table)[0],
+                det_tree_cost(h, table)[0],
+                table_separation_cost(h, table),
+            )
         theta_h, det_h, sep_h = triple
 
     check("det>=fixing", vals["det_cost"] >= vals["fixing_cost"])
@@ -725,21 +711,20 @@ def parameter_report(measure: ComplexityMeasure, table: DecisionTable) -> Parame
     each row separator must separate, the tree witnesses must validate
     against the table, and the worst tuple must reproduce the fixing
     cost.  Failures land in ``failed_checks``.  Every solver and
-    validator reads one bit kernel built for this call.  A depth report
-    stores its depth triple on the table for later reports.
+    validator it calls reads the table's kernel from one slot.  A depth
+    report stores its depth triple on the table for later reports.
     """
-    bits = _TableBits(table)
     attr_set_cost, max_attr_cost = table_costs(measure, table)
-    theta, test_witness = _min_test(measure, bits)
-    seps = tuple((row, *sep) for row, sep in zip(table.rows, _row_separations(measure, bits)))
+    theta, test_witness = min_test_cost(measure, table)
+    seps = tuple((row, *sep) for row, sep in zip(table.rows, _row_separations(measure, table)))
     separation = max((c for _, c, _ in seps), default=0)
-    closure_sep = _closure_separation(measure, bits, separation)
-    fix, worst = _fixing_cost(measure, bits)
+    closure_sep = _closure_separation(measure, table, separation)
+    fix, worst = fixing_cost(measure, table)
     if measure.decomposable:
-        det, det_tree = _det_tree(measure, bits)
+        det, det_tree = det_tree_cost(measure, table)
     else:
-        det, det_tree = _det_tree_bruteforce(measure, bits), None
-    snd, snd_tree = _snd_tree(measure, bits)
+        det, det_tree = det_tree_cost_bruteforce(measure, table), None
+    snd, snd_tree = snd_tree_cost(measure, table)
     if measure.kind == "depth":
         object.__setattr__(table, _DEPTH_TRIPLE, (theta, det, separation))
 
@@ -755,7 +740,7 @@ def parameter_report(measure: ComplexityMeasure, table: DecisionTable) -> Parame
         "det_cost": det,
         "snd_cost": snd,
     }
-    checks, failed = _inequality_findings(measure, bits, vals)
+    checks, failed = inequality_findings(measure, table, vals)
     checks, failed = list(checks), list(failed)
 
     def check(name: str, holds: bool):
@@ -763,6 +748,7 @@ def parameter_report(measure: ComplexityMeasure, table: DecisionTable) -> Parame
         if not holds:
             failed.append(name)
 
+    bits = _bits_of(table)
     position = bits.position
     check("test-witness-is-test", bits.is_test({position[a] for a in test_witness}))
     for i, (_, _, attrs) in enumerate(seps):
@@ -771,25 +757,16 @@ def parameter_report(measure: ComplexityMeasure, table: DecisionTable) -> Parame
         if not ok:
             break
     if worst is not None:
-        check("worst-tuple-reproduces", _Fixings(measure, bits).search(worst)[0] == fix)
+        check("worst-tuple-reproduces", fixing_cost_for_tuple(measure, table, worst)[0] == fix)
     if det_tree is not None:
-        check("det-witness-validates", bool(_validate_deterministic(det_tree, bits)))
+        check("det-witness-validates", bool(validate_deterministic(det_tree, table)))
     if snd_tree is not None:
-        check("snd-witness-validates", bool(_validate_strongly_nondeterministic(snd_tree, bits)))
+        check("snd-witness-validates", bool(validate_strongly_nondeterministic(snd_tree, table)))
 
     return ParameterReport(
         k=table.k,
         measure=measure.describe(),
-        rows=table.n_rows,
-        columns=table.n_cols,
-        attr_set_cost=attr_set_cost,
-        max_attr_cost=max_attr_cost,
-        min_test_cost=theta,
-        separation_cost=separation,
-        closure_separation_cost=closure_sep,
-        fixing_cost=fix,
-        det_cost=det,
-        snd_cost=snd,
+        **vals,
         test_witness=test_witness,
         row_separators=seps,
         worst_tuple=worst,

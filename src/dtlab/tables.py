@@ -19,8 +19,14 @@ and the write is idempotent, so sharing tables across threads stays safe.
 
 ``_TableBits`` is the bit kernel of the solvers and validators: the
 rows as bitmasks per column value, the decisions as a row mask, and the
-pairwise row differences as column masks.  It is built for one call and
-never stored on its table.
+pairwise row differences as column masks.  ``_bits_of`` keeps the
+kernel of the last table asked for in a one-table slot, so calls on one
+table object in a row share a kernel, and the slot never keeps more than
+one table alive (``solvers`` says why).  The slot is swapped in one
+assignment and a kernel's fields depend on its table alone, so threads
+sharing a kernel at worst compute a field twice; the subset orders that
+the solvers memoize on a measure still need one measure instance per
+thread.
 
 File format (.dt, UTF-8, line oriented)::
 
@@ -274,8 +280,7 @@ class _TableBits:
 
     Bit i of a row mask stands for row i.  Bit r of a column mask stands
     for the column of rank r, the one with the r-th smallest attribute
-    index.  A kernel serves one call (a parameter report, a solve or a
-    validation) and is dropped with it.
+    index.
     """
 
     def __init__(self, table: DecisionTable):
@@ -366,6 +371,20 @@ class _TableBits:
         )
 
 
+_slot: tuple[DecisionTable | None, _TableBits | None] = (None, None)
+
+
+def _bits_of(table: DecisionTable) -> _TableBits:
+    """The kernel of ``table``: the slot's when it holds this very object,
+    else a new one that replaces it."""
+    global _slot
+    held, bits = _slot
+    if held is not table:
+        bits = _TableBits(table)
+        _slot = (table, bits)
+    return bits
+
+
 def restrict(table: DecisionTable, fixings: Iterable) -> DecisionTable:
     """Keep exactly the rows matching every ``(attribute, value)`` fixing.
 
@@ -404,7 +423,7 @@ def is_test(table: DecisionTable, attrs: Iterable) -> bool:
     constant table.
     """
     positions = [table.column_position(a) for a in set(as_attribute(a) for a in attrs)]
-    return _TableBits(table).is_test(positions)
+    return _bits_of(table).is_test(positions)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .tables import (
     DecisionTable,
     DtError,
     ValueOutOfRange,
+    _bits_of,
     _TableBits,
     is_constant,
     restrict,
@@ -177,19 +178,24 @@ def _check_attributes(tree: DecisionTree, table: DecisionTable) -> list[str]:
     return []
 
 
-def _path_rows(bits: _TableBits, path: CompletePath) -> int:
-    """Mask of the rows of the path's subtable: one AND per fixing.
+def _path_rows(bits: _TableBits, paths) -> tuple[list[int], int]:
+    """The row mask of each path's subtable, one AND per fixing, and
+    their union.
 
     A fixing value outside the table's alphabet raises as in ``restrict``.
     """
     k = bits.table.k
     masks, position = bits.masks, bits.position
-    m = bits.full
-    for attr, value in path.fixings:
-        if not isinstance(value, int) or not 0 <= value < k:
-            raise ValueOutOfRange(f"fixing value {value!r} is outside E_{k}")
-        m &= masks[position[attr]][value]
-    return m
+    path_rows, reached = [], 0
+    for path in paths:
+        m = bits.full
+        for attr, value in path.fixings:
+            if not isinstance(value, int) or not 0 <= value < k:
+                raise ValueOutOfRange(f"fixing value {value!r} is outside E_{k}")
+            m &= masks[position[attr]][value]
+        path_rows.append(m)
+        reached |= m
+    return path_rows, reached
 
 
 def _queries_test(tree: DecisionTree, bits: _TableBits) -> bool:
@@ -198,11 +204,6 @@ def _queries_test(tree: DecisionTree, bits: _TableBits) -> bool:
 
 def validate_deterministic(tree: DecisionTree, table: DecisionTable) -> ValidationResult:
     """Check the five deterministic-tree conditions, naming each violation."""
-    return _validate_deterministic(tree, _TableBits(table))
-
-
-def _validate_deterministic(tree: DecisionTree, bits: _TableBits) -> ValidationResult:
-    table = bits.table
     if table.is_empty:
         raise NotApplicable("deterministic trees are defined for nonempty tables only")
     problems = structural_problems(tree)
@@ -214,11 +215,9 @@ def _validate_deterministic(tree: DecisionTree, bits: _TableBits) -> ValidationR
     if problems:
         return ValidationResult(False, tuple(problems))
 
+    bits = _bits_of(table)
     paths = complete_paths(tree)
-    path_rows = [_path_rows(bits, p) for p in paths]
-    reached = 0
-    for m in path_rows:
-        reached |= m
+    path_rows, reached = _path_rows(bits, paths)
     for i, row in enumerate(table.rows):
         if not reached >> i & 1:
             problems.append(f"row {row} reaches no complete path")
@@ -249,11 +248,6 @@ def validate_strongly_nondeterministic(
     tree: DecisionTree, table: DecisionTable
 ) -> ValidationResult:
     """Check the strongly nondeterministic tree conditions against a table."""
-    return _validate_strongly_nondeterministic(tree, _TableBits(table))
-
-
-def _validate_strongly_nondeterministic(tree: DecisionTree, bits: _TableBits) -> ValidationResult:
-    table = bits.table
     if is_constant(table):
         raise NotApplicable(
             "strongly nondeterministic trees are defined for non-constant tables only"
@@ -268,10 +262,8 @@ def _validate_strongly_nondeterministic(tree: DecisionTree, bits: _TableBits) ->
     if problems:
         return ValidationResult(False, tuple(problems))
 
-    path_rows = [_path_rows(bits, p) for p in paths]
-    reached = 0
-    for m in path_rows:
-        reached |= m
+    bits = _bits_of(table)
+    path_rows, reached = _path_rows(bits, paths)
     for i, (row, d) in enumerate(table.entries()):
         if d == 1 and not reached >> i & 1:
             problems.append(f"1-row {row} reaches no complete path")

@@ -1,7 +1,7 @@
 import pytest
 
 from dtlab.cli import main
-from dtlab.measures import format_measure, load_measure
+from dtlab.measures import MAX_SPEC_NESTING, format_measure, load_measure
 from dtlab.tables import canonical_key, format_table, load_table, validate
 from dtlab.trees import load_tree, validate_deterministic
 
@@ -277,6 +277,14 @@ def test_bad_input_is_usage_error(capsys, tmp_path):
     bad.write_text("k 2\nattrs f0\nrow 0 1\nrow 0 0\n")
     code, _ = run(capsys, "params", bad)
     assert code == 2
+
+
+@pytest.mark.parametrize("command", [["params", "--kv"], ["tree", "det"], ["tree", "snd"]])
+def test_measure_spec_nesting_bound(capsys, example6_path, command):
+    at_bound = "sum:" * MAX_SPEC_NESTING + "depth"  # a one-child sum is its child
+    assert run(capsys, *command, example6_path, "-m", at_bound) == run(capsys, *command, example6_path)
+    assert main([*command, str(example6_path), "-m", "sum:" + at_bound]) == 2
+    assert f"more than {MAX_SPEC_NESTING} levels" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

@@ -18,7 +18,7 @@ from dtlab.trees import (
     validate_deterministic,
     validate_strongly_nondeterministic,
 )
-from dtlab.verify import lemma_findings, standard_measures
+from dtlab.verify import VerifySuiteConfig, lemma_findings, run_suite, standard_measures
 
 
 def test_solvers_and_validators_leave_no_cycles():
@@ -45,6 +45,8 @@ def test_solvers_and_validators_leave_no_cycles():
                 attributes_of(tree)
                 parse_tree(format_tree(tree), tree.k).node_count()
                 lemma_findings(measure, table)
+        # a suite builds and drops its own measure bundle, with their subset orders
+        run_suite(VerifySuiteConfig("lemmas", max_cols=2, max_rows=3))
         assert gc.collect() == 0
     finally:
         gc.enable()

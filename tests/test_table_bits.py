@@ -6,9 +6,13 @@ reference validators below are the earlier ones that build a
 raised error) must match them exactly.  The all-rows separation routine
 must give each row the value and witness of ``row_separation_cost`` and
 of the brute-force oracle.  A parameter report leaves only the depth
-triple on its table, and growth leaves nothing on closure members.
+triple on its table, and growth leaves nothing on closure members.  The
+kernel slot serves calls on one table object from one kernel, keeps no
+earlier table alive, and gives the answers of a fresh kernel per call.
 """
 
+import gc
+import weakref
 from dataclasses import fields, replace
 from itertools import product
 
@@ -20,7 +24,11 @@ from dtlab.measures import additive, depth
 from dtlab.randgen import random_table
 from dtlab.solvers import (
     _row_separations,
+    closure_separation_cost,
     det_tree_cost,
+    det_tree_cost_bruteforce,
+    fixing_cost,
+    min_test_cost,
     parameter_report,
     row_separation_cost,
     snd_tree_cost,
@@ -29,6 +37,7 @@ from dtlab.tables import (
     Attribute,
     DecisionTable,
     ValueOutOfRange,
+    _bits_of,
     _TableBits,
     is_constant,
     is_test,
@@ -374,7 +383,7 @@ def test_kernel_fields_match_plain_computation(k, cols, rows, reverse):
 def test_all_rows_separation_matches_per_row_and_oracle(table):
     for _, measure in MEASURES:
         per_row = [row_separation_cost(measure, table, r) for r in table.rows]
-        assert _row_separations(measure, _TableBits(table)) == per_row
+        assert _row_separations(measure, table) == per_row
         assert per_row == [oracles.brute_row_separation(measure, table, r) for r in table.rows]
 
 
@@ -421,3 +430,62 @@ def test_growth_leaves_members_bare():
         growth(fn, [gen], depth(), 3, enumeration=enum)
     assert all(set(vars(m.table)) == FIELDS for m in enum.members)
     assert set(vars(gen)) == FIELDS
+
+
+# ---------------------------------------------------------------------------
+# the one-table kernel slot
+
+
+def test_calls_on_one_table_share_one_kernel():
+    table = random_table(2, 4, 9, seed=21)
+    measure = MEASURES[1][1]
+    bits = _bits_of(table)
+    assert _bits_of(table) is bits
+    report = parameter_report(measure, table)
+    validate_strongly_nondeterministic(report.snd_tree, table)
+    min_test_cost(measure, table)
+    assert _bits_of(table) is bits
+    twin = replace(table)  # equal, but another object
+    assert twin == table and _bits_of(twin) is not bits
+
+
+def test_slot_keeps_at_most_one_table_alive():
+    first = random_table(2, 4, 9, seed=22)
+    det_tree_cost(depth(), first)
+    first_bits = weakref.ref(_bits_of(first))
+    gone = weakref.ref(first)
+    gc.collect()
+    gc.disable()
+    try:
+        del first
+        assert gone() is not None  # the slot holds the last table
+        det_tree_cost(depth(), random_table(3, 3, 9, seed=23))
+        assert gone() is None and first_bits() is None
+    finally:
+        gc.enable()
+
+
+SLOT_CALLS = [
+    ("min_test_cost", min_test_cost),
+    ("row_separations", lambda m, t: [row_separation_cost(m, t, r) for r in t.rows]),
+    ("closure_separation_cost", closure_separation_cost),
+    ("fixing_cost", fixing_cost),
+    ("det_tree_cost", det_tree_cost),
+    ("det_tree_cost_bruteforce", det_tree_cost_bruteforce),
+    ("snd_tree_cost", snd_tree_cost),
+    ("parameter_report", parameter_report),
+]
+
+
+def test_interleaved_tables_match_a_fresh_kernel_per_call():
+    a = random_table(2, 4, 9, seed=24)
+    b = random_table(3, 3, 12, seed=25)
+    trees = [tree for source in (a, b) for _, tree in witness_trees(source)]
+    for _, measure in MEASURES:
+        for name, call in SLOT_CALLS:
+            got = [call(measure, t) for t in (a, b, a)]
+            assert got == [call(measure, replace(t)) for t in (a, b, a)], name
+    for tree in trees:
+        for validator in (validate_deterministic, validate_strongly_nondeterministic):
+            got = [outcome(validator, tree, t) for t in (a, b, a)]
+            assert got == [outcome(validator, tree, replace(t)) for t in (a, b, a)]
