@@ -27,41 +27,47 @@ nondecreasing (cost, [cardinality,] index-tuple) order, popped lazily
 from a single heap and memoized on the measure.  Ties break to the
 lexicographically smallest attribute-index set (optionally smallest
 cardinality first), so witnesses are deterministic, and the measure's
-nondecreasing axiom makes the first satisfying subset optimal.  Tests
-and row separators are hitting sets: the first subset meeting every
-row-difference mask of a family, with masks that contain another mask
-dropped.  Fixings and rules narrow the agreeing rows by one AND per
-subset along the heap's parent links.
+nondecreasing axiom makes the first satisfying subset optimal.
 
-Closure separation never builds a projection.  For a kept column set C
-it merges the rows whose difference misses C and searches the shared
-order restricted to subsets of C; that restriction is exactly the order
-the projection would build, because a key depends only on the
-attribute set.  C itself separates every projected row, so a C with
-cost(C) <= the best value so far cannot raise it and is skipped.
-``parameter_report`` starts that best value at the table's separation
-cost, which the projection keeping every column has anyway, so the skip
-drops every column set no dearer than the table's own separation cost.
+Every search but ``min_cost_subset`` asks one question of a subset S:
+do the rows agreeing with a given row or value tuple on S all carry one
+label?  One walker, ``_first_constant``, answers it for each entry of
+the order with one AND, narrowing the parent entry's agreeing rows at
+the entry's highest column.  A fixing or a rule asks it of the
+decisions.  A row separator asks whether the row stands alone, since a
+row always agrees with itself.  A test asks it of wide masks that hold,
+lane by lane, the 1-rows agreeing with each 0-row, plus one bit that
+every wide mask sets: S is a test when only that bit survives.
+
+Closure separation never builds a projection.  For a kept column
+set C, the rows agreeing with a row on C form one projected row, stood
+for by its lowest row, and that row's separators in the projection are
+the subsets of C on which it agrees with no other class: the walker
+restricted to subsets of C, with the class as the label.  That
+restriction is exactly the order the projection would build, because a
+key depends only on the attribute set.  C itself separates every
+projected row, so a C with cost(C) <= the best value so far cannot
+raise it and is skipped.  ``parameter_report`` starts that best value
+at the table's separation cost, which the projection keeping every
+column has anyway, so the skip drops every column set no dearer than
+the table's own separation cost.
 
 Every solver and validator reads its table through one bit kernel,
-``tables._TableBits``: rank order, value masks, the ones mask and the
-n x n row-difference matrix, each built on first use.  It takes the
-kernel from ``tables._bits_of``, a slot holding the kernel of the last
-table asked for, so calls on one table object in a row share one
-kernel and touch only what they need (one difference row for
-``row_separation_cost``, the 0-row x 1-row differences for
-``min_test_cost``).  ``parameter_report`` calls the public solvers and
-validators one after another on its table, so each row's separator
-comes from one difference matrix rather than n re-rankings, and the
-reports of several measures on one table share it too.  The slot holds
-one table and no kernel is stored on a table: a closure keeps tens of
-thousands of member tables alive, and a variant that kept bits on its
-tables took FTheta growth over the 28,341-member closure of
-``random_table(2, 5, 14, seed=3)`` from 9.1 s to 12.9 s and its peak
-RSS from 28 MB to 186 MB (2-vCPU VM, Python 3.11.7).  The only value a
-report leaves on a table is the depth triple (min test, det and
-separation cost under depth), which later non-depth reports of the same
-table object read for their depth-specific checks.
+``tables._TableBits``: rank order, value masks and the ones mask, each
+built on first use.  It takes the kernel from ``tables._bits_of``, a
+slot holding the kernel of the last table asked for, so calls on one
+table object in a row share one kernel, and ``parameter_report``, which
+calls the public solvers and validators one after another on its
+table, builds the value masks once; the reports of several measures on
+one table share them too.  The slot holds one table and no kernel is
+stored on a table: a closure keeps tens of thousands of member tables
+alive, and a variant that kept bits on its tables took FTheta growth
+over the 28,341-member closure of ``random_table(2, 5, 14, seed=3)``
+from 9.1 s to 12.9 s and its peak RSS from 28 MB to 186 MB (2-vCPU VM,
+Python 3.11.7).  The only value a report leaves on a table is the depth
+triple (min test, det and separation cost under depth), which later
+non-depth reports of the same table object read for their
+depth-specific checks.
 
 The deterministic-tree search memoizes on (surviving row set, accumulator
 state).  Keying on the accumulator matters: under combinator measures the
@@ -79,7 +85,7 @@ import heapq
 import weakref
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .measures import ComplexityMeasure, NotDecomposable, depth, table_costs
 from .tables import (
@@ -89,6 +95,7 @@ from .tables import (
     TooLarge,
     ValueOutOfRange,
     _bits_of,
+    _TableBits,
     is_constant,
 )
 from .trees import (
@@ -115,18 +122,6 @@ class BadTupleLength(DtError):
 
 # ---------------------------------------------------------------------------
 # the shared subset order and its searches
-
-
-def _minimal(family: Iterable[int]) -> list[int]:
-    """The masks of ``family`` that contain no other family mask.
-
-    A set meeting every kept mask meets every dropped one too.
-    """
-    kept: list[int] = []
-    for m in sorted(set(family), key=int.bit_count):
-        if all(k & m != k for k in kept):
-            kept.append(m)
-    return kept
 
 
 class _SubsetOrder:
@@ -214,57 +209,37 @@ def _subset_order(
     return order
 
 
-def _first_hitting(order: _SubsetOrder, family: list[int], within: int = -1) -> tuple[int, int]:
-    """First subset of the order inside ``within`` meeting every family mask."""
-    masks = order.masks
+def _first_constant(
+    order: _SubsetOrder, full: int, rank_values: list[int], labels: int, within: int = -1
+) -> tuple[int, int]:
+    """(cost, column-rank mask) of the first subset S of the order inside
+    ``within`` whose agreeing rows all lie in ``labels`` or all outside it.
+
+    ``rank_values[r]`` is the mask of the rows that agree at column rank
+    r, and ``full`` the mask of every row.  A subset's agreeing rows are
+    its parent's, narrowed at its highest rank, so each entry of the
+    order costs one AND.
+    """
+    parents, lasts, masks = order.parents, order.lasts, order.masks
+    agree: list[int] = []
     for i in order.walk():
-        s = masks[i]
-        if s & within != s:
-            continue
-        for f in family:
-            if not f & s:
-                break
-        else:
-            return order.costs[i], s
+        p = parents[i]
+        m = full if p < 0 else agree[p] & rank_values[lasts[i]]
+        agree.append(m)
+        x = m & labels
+        if (x == 0 or x == m) and masks[i] & within == masks[i]:
+            return order.costs[i], masks[i]
     raise AssertionError(_NO_SUBSET)
 
 
-class _Fixings:
-    """Cheapest fixings of one table that leave rows of a single decision."""
-
-    def __init__(self, measure: ComplexityMeasure, table: DecisionTable):
-        bits = _bits_of(table)
-        self.order = _subset_order(measure, table.columns)
-        self.ranks = bits.ranks
-        self.rank_masks = bits.rank_masks
-        self.ones = bits.ones
-        self.full = bits.full
-
-    def search(self, values: tuple[int, ...]) -> tuple[int, int]:
-        """(cost, column-rank mask) of the first subset S of the order on
-        which the rows agreeing with ``values`` (one per column position)
-        all carry one decision.
-
-        A subset's agreeing rows are its parent's, narrowed by its highest
-        column, so each entry of the order costs one AND.
-        """
-        order, ones = self.order, self.ones
-        parents, lasts = order.parents, order.lasts
-        rank_values = [masks[values[p]] for masks, p in zip(self.rank_masks, self.ranks)]
-        agree: list[int] = []
-        for i in order.walk():
-            p = parents[i]
-            m = self.full if p < 0 else agree[p] & rank_values[lasts[i]]
-            x = m & ones
-            if x == 0 or x == m:
-                return order.costs[i], order.masks[i]
-            agree.append(m)
-        raise AssertionError(_NO_SUBSET)
-
-    def fixings(self, values: tuple[int, ...]) -> tuple[int, tuple[tuple[Attribute, int], ...]]:
-        cost, mask = self.search(values)
-        chosen = zip(self.order.attrs, self.ranks)
-        return cost, tuple((a, values[p]) for r, (a, p) in enumerate(chosen) if mask >> r & 1)
+def _fixings(
+    order: _SubsetOrder, bits: _TableBits, values: tuple[int, ...]
+) -> tuple[int, tuple[tuple[Attribute, int], ...]]:
+    """Cheapest fixings from ``values`` (one per column position) that
+    leave rows of a single decision, as (cost, fixings)."""
+    cost, mask = _first_constant(order, bits.full, bits.rank_values(values), bits.ones)
+    chosen = zip(order.attrs, bits.ranks)
+    return cost, tuple((a, values[p]) for r, (a, p) in enumerate(chosen) if mask >> r & 1)
 
 
 def min_cost_subset(
@@ -294,12 +269,23 @@ def min_test_cost(
 ) -> tuple[int, tuple[Attribute, ...]]:
     """Cheapest test of the table; (0, empty) for constant tables.
 
-    A test must meet the difference of every 0-row and 1-row pair.
+    A test leaves no 1-row agreeing with a 0-row.  Lane z of the wide
+    masks below holds the 1-rows that agree with the z-th 0-row, above
+    one bit that every mask sets, so S is a test exactly when only that
+    bit survives the AND over S.
     """
     if is_constant(table):
         return 0, ()
+    bits = _bits_of(table)
+    n, ones = table.n_rows, bits.ones
+    full, wide, shift = 1, [1] * table.n_cols, 1
+    for row, d in table.entries():
+        if not d:
+            full |= ones << shift
+            wide = [w | (v & ones) << shift for w, v in zip(wide, bits.rank_values(row))]
+            shift += n
     order = _subset_order(measure, table.columns)
-    cost, mask = _first_hitting(order, _minimal(_bits_of(table).cross_diffs()))
+    cost, mask = _first_constant(order, full, wide, 1)
     return cost, order.attributes(mask)
 
 
@@ -313,26 +299,28 @@ def row_separation_cost(
     row = tuple(row)
     if row not in table.rows:
         raise RowNotInTable(f"{row} is not a row of the table")
+    # Row i agrees with itself, so its agreeing rows are constant exactly
+    # when row i is alone.
     order = _subset_order(measure, table.columns, card_first)
+    bits = _bits_of(table)
     i = table.rows.index(row)
-    return _separator(order, _bits_of(table).diff_row(i), i)
-
-
-def _separator(order: _SubsetOrder, diffs: list[int], i: int) -> tuple[int, tuple[Attribute, ...]]:
-    """Cheapest separator of row i, given its differences with every row."""
-    cost, mask = _first_hitting(order, _minimal(d for j, d in enumerate(diffs) if j != i))
+    cost, mask = _first_constant(order, bits.full, bits.rank_values(row), 1 << i)
     return cost, order.attributes(mask)
 
 
 def _row_separations(
     measure: ComplexityMeasure, table: DecisionTable
 ) -> list[tuple[int, tuple[Attribute, ...]]]:
-    """Every row's (cost, witness) of ``row_separation_cost``, in row order,
-    from one difference matrix."""
+    """Every row's (cost, witness) of ``row_separation_cost``, in row order."""
     if not table.rows:
         return []
     order = _subset_order(measure, table.columns)
-    return [_separator(order, diffs, i) for i, diffs in enumerate(_bits_of(table).diffs)]
+    bits = _bits_of(table)
+    seps = [
+        _first_constant(order, bits.full, bits.rank_values(row), 1 << i)
+        for i, row in enumerate(table.rows)
+    ]
+    return [(cost, order.attributes(mask)) for cost, mask in seps]
 
 
 def table_separation_cost(measure: ComplexityMeasure, table: DecisionTable) -> int:
@@ -346,9 +334,9 @@ def closure_separation_cost(measure: ComplexityMeasure, table: DecisionTable) ->
     Relabelings never change which rows a projection has, and separation
     ignores decisions, so ranging over the 2^columns projections covers
     the whole closure.  Each projection, named by its kept column set C,
-    is solved without building it: rows merge when their difference
-    misses C, and a merged row's separators are the subsets of C meeting
-    its differences with the other rows.
+    is solved without building it: the rows agreeing with a row on C
+    merge into one projected row, whose separators are the subsets of C
+    on which it agrees with no row outside that class.
     """
     return _closure_separation(measure, table)
 
@@ -369,17 +357,21 @@ def _closure_separation(measure: ComplexityMeasure, table: DecisionTable, best: 
     order = _subset_order(measure, table.columns)
     order.complete()
     bits = _bits_of(table)
-    rows = bits.ranked_rows
-    diffs = bits.diffs
+    full = bits.full
+    row_values = [bits.rank_values(row) for row in table.rows]
     for cost_c, c in zip(order.costs, order.masks):
         if cost_c <= best:
             continue  # C separates every projected row, so none costs more
         kept = [r for r in range(len(order.attrs)) if c >> r & 1]
-        reps: dict[tuple[int, ...], int] = {}
-        rep_of = [reps.setdefault(tuple(row[r] for r in kept), a) for a, row in enumerate(rows)]
-        for a in reps.values():
-            family = _minimal(d & c for d, ra in zip(diffs[a], rep_of) if ra != a)
-            best = max(best, _first_hitting(order, family, c)[0])
+        merged = 0
+        for a, values in enumerate(row_values):
+            if merged >> a & 1:
+                continue  # an earlier row stands for a's projected row
+            same = full
+            for r in kept:
+                same &= values[r]
+            merged |= same
+            best = max(best, _first_constant(order, full, values, same, c)[0])
             if best >= cost_c:
                 break
     return best
@@ -403,7 +395,7 @@ def fixing_cost_for_tuple(
             raise ValueOutOfRange(f"tuple entry {v!r} is outside E_{table.k}")
     if is_constant(table):
         return 0, ()
-    return _Fixings(measure, table).fixings(values)
+    return _fixings(_subset_order(measure, table.columns), _bits_of(table), values)
 
 
 def fixing_cost(
@@ -416,11 +408,12 @@ def fixing_cost(
         raise TooLarge(
             f"{table.k}^{table.n_cols} value tuples exceed the exact-sweep guard rail"
         )
-    fixings = _Fixings(measure, table)
+    order = _subset_order(measure, table.columns)
+    bits = _bits_of(table)
     best = -1
     worst_tuple = None
     for values in product(range(table.k), repeat=table.n_cols):
-        c, _ = fixings.search(values)
+        c, _ = _first_constant(order, bits.full, bits.rank_values(values), bits.ones)
         if c > best:
             best, worst_tuple = c, values
     return best, worst_tuple
@@ -564,7 +557,7 @@ def minimal_rule(
     if table.decisions[table.rows.index(row)] != 1:
         raise RowNotInTable(f"{row} is not labeled 1; rules cover 1-rows")
     # The row itself agrees and is a 1-row, so "one decision" means "all 1".
-    return _Fixings(measure, table).fixings(row)
+    return _fixings(_subset_order(measure, table.columns), _bits_of(table), row)
 
 
 def snd_tree_cost(
@@ -581,11 +574,12 @@ def snd_tree_cost(
         return 0, None
     rules: list[tuple[tuple[Attribute, int], ...]] = []
     value = 0
-    rules_of = _Fixings(measure, table)
+    order = _subset_order(measure, table.columns)
+    bits = _bits_of(table)
     for row, d in table.entries():
         if d != 1:
             continue
-        cost, fixings = rules_of.fixings(row)  # the row's minimal_rule
+        cost, fixings = _fixings(order, bits, row)  # the row's minimal_rule
         assert fixings, "a non-constant table cannot have an empty rule"
         value = max(value, cost)
         rules.append(fixings)

@@ -18,15 +18,16 @@ reports on the same table object.  It is a function of the table alone
 and the write is idempotent, so sharing tables across threads stays safe.
 
 ``_TableBits`` is the bit kernel of the solvers and validators: the
-rows as bitmasks per column value, the decisions as a row mask, and the
-pairwise row differences as column masks.  ``_bits_of`` keeps the
-kernel of the last table asked for in a one-table slot, so calls on one
-table object in a row share a kernel, and the slot never keeps more than
-one table alive (``solvers`` says why).  The slot is swapped in one
-assignment and a kernel's fields depend on its table alone, so threads
-sharing a kernel at worst compute a field twice; the subset orders that
-the solvers memoize on a measure still need one measure instance per
-thread.
+rows as bitmasks per column value, by column position and by column
+rank, and the decisions as a row mask.  A search narrows the rows that
+agree with a value tuple by AND-ing those masks, so the kernel holds no
+pairwise row differences.  ``_bits_of`` keeps the kernel of the last
+table asked for in a one-table slot, so calls on one table object in a
+row share a kernel, and the slot never keeps more than one table alive
+(``solvers`` says why).  The slot is swapped in one assignment and a
+kernel's fields depend on its table alone, so threads sharing a kernel
+at worst compute a field twice; the subset orders that the solvers
+memoize on a measure still need one measure instance per thread.
 
 File format (.dt, UTF-8, line oriented)::
 
@@ -42,8 +43,6 @@ written as a ``k`` line plus a bare ``attrs`` line.
 from __future__ import annotations
 
 import re
-import sys
-from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -244,37 +243,6 @@ class _lazy:
         return value
 
 
-class _Lanes:
-    """Rows' column masks side by side in one integer, one lane per row.
-
-    Lane j (``w`` bits wide) holds row j.  ``agree[r][v]`` sets bit r of
-    the lane of each row with value v at rank r, and ``spread`` sets the
-    low n_cols bits of every lane.  So ``spread`` minus the lanes of
-    one value tuple is its difference with every row, which ``array``
-    unpacks in one C call.
-    """
-
-    def __init__(self, k: int, n_cols: int, ranked_rows: Sequence[tuple[int, ...]]):
-        self.typecode = next((t for t in "BHIQ" if array(t).itemsize * 8 >= n_cols), None)
-        if self.typecode is None:
-            raise TooLarge(f"row differences over {n_cols} columns exceed 64-bit lanes")
-        w = array(self.typecode).itemsize * 8
-        self.size = w // 8 * len(ranked_rows)
-        self.agree = [[0] * k for _ in range(n_cols)]
-        self.spread = 0
-        for j, row in enumerate(ranked_rows):
-            self.spread |= ((1 << n_cols) - 1) << (w * j)
-            for r, v in enumerate(row):
-                self.agree[r][v] |= 1 << (w * j + r)
-
-    def diffs(self, values: tuple[int, ...]) -> list[int]:
-        """Column masks of the ranks on which ``values`` differs from each row."""
-        same = 0
-        for lanes, v in zip(self.agree, values):
-            same |= lanes[v]
-        return array(self.typecode, (self.spread ^ same).to_bytes(self.size, sys.byteorder)).tolist()
-
-
 class _TableBits:
     """Bit views of one table, each computed on first use.
 
@@ -294,14 +262,6 @@ class _TableBits:
         return sorted(range(len(cols)), key=lambda p: cols[p].index)
 
     @_lazy
-    def ranked_rows(self) -> Sequence[tuple[int, ...]]:
-        """The rows with their values listed in column-rank order."""
-        ranks = self.ranks
-        if ranks == list(range(len(ranks))):
-            return self.table.rows
-        return [tuple(row[p] for p in ranks) for row in self.table.rows]
-
-    @_lazy
     def masks(self) -> list[list[int]]:
         """Per column position, per value, the mask of rows with that value."""
         table = self.table
@@ -317,6 +277,11 @@ class _TableBits:
         masks = self.masks
         return [masks[p] for p in self.ranks]
 
+    def rank_values(self, values: Sequence[int]) -> list[int]:
+        """Per column rank, the mask of rows sharing ``values``' entry there
+        (``values`` holds one value per column position)."""
+        return [masks[values[p]] for masks, p in zip(self.rank_masks, self.ranks)]
+
     @_lazy
     def ones(self) -> int:
         """Mask of the rows labeled 1."""
@@ -326,32 +291,6 @@ class _TableBits:
     def position(self) -> dict[Attribute, int]:
         """The column position of each attribute."""
         return {a: p for p, a in enumerate(self.table.columns)}
-
-    @_lazy
-    def _lanes(self) -> _Lanes:
-        return _Lanes(self.table.k, self.table.n_cols, self.ranked_rows)
-
-    def diff_row(self, i: int) -> list[int]:
-        """Column masks of the ranks on which row i differs from each row."""
-        if "diffs" in self.__dict__:
-            return self.diffs[i]
-        return self._lanes.diffs(self.ranked_rows[i])
-
-    @_lazy
-    def diffs(self) -> list[list[int]]:
-        """The n x n row-difference matrix: ``diffs[i][j]`` as in ``diff_row``."""
-        lanes = self._lanes
-        return [lanes.diffs(row) for row in self.ranked_rows]
-
-    def cross_diffs(self) -> list[int]:
-        """The difference of every 0-row with every 1-row, and no others."""
-        ranked, decisions = self.ranked_rows, self.table.decisions
-        ones = _Lanes(self.table.k, self.table.n_cols, [r for r, d in zip(ranked, decisions) if d])
-        out: list[int] = []
-        for row, d in zip(ranked, decisions):
-            if not d:
-                out += ones.diffs(row)
-        return out
 
     def agreeing(self, i: int, positions: Iterable[int]) -> int:
         """Mask of the rows equal to row i on the given column positions."""

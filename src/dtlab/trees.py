@@ -170,8 +170,8 @@ class ValidationResult:
         return self.ok
 
 
-def _check_attributes(tree: DecisionTree, table: DecisionTable) -> list[str]:
-    extra = attributes_of(tree) - table.attributes()
+def _check_attributes(attrs: frozenset[Attribute], table: DecisionTable) -> list[str]:
+    extra = attrs - table.attributes()
     if extra:
         names = ",".join(sorted(a.name for a in extra))
         return [f"tree tests attributes outside the table's columns: {names}"]
@@ -198,8 +198,8 @@ def _path_rows(bits: _TableBits, paths) -> tuple[list[int], int]:
     return path_rows, reached
 
 
-def _queries_test(tree: DecisionTree, bits: _TableBits) -> bool:
-    return bits.is_test([bits.position[a] for a in attributes_of(tree)])
+def _queries_test(attrs: frozenset[Attribute], bits: _TableBits) -> bool:
+    return bits.is_test([bits.position[a] for a in attrs])
 
 
 def validate_deterministic(tree: DecisionTree, table: DecisionTable) -> ValidationResult:
@@ -211,7 +211,8 @@ def validate_deterministic(tree: DecisionTree, table: DecisionTable) -> Validati
         problems.append(f"{len(tree.children)} edges leave the root; exactly one is allowed")
     for child in tree.children:
         _duplicate_values(child, problems)
-    problems += _check_attributes(tree, table)
+    attrs = attributes_of(tree)
+    problems += _check_attributes(attrs, table)
     if problems:
         return ValidationResult(False, tuple(problems))
 
@@ -230,7 +231,7 @@ def validate_deterministic(tree: DecisionTree, table: DecisionTable) -> Validati
     ok = not problems
     if ok:
         # any tree valid for the table queries a test of the table
-        assert _queries_test(tree, bits), "validated tree whose attributes are not a test"
+        assert _queries_test(attrs, bits), "validated tree whose attributes are not a test"
     return ValidationResult(ok, tuple(problems))
 
 
@@ -253,7 +254,8 @@ def validate_strongly_nondeterministic(
             "strongly nondeterministic trees are defined for non-constant tables only"
         )
     problems = structural_problems(tree)
-    problems += _check_attributes(tree, table)
+    attrs = attributes_of(tree)
+    problems += _check_attributes(attrs, table)
     paths = complete_paths(tree)
     for p in paths:
         if p.decision != 1:
@@ -272,7 +274,7 @@ def validate_strongly_nondeterministic(
             problems.append(f"path {i} has a subtable with a 0-row")
     ok = not problems
     if ok:
-        assert _queries_test(tree, bits), "validated tree whose attributes are not a test"
+        assert _queries_test(attrs, bits), "validated tree whose attributes are not a test"
     return ValidationResult(ok, tuple(problems))
 
 

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from dtlab.measures import additive, depth, max_of, max_weight, opaque
 from dtlab.measures import NotDecomposable
+from dtlab import solvers
 from dtlab.solvers import (
     BadTupleLength,
     RowNotInTable,
@@ -372,6 +373,29 @@ def test_report_weighted(example6, weighted):
 def test_report_always_consistent(table, measure):
     report = parameter_report(measure, table)
     assert report.consistent, report.failed_checks
+
+
+def test_report_witness_checks_do_not_use_the_walker(monkeypatch):
+    # This walker drops the highest column of every test and separator it
+    # finds: an earlier, cheaper subset of the order that fails the
+    # search.  The report checks its witnesses on the kernel's value
+    # masks, not through the walker, so it must flag both.
+    table = random_table(2, 5, 14, seed=3)
+    ones = sum(d << i for i, d in enumerate(table.decisions))
+    assert ones.bit_count() > 1  # so no test or separator label equals it
+    walker = solvers._first_constant
+
+    def wrong(order, full, rank_values, labels, within=-1):
+        cost, mask = walker(order, full, rank_values, labels, within)
+        if labels == ones or not mask:
+            return cost, mask  # fixings and rules stay right
+        mask ^= 1 << (mask.bit_length() - 1)
+        return order.costs[order.masks.index(mask)], mask
+
+    monkeypatch.setattr(solvers, "_first_constant", wrong)
+    report = parameter_report(depth(), table)
+    assert "test-witness-is-test" in report.failed_checks
+    assert "row-separator-separates" in report.failed_checks
 
 
 def test_guard_rails():

@@ -3,7 +3,9 @@
 Every search walks one memoized cost-ordered subset order per measure
 instance and column set; these tests pin its values and witnesses to
 the oracles' full subset enumeration, on column orders that are and are
-not sorted by attribute index.
+not sorted by attribute index.  Tall tables and tables with a single
+0-row or a single 1-row put many lanes, or a lone lane, into the wide
+masks of the minimum-test search.
 """
 
 from itertools import product
@@ -34,7 +36,11 @@ SHAPES = [
     (3, 3, 12),
     (3, 4, 20),
     (3, 5, 30),
+    (2, 6, 48),
+    (3, 4, 50),
 ]
+# (k, columns, rows, decision of the lone row); every other row gets the other one
+LONE_ROW_SHAPES = [(2, 5, 20, 0), (2, 5, 20, 1), (3, 4, 40, 0), (3, 4, 40, 1)]
 MEASURES = standard_measures()
 
 
@@ -47,11 +53,22 @@ def reversed_columns(table):
     )
 
 
+def lone_row(table, d):
+    """The table relabeled so that only its middle row carries decision d."""
+    mid = table.n_rows // 2
+    entries = [(row, d if i == mid else 1 - d) for i, row in enumerate(table.rows)]
+    return validate(table.k, table.columns, entries)
+
+
 def tables():
     for i, (k, cols, rows) in enumerate(SHAPES):
         table = random_table(k, cols, rows, seed=20261017 + i)
         yield f"k{k}c{cols}r{rows}", table
         yield f"k{k}c{cols}r{rows}-reversed", reversed_columns(table)
+    for i, (k, cols, rows, d) in enumerate(LONE_ROW_SHAPES):
+        table = lone_row(random_table(k, cols, rows, seed=20261117 + i), d)
+        yield f"k{k}c{cols}r{rows}-lone{d}", table
+        yield f"k{k}c{cols}r{rows}-lone{d}-reversed", reversed_columns(table)
 
 
 CASES = [

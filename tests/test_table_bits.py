@@ -101,7 +101,7 @@ def ref_validate_deterministic(tree, table):
 
     for child in tree.children:
         walk(child)
-    problems += _check_attributes(tree, table)
+    problems += _check_attributes(attributes_of(tree), table)
     if problems:
         return ValidationResult(False, tuple(problems))
     paths = complete_paths(tree)
@@ -129,7 +129,7 @@ def ref_validate_strongly_nondeterministic(tree, table):
             "strongly nondeterministic trees are defined for non-constant tables only"
         )
     problems = structural_problems(tree)
-    problems += _check_attributes(tree, table)
+    problems += _check_attributes(attributes_of(tree), table)
     paths = complete_paths(tree)
     for p in paths:
         if p.decision != 1:
@@ -352,10 +352,6 @@ def test_uncovered_rows_and_mixed_paths_are_named_in_order():
 # the kernel's fields against plain tuple comparisons
 
 
-def plain_diff(a, b):
-    return sum(1 << r for r, (x, y) in enumerate(zip(a, b)) if x != y)
-
-
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("k, cols, rows", [(2, 3, 6), (3, 4, 20), (5, 3, 30), (2, 9, 40), (3, 17, 25), (2, 20, 12)])
 def test_kernel_fields_match_plain_computation(k, cols, rows, reverse):
@@ -364,13 +360,12 @@ def test_kernel_fields_match_plain_computation(k, cols, rows, reverse):
         t = validate(k, t.columns[::-1], [(r[::-1], d) for r, d in t.entries()])
     bits = _TableBits(t)
     ranks = sorted(range(cols), key=lambda p: t.columns[p].index)
-    ranked = [tuple(row[p] for p in ranks) for row in t.rows]
-    assert bits.ranks == ranks and list(bits.ranked_rows) == ranked
-    one_by_one = [bits.diff_row(i) for i in range(rows)]
-    assert one_by_one == bits.diffs == [[plain_diff(a, b) for b in ranked] for a in ranked]
-    zeros = [r for r, d in zip(ranked, t.decisions) if not d]
-    ones = [r for r, d in zip(ranked, t.decisions) if d]
-    assert _TableBits(t).cross_diffs() == [plain_diff(a, b) for a in zeros for b in ones]
+    assert bits.ranks == ranks
+    absent = next(v for v in product(range(k), repeat=cols) if v not in t.rows)
+    for values in [*t.rows, absent]:
+        assert bits.rank_values(values) == [
+            sum(1 << i for i, row in enumerate(t.rows) if row[p] == values[p]) for p in ranks
+        ]
     for p in range(cols):
         for v in range(k):
             assert bits.masks[p][v] == sum(1 << i for i, row in enumerate(t.rows) if row[p] == v)
