@@ -22,14 +22,34 @@ key of a table with at least one row spells out its columns, rows and
 decisions.  So only zero-row members can coincide: they all share the key
 of the empty table, and only the first of them is emitted.
 
-A member stores only its table and provenance.  Its canonical key and
-relabeling bits are read from the table on demand: only ``dt closure``'s
-index prints them, while growth sweeps and suites read the tables alone,
-so building them for every member would be wasted work.
+A member stores only its table and provenance, in slots with no
+``__dict__``.  Its canonical key and relabeling bits are read from the
+table on demand: only ``dt closure``'s index prints them, while growth
+sweeps and suites read the tables alone, so building them for every
+member would be wasted work.
+
+The cyclic garbage collector is paused while the members are built.
+Members, bases and the returned enumeration hold no reference cycles,
+so reference counting frees everything the walk drops, and a collection
+could only walk live members again and again.  Unpaused, one pass of
+the ``closure`` benchmark (about 35k members) ran 137 young, 12 middle
+and 1 full collection, which took 16 ms of a 55 ms pass and freed
+nothing (2-vCPU Xeon VM, Python 3.11.7).  Paused, each call's new
+members are walked once, by the first young collection after it
+returns: 2 collections per pass (one per generator), 6 ms.  The pause
+is process-wide: cyclic garbage that another thread makes meanwhile
+waits until the call returns.  A collector that was off on entry stays
+off.
+
+A projection's row count only grows as more columns are kept, so once
+no base of a column count fits ``max_rows``, no base of a larger count
+does, and the walk stops there instead of projecting every later column
+subset.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from itertools import combinations, islice, product
 from typing import Iterable, Mapping, Sequence
@@ -155,11 +175,13 @@ class ClosureLimits:
     def __post_init__(self) -> None:
         for name in ("max_tables", "max_columns", "max_rows"):
             value = getattr(self, name)
-            if value is not None and (not isinstance(value, int) or value < 0):
+            if value is not None and (
+                not isinstance(value, int) or isinstance(value, bool) or value < 0
+            ):
                 raise BadLimit(f"{name} must be a nonnegative integer or None, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClosureMember:
     """One emitted closure member with its provenance.
 
@@ -207,7 +229,21 @@ def enumerate_closure(
     generators: Sequence[DecisionTable],
     limits: ClosureLimits = ClosureLimits(),
 ) -> ClosureEnumeration:
-    """Enumerate the closure of the generators, each member exactly once."""
+    """Enumerate the closure of the generators, each member exactly once.
+
+    The cyclic garbage collector is paused for the call (see the module
+    docstring) and turned back on only if it was on at entry.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _enumerate(generators, limits)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _enumerate(generators: Sequence[DecisionTable], limits: ClosureLimits) -> ClosureEnumeration:
     if not generators:
         return ClosureEnumeration(exhausted=True, complete_column_count=0)
     k = generators[0].k
@@ -237,6 +273,7 @@ def enumerate_closure(
                 if base not in bases:
                     bases[base] = (gi, removed)
         level_complete = True
+        level_fits = False
         for base in sorted(bases, key=lambda b: (len(b[1]), tuple(a.index for a in b[0]), b[1])):
             cols, rows = base
             gi, removed = bases[base]
@@ -245,6 +282,7 @@ def enumerate_closure(
                 out.exhausted = False
                 level_complete = False
                 continue
+            level_fits = True
             # the base has 2^n relabelings; max_tables stops the walk at the
             # first one that would exceed it, even a zero-row repeat
             take = 1 << n
@@ -268,6 +306,7 @@ def enumerate_closure(
                 break
         if level_complete and out.complete_column_count == c - 1:
             out.complete_column_count = c
-        if stopped:
+        # rows only grow as columns are kept: no later base fits max_rows either
+        if stopped or not level_fits:
             break
     return out

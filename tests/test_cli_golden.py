@@ -6,8 +6,9 @@ fresh directory holding copies of ``data/example.dt`` and
 transcript holds the command, its exit code, stdout, stderr and every
 file it writes.  The transcripts were captured from a known-good
 checkout, never from the code under test; they pin the README tour on
-the worked example, the README ``dt explore`` and ``dt verify`` runs
-and ``scripts/growth_sweep.py``.
+the worked example, the README ``dt closure``, ``dt explore`` and
+``dt verify`` runs, a truncated ``dt closure`` and
+``scripts/growth_sweep.py``.
 """
 
 import contextlib
@@ -49,6 +50,8 @@ CASES = {
     "explore-f": "explore --fn F --gen builtin:unitrows:0,1,4,9 --max-n 3",
     "verify-growth": "verify --suite growth",
     "verify-lemmas": "verify --suite lemmas --k 2 --max-cols 3 --max-rows 4",
+    "closure": "closure data/example.dt --out D --limit 10000",
+    "closure-limited": "closure data/example.dt --out D --limit 37 --max-rows 3",
 }
 SWEEP = "growth-sweep"  # python scripts/growth_sweep.py sweep
 

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +9,7 @@ from hypothesis import strategies as st
 from dtlab.closure import (
     BadLimit,
     ClosureLimits,
+    ClosureMember,
     PartialRelabeling,
     enumerate_closure,
     is_critical,
@@ -174,10 +179,41 @@ def test_closure_max_rows_limit(example6):
 
 @pytest.mark.parametrize("field", ["max_tables", "max_columns", "max_rows"])
 def test_closure_bad_limit_rejected(field):
-    for bad in (-1, 2.5, "3"):
+    for bad in (-1, 2.5, "3", True, False):
         with pytest.raises(BadLimit, match=field):
             ClosureLimits(**{field: bad})
     assert getattr(ClosureLimits(**{field: 0}), field) == 0
+
+
+def test_closure_member_is_slotted_and_frozen(example6):
+    members = enumerate_closure([example6]).members
+    member = members[-1]
+    assert not hasattr(member, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        member.generator_index = 1
+    # a name that is no field has no slot; CPython 3.11's frozen __setattr__
+    # raises TypeError for it on a slotted class, FrozenInstanceError before
+    with pytest.raises((AttributeError, TypeError)):
+        member.extra = 1
+    assert not hasattr(member, "extra")
+    for twin in (
+        pickle.loads(pickle.dumps(member)),
+        copy.deepcopy(member),
+        dataclasses.replace(member),
+    ):
+        assert type(twin) is ClosureMember
+        assert twin == member and hash(twin) == hash(member)
+        assert (twin.table, twin.generator_index, twin.removed) == (
+            member.table,
+            member.generator_index,
+            member.removed,
+        )
+        assert (twin.key, twin.nu_bits) == (member.key, member.nu_bits)
+    # equality and hash are the field tuple's, as before slots
+    assert hash(member) == hash((member.table, member.generator_index, member.removed))
+    assert member != members[-2]
+    moved = dataclasses.replace(member, generator_index=1)
+    assert moved != member and moved.table == member.table
 
 
 def test_is_critical_projection(example6):

@@ -13,6 +13,7 @@ from itertools import combinations
 
 import pytest
 
+from dtlab import closure
 from dtlab.closure import (
     ClosureLimits,
     enumerate_closure,
@@ -155,3 +156,39 @@ def test_zero_row_members_emitted_once():
 def test_larger_closure_matches_reference():
     assert_same([random_table(2, 4, 12, seed=23)])
     assert_same([random_table(3, 3, 11, seed=24)], ClosureLimits(max_tables=3000))
+
+
+# wide generators, where few column subsets project to max_rows rows or fewer
+WIDE_SETS = {
+    "k2-wide": [random_table(2, 7, 9, seed=25)],
+    "k3-wide": [random_table(3, 5, 6, seed=26)],
+    "k2-wide-multi": [random_table(2, 6, 5, seed=27), random_table(2, 7, 3, seed=28)],
+    "k2-wide-zero-rows": [random_table(2, 6, 4, seed=29), ZERO_ROWS],
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_SETS))
+@pytest.mark.parametrize("max_rows", [0, 1, 2])
+def test_max_rows_stop_matches_reference(name, max_rows):
+    generators = WIDE_SETS[name]
+    assert_same(generators, ClosureLimits(max_rows=max_rows))
+    assert_same(generators, ClosureLimits(max_rows=max_rows, max_columns=3))
+    assert_same(generators, ClosureLimits(max_rows=max_rows, max_tables=5))
+
+
+def test_max_rows_stop_skips_later_levels(monkeypatch):
+    # a projection of a nonempty table onto one column or more has a row,
+    # so with max_rows 0 only the zero-column base is kept and the walk
+    # stops after the one-column level instead of projecting all 2^18 subsets
+    calls = []
+
+    def counting(removed, table):
+        calls.append(removed)
+        return remove_columns(removed, table)
+
+    monkeypatch.setattr(closure, "remove_columns", counting)
+    table = random_table(2, 18, 3, seed=1)
+    enum = enumerate_closure([table], ClosureLimits(max_tables=100000, max_rows=0))
+    assert [m.table.n_rows for m in enum.members] == [0]
+    assert (enum.exhausted, enum.complete_column_count) == (False, 0)
+    assert len(calls) == 1 + 18

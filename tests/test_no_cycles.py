@@ -1,4 +1,4 @@
-"""Solvers and validators leave no reference cycles behind.
+"""Solvers, validators, closures and growth sweeps leave no reference cycles.
 
 A call that leaves a cycle keeps its memo, trees and paths alive until
 the cyclic garbage collector runs; with the collector off, everything a
@@ -7,6 +7,8 @@ call drops must be freed by reference counting alone.
 
 import gc
 
+from dtlab.closure import ClosureLimits, enumerate_closure
+from dtlab.explorer import GROWTH_FUNCTIONS, growth
 from dtlab.measures import depth, sum_of
 from dtlab.randgen import SplitMix64, random_table
 from dtlab.solvers import det_tree_cost, det_tree_cost_bruteforce, parameter_report
@@ -47,6 +49,30 @@ def test_solvers_and_validators_leave_no_cycles():
                 lemma_findings(measure, table)
         # a suite builds and drops its own measure bundle, with their subset orders
         run_suite(VerifySuiteConfig("lemmas", max_cols=2, max_rows=3))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_closure_and_growth_leave_no_cycles():
+    # enumerate_closure pauses the collector on the premise that members,
+    # bases and the enumeration hold no cycles; growth reads the members
+    table = random_table(2, 4, 8, seed=1)
+    pair = [random_table(2, 3, 5, seed=2), random_table(2, 4, 6, seed=3)]
+    gc.collect()
+    gc.disable()
+    try:
+        enum = enumerate_closure([table])
+        for limits in (
+            ClosureLimits(max_tables=100),
+            ClosureLimits(max_rows=3),
+            ClosureLimits(max_columns=2),
+        ):
+            enumerate_closure([table], limits)
+        enumerate_closure(pair)
+        for fn in GROWTH_FUNCTIONS:
+            growth(fn, [table], depth(), 4, enumeration=enum)
+        del enum
         assert gc.collect() == 0
     finally:
         gc.enable()
