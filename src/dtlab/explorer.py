@@ -61,6 +61,7 @@ import csv
 import io
 from dataclasses import dataclass
 from itertools import groupby
+from operator import attrgetter
 from typing import Sequence
 
 from .closure import ClosureEnumeration, ClosureLimits, enumerate_closure
@@ -169,7 +170,7 @@ def growth(
     """
     if fn not in GROWTH_FUNCTIONS:
         raise DtError(f"unknown growth function {fn!r}; pick one of {GROWTH_FUNCTIONS}")
-    if not isinstance(max_n, int) or max_n < 0:
+    if not isinstance(max_n, int) or isinstance(max_n, bool) or max_n < 0:
         raise DtError(f"max_n must be a nonnegative integer, got {max_n!r}")
     if not measure.is_bounded:
         raise UnboundedMeasure(
@@ -196,9 +197,9 @@ def growth(
             return snd_tree_cost(measure, table)[0]
         return table_costs(measure, table)[0]
 
-    # The members of one base share its column and row tuples, so a run of
-    # members with the same two tuple ids is (part of) one base.
-    for _, run in groupby(enum.members, key=lambda m: (id(m.table.columns), id(m.table.rows))):
+    # A base is its column set with its rows, so a run of members with
+    # equal columns and rows is (part of) one base.
+    for _, run in groupby(enum.members, key=attrgetter("table.columns", "table.rows")):
         tables = [m.table for m in run]
         first = tables[0]
         # snd_tree_cost raises TooLarge past its guard rail, so such members are solved

@@ -46,11 +46,10 @@ the subsets of C on which it agrees with no other class: the walker
 restricted to subsets of C, with the class as the label.  That
 restriction is exactly the order the projection would build, because a
 key depends only on the attribute set.  C itself separates every
-projected row, so a C with cost(C) <= the best value so far cannot
-raise it and is skipped.  ``parameter_report`` starts that best value
-at the table's separation cost, which the projection keeping every
-column has anyway, so the skip drops every column set no dearer than
-the table's own separation cost.
+projected row, so the projection keeping C costs at most cost(C).  The
+sweep therefore takes the kept column sets from the dearest down and
+stops at the first one no dearer than the best value so far: no later
+set can raise it.
 
 Every solver and validator reads its table through one bit kernel,
 ``tables._TableBits``: rank order, value masks and the ones mask, each
@@ -289,6 +288,14 @@ def min_test_cost(
     return cost, order.attributes(mask)
 
 
+def _row_index(table: DecisionTable, row: tuple) -> int:
+    """Position of ``row`` in the table; :class:`RowNotInTable` if absent."""
+    try:
+        return table.rows.index(row)
+    except ValueError:
+        raise RowNotInTable(f"{row} is not a row of the table") from None
+
+
 def row_separation_cost(
     measure: ComplexityMeasure,
     table: DecisionTable,
@@ -297,13 +304,11 @@ def row_separation_cost(
 ) -> tuple[int, tuple[Attribute, ...]]:
     """Cheapest column set on which ``row`` differs from every other row."""
     row = tuple(row)
-    if row not in table.rows:
-        raise RowNotInTable(f"{row} is not a row of the table")
+    i = _row_index(table, row)
     # Row i agrees with itself, so its agreeing rows are constant exactly
     # when row i is alone.
     order = _subset_order(measure, table.columns, card_first)
     bits = _bits_of(table)
-    i = table.rows.index(row)
     cost, mask = _first_constant(order, bits.full, bits.rank_values(row), 1 << i)
     return cost, order.attributes(mask)
 
@@ -338,18 +343,6 @@ def closure_separation_cost(measure: ComplexityMeasure, table: DecisionTable) ->
     merge into one projected row, whose separators are the subsets of C
     on which it agrees with no row outside that class.
     """
-    return _closure_separation(measure, table)
-
-
-def _closure_separation(measure: ComplexityMeasure, table: DecisionTable, best: int = 0) -> int:
-    """The sweep of ``closure_separation_cost``, starting from ``best``.
-
-    ``best`` must not exceed the table's separation cost, which is the
-    value of the projection that keeps every column.  This stays apart
-    from the public function because ``parameter_report`` seeds it with
-    the separation cost it has already solved; a public call seeding
-    itself would solve every row's separator a second time.
-    """
     if table.is_empty:
         return 0
     if table.n_cols > MAX_SUBSET_COLUMNS:
@@ -359,9 +352,10 @@ def _closure_separation(measure: ComplexityMeasure, table: DecisionTable, best: 
     bits = _bits_of(table)
     full = bits.full
     row_values = [bits.rank_values(row) for row in table.rows]
-    for cost_c, c in zip(order.costs, order.masks):
+    best = 0
+    for cost_c, c in zip(reversed(order.costs), reversed(order.masks)):
         if cost_c <= best:
-            continue  # C separates every projected row, so none costs more
+            break  # C separates every projected row, so no set from here on can raise best
         kept = [r for r in range(len(order.attrs)) if c >> r & 1]
         merged = 0
         for a, values in enumerate(row_values):
@@ -552,9 +546,7 @@ def minimal_rule(
     """Cheapest true rule for a 1-row: a column set on which every
     agreeing row is labeled 1, as (cost, fixings)."""
     row = tuple(row)
-    if row not in table.rows:
-        raise RowNotInTable(f"{row} is not a row of the table")
-    if table.decisions[table.rows.index(row)] != 1:
+    if table.decisions[_row_index(table, row)] != 1:
         raise RowNotInTable(f"{row} is not labeled 1; rules cover 1-rows")
     # The row itself agrees and is a 1-row, so "one decision" means "all 1".
     return _fixings(_subset_order(measure, table.columns), _bits_of(table), row)
@@ -712,7 +704,7 @@ def parameter_report(measure: ComplexityMeasure, table: DecisionTable) -> Parame
     theta, test_witness = min_test_cost(measure, table)
     seps = tuple((row, *sep) for row, sep in zip(table.rows, _row_separations(measure, table)))
     separation = max((c for _, c, _ in seps), default=0)
-    closure_sep = _closure_separation(measure, table, separation)
+    closure_sep = closure_separation_cost(measure, table)
     fix, worst = fixing_cost(measure, table)
     if measure.decomposable:
         det, det_tree = det_tree_cost(measure, table)

@@ -88,6 +88,12 @@ class VerifySuiteConfig:
     measures: tuple[tuple[str, ComplexityMeasure], ...] = ()
 
     def __post_init__(self) -> None:
+        if self.suite not in SUITES:
+            raise DtError(f"unknown suite {self.suite!r}; pick one of {SUITES}")
+        for name in ("k", "max_cols", "max_rows", "samples", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise DtError(f"{name} must be an integer, got {value!r}")
         if self.k < 2:
             raise DtError(f"k must be at least 2, got {self.k}")
         for name in ("max_cols", "max_rows", "samples"):
@@ -476,6 +482,4 @@ def run_suite(config: VerifySuiteConfig) -> VerifyReport:
         return run_dp_oracle_suite(config)
     if config.suite == "constructions":
         return run_constructions_suite(config)
-    if config.suite == "growth":
-        return run_growth_suite(config)
-    raise ValueError(f"unknown suite {config.suite!r}; pick one of {SUITES}")
+    return run_growth_suite(config)  # the config admits no other suite

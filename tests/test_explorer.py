@@ -64,6 +64,12 @@ def test_growth_rejects_unbounded_measure():
         growth("FW", gens, depth(), max_n=-1)
 
 
+@pytest.mark.parametrize("max_n", [True, False, 2.0, "2", None])
+def test_growth_rejects_max_n_that_is_no_integer(max_n):
+    with pytest.raises(DtError, match="max_n"):
+        growth("FW", [identity_table(2)], depth(), max_n=max_n)
+
+
 def test_growth_points_monotone_and_sandwiched():
     gens, measure = single_attribute_generators({2, 5, 9})
     fw = growth("FW", gens, measure, max_n=10)

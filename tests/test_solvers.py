@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtlab.measures import additive, depth, max_of, max_weight, opaque
+from dtlab.constructions import identity_table
+from dtlab.measures import additive, depth, max_of, max_weight, opaque, sum_of
 from dtlab.measures import NotDecomposable
 from dtlab import solvers
 from dtlab.solvers import (
@@ -85,8 +86,9 @@ def test_row_separation_examples(example6):
     single = validate(2, [0, 1], [((1, 0), 1)])
     assert row_separation_cost(depth(), single, (1, 0)) == (0, ())
     assert table_separation_cost(depth(), example6) == 2
-    with pytest.raises(RowNotInTable):
-        row_separation_cost(depth(), example6, (0, 1, 0))
+    with pytest.raises(RowNotInTable, match=r"^\(0, 1, 0\) is not a row of the table$"):
+        row_separation_cost(depth(), example6, [0, 1, 0])
+    assert row_separation_cost(depth(), example6, [1, 1, 1]) == (cost, witness)
 
 
 def test_separation_weighted(example6, weighted):
@@ -117,6 +119,61 @@ def test_separation_matches_oracle(table, measure):
     assert closure_separation_cost(measure, table) == oracles.brute_closure_separation(
         measure, table
     )
+
+
+# max-weight measures and their combinators price many column sets alike,
+# so the downward sweep meets long runs of sets tied at the top cost
+tie_heavy_st = st.one_of(
+    measures_st(),
+    st.builds(max_weight, st.dictionaries(st.integers(0, 3), st.integers(1, 2)), st.integers(1, 2)),
+    st.builds(lambda w: max_of(max_weight(w), depth()), st.dictionaries(st.integers(0, 3), st.integers(1, 3))),
+    st.builds(lambda w: sum_of(max_weight(w), max_weight()), st.dictionaries(st.integers(0, 3), st.integers(1, 3))),
+)
+
+
+@settings(max_examples=150)
+@given(tables_st(max_cols=4, max_rows=6), tie_heavy_st)
+def test_closure_separation_sweep_matches_oracle(table, measure):
+    assert closure_separation_cost(measure, table) == oracles.brute_closure_separation(
+        measure, table
+    )
+
+
+def _count_walker_calls(monkeypatch):
+    calls = []
+    walker = solvers._first_constant
+
+    def counted(*args):
+        calls.append(1)
+        return walker(*args)
+
+    monkeypatch.setattr(solvers, "_first_constant", counted)
+    return calls
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_closure_separation_stops_at_the_dearest_set(monkeypatch, m):
+    """The zero row of the m-column staircase needs every column, so the
+    full column set, the first set of the downward sweep, settles the
+    value with one walk."""
+    calls = _count_walker_calls(monkeypatch)
+    assert closure_separation_cost(depth(), identity_table(m)) == m
+    assert len(calls) == 1
+
+
+def test_report_calls_public_closure_separation(monkeypatch, example6, weighted):
+    calls = []
+    public = solvers.closure_separation_cost
+
+    def counted(measure, table):
+        calls.append(table)
+        return public(measure, table)
+
+    monkeypatch.setattr(solvers, "closure_separation_cost", counted)
+    for measure in (depth(), weighted):
+        report = parameter_report(measure, example6)
+        assert report.closure_separation_cost == public(measure, example6)
+    assert calls == [example6, example6]
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +351,10 @@ def test_snd_tree_constant():
 
 
 def test_minimal_rule_guards(example6):
-    with pytest.raises(RowNotInTable):
+    with pytest.raises(RowNotInTable, match=r"^\(1, 1, 1\) is not labeled 1; rules cover 1-rows$"):
         minimal_rule(depth(), example6, (1, 1, 1))  # labeled 0
-    with pytest.raises(RowNotInTable):
-        minimal_rule(depth(), example6, (0, 1, 0))
+    with pytest.raises(RowNotInTable, match=r"^\(0, 1, 0\) is not a row of the table$"):
+        minimal_rule(depth(), example6, [0, 1, 0])
 
 
 @given(tables_st(max_cols=3, max_rows=6), measures_st())

@@ -45,6 +45,29 @@ def test_zero_limits_rejected_when_sampling(suite, samples, field):
         VerifySuiteConfig(suite=suite, samples=samples, **{field: 0})
 
 
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        (dict(k=2.5), "k"),
+        (dict(k=True), "k"),
+        (dict(max_cols=1.5, samples=2), "max_cols"),
+        (dict(max_rows=2.0), "max_rows"),
+        (dict(seed=1.5, samples=1), "seed"),
+        (dict(seed=True, samples=1), "seed"),
+        (dict(samples=True), "samples"),
+        (dict(samples="3"), "samples"),
+    ],
+)
+def test_count_fields_must_be_integers(fields, name):
+    with pytest.raises(DtError, match=f"{name} must be an integer"):
+        VerifySuiteConfig("lemmas", **fields)
+
+
+def test_unknown_suite_rejected():
+    with pytest.raises(DtError, match="unknown suite 'nope'"):
+        VerifySuiteConfig("nope")
+
+
 def test_zero_limits_allowed_when_exhaustive():
     report = run_suite(VerifySuiteConfig(suite="lemmas", max_cols=0, max_rows=0))
     assert report.passed and report.checked == 1
