@@ -52,8 +52,8 @@ stops at the first one no dearer than the best value so far: no later
 set can raise it.
 
 Every solver and validator reads its table through one bit kernel,
-``tables._TableBits``: rank order, value masks and the ones mask, each
-built on first use.  It takes the kernel from ``tables._bits_of``, a
+``tables._TableBits``: rank order, value masks and the ones mask, all
+built with the kernel.  It takes the kernel from ``tables._bits_of``, a
 slot holding the kernel of the last table asked for, so calls on one
 table object in a row share one kernel, and ``parameter_report``, which
 calls the public solvers and validators one after another on its
@@ -395,13 +395,19 @@ def fixing_cost_for_tuple(
 def fixing_cost(
     measure: ComplexityMeasure, table: DecisionTable
 ) -> tuple[int, tuple[int, ...] | None]:
-    """Worst fixing cost over all value tuples, with the first worst tuple."""
+    """Worst fixing cost over all value tuples, with the first worst tuple.
+
+    Fixing a tuple's values on a test leaves rows that agree on the test,
+    so of one decision: no tuple costs more than the min test cost, and
+    the sweep stops at the first tuple that reaches it.
+    """
     if is_constant(table):
         return 0, None
     if table.k**table.n_cols > MAX_TUPLE_SPACE:
         raise TooLarge(
             f"{table.k}^{table.n_cols} value tuples exceed the exact-sweep guard rail"
         )
+    cap = min_test_cost(measure, table)[0]
     order = _subset_order(measure, table.columns)
     bits = _bits_of(table)
     best = -1
@@ -410,6 +416,8 @@ def fixing_cost(
         c, _ = _first_constant(order, bits.full, bits.rank_values(values), bits.ones)
         if c > best:
             best, worst_tuple = c, values
+            if best >= cap:
+                break
     return best, worst_tuple
 
 

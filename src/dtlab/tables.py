@@ -24,10 +24,11 @@ agree with a value tuple by AND-ing those masks, so the kernel holds no
 pairwise row differences.  ``_bits_of`` keeps the kernel of the last
 table asked for in a one-table slot, so calls on one table object in a
 row share a kernel, and the slot never keeps more than one table alive
-(``solvers`` says why).  The slot is swapped in one assignment and a
-kernel's fields depend on its table alone, so threads sharing a kernel
-at worst compute a field twice; the subset orders that the solvers
-memoize on a measure still need one measure instance per thread.
+(``solvers`` says why).  A kernel builds all its views before it
+enters the slot, and the slot is swapped in one assignment, so threads
+sharing a kernel only read fields that are already complete; the subset
+orders that the solvers memoize on a measure still need one measure
+instance per thread.
 
 File format (.dt, UTF-8, line oriented)::
 
@@ -224,73 +225,38 @@ def canonical_key(table: DecisionTable) -> CanonicalKey:
     return f"k{table.k}|{cols}|{body}"
 
 
-class _lazy:
-    """A field computed on first read, then stored on the instance.
-
-    ``functools.cached_property`` does the same, but on Python 3.11 it
-    takes one lock shared by all instances on every first read, which
-    made it the largest self-time entry of a ``verify`` pass.
-    """
-
-    def __init__(self, build):
-        self.build = build
-        self.name = build.__name__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.build(obj)
-        return value
-
-
 class _TableBits:
-    """Bit views of one table, each computed on first use.
+    """Bit views of one table, all built with the kernel.
 
     Bit i of a row mask stands for row i.  Bit r of a column mask stands
     for the column of rank r, the one with the r-th smallest attribute
-    index.
+    index.  ``ranks`` maps rank r to its column position, ``position``
+    an attribute to its column position, ``masks`` a column position and
+    a value to the mask of the rows with that value, ``rank_masks`` holds
+    the value masks by rank, and ``ones`` is the mask of the rows labeled 1.
     """
 
     def __init__(self, table: DecisionTable):
         self.table = table
         self.full = (1 << table.n_rows) - 1
-
-    @_lazy
-    def ranks(self) -> list[int]:
-        """Column positions by ascending attribute index: rank r -> position."""
-        cols = self.table.columns
-        return sorted(range(len(cols)), key=lambda p: cols[p].index)
-
-    @_lazy
-    def masks(self) -> list[list[int]]:
-        """Per column position, per value, the mask of rows with that value."""
-        table = self.table
-        masks = [[0] * table.k for _ in range(table.n_cols)]
-        for i, row in enumerate(table.rows):
+        cols = table.columns
+        self.ranks = sorted(range(len(cols)), key=lambda p: cols[p].index)
+        self.position = {a: p for p, a in enumerate(cols)}
+        self.masks = masks = [[0] * table.k for _ in cols]
+        ones = 0
+        for i, (row, d) in enumerate(table.entries()):
+            bit = 1 << i
+            if d:
+                ones |= bit
             for p, v in enumerate(row):
-                masks[p][v] |= 1 << i
-        return masks
-
-    @_lazy
-    def rank_masks(self) -> list[list[int]]:
-        """The value masks by column rank."""
-        masks = self.masks
-        return [masks[p] for p in self.ranks]
+                masks[p][v] |= bit
+        self.ones = ones
+        self.rank_masks = [masks[p] for p in self.ranks]
 
     def rank_values(self, values: Sequence[int]) -> list[int]:
         """Per column rank, the mask of rows sharing ``values``' entry there
         (``values`` holds one value per column position)."""
         return [masks[values[p]] for masks, p in zip(self.rank_masks, self.ranks)]
-
-    @_lazy
-    def ones(self) -> int:
-        """Mask of the rows labeled 1."""
-        return sum(1 << i for i, d in enumerate(self.table.decisions) if d)
-
-    @_lazy
-    def position(self) -> dict[Attribute, int]:
-        """The column position of each attribute."""
-        return {a: p for p, a in enumerate(self.table.columns)}
 
     def agreeing(self, i: int, positions: Iterable[int]) -> int:
         """Mask of the rows equal to row i on the given column positions."""

@@ -104,6 +104,17 @@ class VerifySuiteConfig:
             for name in ("max_cols", "max_rows"):
                 if getattr(self, name) == 0:
                     raise DtError(f"{name} must be positive when tables are sampled, got 0")
+        if self.measures is not None and not (
+            isinstance(self.measures, (tuple, list))
+            and all(
+                isinstance(entry, tuple)
+                and len(entry) == 2
+                and isinstance(entry[0], str)
+                and isinstance(entry[1], ComplexityMeasure)
+                for entry in self.measures
+            )
+        ):
+            raise DtError(f"measures must be (label, measure) pairs, got {self.measures!r}")
 
     def measure_bundle(self) -> tuple[tuple[str, ComplexityMeasure], ...]:
         return self.measures if self.measures else standard_measures()

@@ -3,9 +3,10 @@
 ``growth`` solves a member's objective only when an upper bound on it
 (the member's attribute-set cost, or for G the worst row separation
 cost of its base) exceeds the running value at the member's filter
-point, and within a base it solves the member whose only 1-row is the
-worst-separated row first.  The reference below is the plain loop it
-replaced: filter and objective for every member, then a max per point.
+point.  Within a base, G first solves the member whose only 1-row is
+the worst-separated row, and FW the parity labelling.  The reference
+below is the plain loop it replaced: filter and objective for every
+member, then a max per point.
 Both must give the same report, raise where the other raises, and the
 inequalities the bound rests on are pinned here as well.
 """
@@ -187,12 +188,38 @@ def test_wide_member_still_raises_too_large(monkeypatch):
 
 
 def test_bound_prunes_explore_shaped_closure():
-    gens = [random_table(2, 4, 11, seed=3)]
+    # the parity lead is tuned for k = 2, so a k = 3 generator goes too
+    for gens in ([random_table(2, 4, 11, seed=3)], [random_table(3, 3, 10, seed=3)]):
+        enum = enumerate_closure(gens)
+        for fn in ("FW", "G"):
+            report = growth(fn, gens, depth(), 5, enumeration=enum)
+            assert report.members_solved < report.members_seen
+            assert public(report) == public(reference_reports(fn, enum, depth(), [5])[5])
+
+
+@pytest.mark.parametrize("gens_name", ["k2", "k3", "k2-multi", "k3-multi"])
+@pytest.mark.parametrize("measure_name", MEASURES)
+def test_fw_never_separates_rows(monkeypatch, gens_name, measure_name):
+    """FW's bound is the column-set cost and its lead the parity
+    labelling, so it needs no row separation costs."""
+
+    def refuse(measure, table):
+        raise AssertionError("FW asked for row separations")
+
+    monkeypatch.setattr(explorer, "_row_separations", refuse)
+    gens, enum = seeded_case(gens_name, "full")
+    assert_matches("FW", gens, MEASURES[measure_name](), enum, MAX_NS)
+
+
+def test_fw_solves_parity_lead_once():
+    """On the generator of ``explore`` benchmark variant 4, FW solves the
+    parity labelling first and no other lead: 4 solves where the worst-row
+    lead in front of it made 5."""
+    gens = [random_table(2, 4, 11, seed=SplitMix64(20261004).next_u64())]
     enum = enumerate_closure(gens)
-    for fn in ("FW", "G"):
-        report = growth(fn, gens, depth(), 5, enumeration=enum)
-        assert report.members_solved < report.members_seen
-        assert public(report) == public(reference_reports(fn, enum, depth(), [5])[5])
+    report = growth("FW", gens, depth(), 5, enumeration=enum)
+    assert report.members_solved == 4
+    assert public(report) == public(reference_reports("FW", enum, depth(), [5])[5])
 
 
 def _bases(enum):

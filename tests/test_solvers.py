@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -221,6 +223,31 @@ def test_fixing_matches_oracle(table, measure):
     assert got == oracles.brute_fixing(measure, table)
     if worst is not None:
         assert fixing_cost_for_tuple(measure, table, worst)[0] == got
+
+
+def test_fixing_sweep_stops_at_min_test_cost(monkeypatch):
+    """No tuple costs more than the min test cost (1 here), so the sweep
+    stops at the first tuple that reaches it: one walk for the min test
+    and one for that tuple, not one for each of the 2^14 tuples."""
+    table = random_table(2, 14, 2, seed=1)
+    calls = _count_walker_calls(monkeypatch)
+    assert fixing_cost(depth(), table) == (1, (0,) * 14)
+    assert len(calls) == 2
+
+
+@given(tables_st(max_cols=3, max_rows=5), measures_st())
+def test_fixing_worst_tuple_is_first_worst_in_product_order(table, measure):
+    value, worst = fixing_cost(measure, table)
+    if worst is None:
+        assert value == 0 and oracles.brute_fixing(measure, table) == 0
+        return
+    target = oracles.brute_fixing(measure, table)
+    first = next(
+        values
+        for values in product(range(table.k), repeat=table.n_cols)
+        if oracles.brute_fixing_for_tuple(measure, table, values)[0] == target
+    )
+    assert (value, worst) == (target, first)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,25 @@ def test_unknown_suite_rejected():
         VerifySuiteConfig("nope")
 
 
+@pytest.mark.parametrize(
+    "measures",
+    [(("x", 3),), ("depth",), "depth", (("a", depth(), 3),)],
+    ids=["not-a-measure", "bare-label", "string", "triple"],
+)
+def test_measures_must_be_label_measure_pairs(measures):
+    config = dict(max_cols=1, max_rows=2, measures=measures)
+    with pytest.raises(DtError, match="measures must be"):
+        run_suite(VerifySuiteConfig("lemmas", **config))
+
+
+@pytest.mark.parametrize("measures", [(), None])
+def test_empty_measures_mean_standard_bundle(measures):
+    config = VerifySuiteConfig("lemmas", max_cols=1, max_rows=2, measures=measures)
+    assert config.measure_bundle() == standard_measures()
+    standard = VerifySuiteConfig("lemmas", max_cols=1, max_rows=2, measures=standard_measures())
+    assert run_suite(config) == run_suite(standard)
+
+
 def test_zero_limits_allowed_when_exhaustive():
     report = run_suite(VerifySuiteConfig(suite="lemmas", max_cols=0, max_rows=0))
     assert report.passed and report.checked == 1
