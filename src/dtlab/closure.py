@@ -41,17 +41,20 @@ is process-wide: cyclic garbage that another thread makes meanwhile
 waits until the call returns.  A collector that was off on entry stays
 off.
 
-A projection's row count only grows as more columns are kept, so once
-no base of a column count fits ``max_rows``, no base of a larger count
-does, and the walk stops there instead of projecting every later column
-subset.
+A projection's row count never shrinks as more columns are kept, so no
+superset of a column set that does not fit ``max_rows`` fits either.
+The walk keeps, per generator, the column sets of one count that fit,
+and projects at the next count only those sets, each extended by a
+larger column position, in order.  Without ``max_rows`` that is every
+column set in ``combinations`` order.  The walk stops at the first
+count where no set fits.
 """
 
 from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, field
-from itertools import combinations, islice, product
+from itertools import islice, product
 from typing import Iterable, Mapping, Sequence
 
 from .tables import (
@@ -258,22 +261,32 @@ def _enumerate(generators: Sequence[DecisionTable], limits: ClosureLimits) -> Cl
         out.exhausted = False
 
     stopped = False
+    # per generator, the kept column positions to project at this count
+    candidates: list[list[tuple[int, ...]]] = [[()] for _ in generators]
     for c in range(col_ceiling + 1):
         # bases: projected row sets with c retained columns, first provenance wins
         bases: dict[tuple, tuple[int, tuple[Attribute, ...]]] = {}
+        level_fits = False
         for gi, g in enumerate(generators):
-            if g.n_cols < c:
-                continue
-            for keep in combinations(range(g.n_cols), c):
+            fitting = []
+            for keep in candidates[gi]:
                 removed = tuple(
                     sorted((g.columns[p] for p in range(g.n_cols) if p not in keep))
                 )
                 proj = remove_columns(removed, g)
+                if limits.max_rows is None or proj.n_rows <= limits.max_rows:
+                    fitting.append(keep)
                 base = (proj.columns, tuple(sorted(proj.rows)))
                 if base not in bases:
                     bases[base] = (gi, removed)
+            level_fits = level_fits or bool(fitting)
+            # no superset of a set that does not fit can fit
+            candidates[gi] = [
+                (*keep, p)
+                for keep in fitting
+                for p in range(keep[-1] + 1 if keep else 0, g.n_cols)
+            ]
         level_complete = True
-        level_fits = False
         for base in sorted(bases, key=lambda b: (len(b[1]), tuple(a.index for a in b[0]), b[1])):
             cols, rows = base
             gi, removed = bases[base]
@@ -282,7 +295,6 @@ def _enumerate(generators: Sequence[DecisionTable], limits: ClosureLimits) -> Cl
                 out.exhausted = False
                 level_complete = False
                 continue
-            level_fits = True
             # the base has 2^n relabelings; max_tables stops the walk at the
             # first one that would exceed it, even a zero-row repeat
             take = 1 << n
@@ -306,7 +318,6 @@ def _enumerate(generators: Sequence[DecisionTable], limits: ClosureLimits) -> Cl
                 break
         if level_complete and out.complete_column_count == c - 1:
             out.complete_column_count = c
-        # rows only grow as columns are kept: no later base fits max_rows either
         if stopped or not level_fits:
             break
     return out

@@ -98,6 +98,8 @@ class StepFunction:
         p = self.points
         if not p:
             raise DtError("a step function needs at least one point")
+        if any(not isinstance(x, int) or isinstance(x, bool) for x in p):
+            raise DtError(f"step points must be integers, got {p!r}")
         if any(x < 0 for x in p) or any(a >= b for a, b in zip(p, p[1:])):
             raise DtError("step points must be strictly increasing and nonnegative")
 
@@ -294,13 +296,15 @@ def class_stats(
     members = 0
     max_sep = 0
     max_rows = 0
-    for m in enum.members:
-        _, single_worst = table_costs(measure, m.table)
+    # separation, column costs and row count depend on the base alone
+    for _, run in groupby(enum.members, key=attrgetter("table.columns", "table.rows")):
+        first = next(run).table
+        _, single_worst = table_costs(measure, first)
         if single_worst > n:
             continue
-        members += 1
-        max_sep = max(max_sep, table_separation_cost(h, m.table))
-        max_rows = max(max_rows, m.table.n_rows)
+        members += 1 + sum(1 for _ in run)
+        max_sep = max(max_sep, table_separation_cost(h, first))
+        max_rows = max(max_rows, first.n_rows)
     return ClassStats(
         members=members,
         max_separation=max_sep,

@@ -14,15 +14,16 @@ Four suites, all deterministic for a fixed configuration:
 ``growth``        reruns the planted growth scenarios and compares
                   against their known exact values.
 
-A failing check is shrunk by greedy row removal to a locally minimal
-failing table before it is reported.
+A failing lemma or dp-oracle check is shrunk by greedy row removal to a
+locally minimal failing table before it is reported; a failing
+constructions check reports its input table as it is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .closure import remove_columns
 from .constructions import (
@@ -39,7 +40,7 @@ from .constructions import (
     unit_rows_family,
 )
 from .closure import enumerate_closure
-from .explorer import StepFunction, growth
+from .explorer import GrowthReport, StepFunction, growth
 from .measures import ComplexityMeasure, additive, depth, max_weight, table_costs
 from .randgen import SplitMix64, enumerate_small_tables, random_table
 from .solvers import (
@@ -132,6 +133,12 @@ class VerifyReport:
     suite: str
     checked: int
     findings: list[Finding] = field(default_factory=list)
+
+    def record(self, ok: bool, label: str, detail: str, table: DecisionTable | None = None) -> None:
+        """Count one checked input; unless ``ok``, report it as a finding."""
+        self.checked += 1
+        if not ok:
+            self.findings.append(Finding(label, detail, table))
 
     @property
     def passed(self) -> bool:
@@ -227,50 +234,42 @@ def lemma_findings(measure: ComplexityMeasure, table: DecisionTable) -> list[str
     return [*report.failed_checks, *transfer_findings(measure, table, report)]
 
 
-def run_lemma_suite(config: VerifySuiteConfig) -> VerifyReport:
-    report = VerifyReport(suite="lemmas", checked=0)
+def _table_suite(
+    config: VerifySuiteConfig,
+    tables: Iterable[DecisionTable],
+    findings: Callable[[ComplexityMeasure, DecisionTable], str],
+) -> VerifyReport:
+    """Check every table under every measure of the bundle.
+
+    ``findings(measure, table)`` describes what fails, or is empty.  A
+    failing table is shrunk to a locally minimal one that still fails.
+    """
+    report = VerifyReport(suite=config.suite, checked=0)
     measures = config.measure_bundle()
-    for table in table_stream(config):
+    for table in tables:
         report.checked += 1
         for label, measure in measures:
-            bad = lemma_findings(measure, table)
-            if bad:
-                shrunk = shrink_table(table, lambda t: bool(lemma_findings(measure, t)))
-                report.findings.append(
-                    Finding(
-                        label=f"lemmas[{label}]",
-                        detail=", ".join(bad),
-                        table=shrunk,
-                    )
-                )
+            detail = findings(measure, table)
+            if detail:
+                shrunk = shrink_table(table, lambda t: bool(findings(measure, t)))
+                report.findings.append(Finding(f"{config.suite}[{label}]", detail, shrunk))
     return report
+
+
+def run_lemma_suite(config: VerifySuiteConfig) -> VerifyReport:
+    return _table_suite(
+        config, table_stream(config), lambda m, t: ", ".join(lemma_findings(m, t))
+    )
 
 
 def run_dp_oracle_suite(config: VerifySuiteConfig) -> VerifyReport:
-    report = VerifyReport(suite="dp-oracle", checked=0)
-    measures = config.measure_bundle()
-    for table in table_stream(config):
-        if table.n_cols > 4 or table.k > 3:
-            continue
-        report.checked += 1
-        for label, measure in measures:
-            got = det_tree_cost(measure, table)[0]
-            want = det_tree_cost_bruteforce(measure, table)
-            if got != want:
-                def mismatch(t, m=measure):
-                    if t.is_empty:
-                        return False
-                    return det_tree_cost(m, t)[0] != det_tree_cost_bruteforce(m, t)
+    def mismatch(measure: ComplexityMeasure, table: DecisionTable) -> str:
+        got = det_tree_cost(measure, table)[0]
+        want = det_tree_cost_bruteforce(measure, table)
+        return f"search found {got}, oracle found {want}" if got != want else ""
 
-                shrunk = shrink_table(table, mismatch)
-                report.findings.append(
-                    Finding(
-                        label=f"dp-oracle[{label}]",
-                        detail=f"search found {got}, oracle found {want}",
-                        table=shrunk,
-                    )
-                )
-    return report
+    small = (t for t in table_stream(config) if t.n_cols <= 4 and t.k <= 3)
+    return _table_suite(config, small, mismatch)
 
 
 def _random_graph(rng: SplitMix64) -> ConflictGraph:
@@ -303,20 +302,15 @@ def run_constructions_suite(config: VerifySuiteConfig) -> VerifyReport:
     for _ in range(rounds):
         # greedy two-coloring cuts at least half the edges
         graph = _random_graph(rng)
-        coloring = two_color(graph)
-        cut = multicolored_count(graph, coloring)
+        cut = multicolored_count(graph, two_color(graph))
         need = -(-len(graph.edges) // 2)
-        report.checked += 1
-        if cut < need:
-            report.findings.append(
-                Finding("two-color", f"cut {cut} of {len(graph.edges)} edges, need {need}")
-            )
+        detail = f"cut {cut} of {len(graph.edges)} edges, need {need}"
+        report.record(cut >= need, "two-color", detail)
 
         table = random_input()
         label, measure = measures[rng.below(len(measures))]
 
         # separation-tight member: three equal costs plus the rule bound
-        report.checked += 1
         tight = separation_tight_table(measure, table)
         sep_src = table_separation_cost(measure, table)
         det = det_tree_cost(measure, tight)[0]
@@ -324,61 +318,50 @@ def run_constructions_suite(config: VerifySuiteConfig) -> VerifyReport:
         sep = table_separation_cost(measure, tight)
         snd = snd_tree_cost(measure, tight)[0]
         v_src = table_costs(measure, table)[1]
-        if not (det == w == sep == sep_src and snd <= v_src):
-            report.findings.append(
-                Finding(
-                    f"separation-tight[{label}]",
-                    f"det={det} w={w} sep={sep} source-sep={sep_src} snd={snd} vmax={v_src}",
-                    table,
-                )
-            )
+        report.record(
+            det == w == sep == sep_src and snd <= v_src,
+            f"separation-tight[{label}]",
+            f"det={det} w={w} sep={sep} source-sep={sep_src} snd={snd} vmax={v_src}",
+            table,
+        )
 
         # adversarial relabeling of the critical core
-        report.checked += 1
         core = minimum_key_core(table)
         _, hard = adversarial_relabel(core)
         theta = min_test_cost(depth(), hard)[0]
         det_h = det_tree_cost(depth(), hard)[0]
         w_core = core.n_cols
-        if not (theta >= -(-w_core // 2) and 2 * table.k**det_h > w_core):
-            report.findings.append(
-                Finding(
-                    "adversarial-relabel",
-                    f"theta={theta} det={det_h} columns={w_core}",
-                    core,
-                )
-            )
+        report.record(
+            theta >= -(-w_core // 2) and 2 * table.k**det_h > w_core,
+            "adversarial-relabel",
+            f"theta={theta} det={det_h} columns={w_core}",
+            core,
+        )
 
         # full pipeline: critical core plus relabeling bounds the row count
-        report.checked += 1
         star = critical_core_relabel(table)
         det_star = det_tree_cost(depth(), star)[0]
         s_hat = closure_separation_cost(depth(), table)
-        if table.k ** ((det_star + 2) * s_hat) < table.n_rows:
-            report.findings.append(
-                Finding(
-                    "critical-core-relabel",
-                    f"k^((det+2)*closure_sep) = {table.k}^{(det_star + 2) * s_hat} "
-                    f"< rows {table.n_rows}",
-                    table,
-                )
-            )
+        report.record(
+            table.k ** ((det_star + 2) * s_hat) >= table.n_rows,
+            "critical-core-relabel",
+            f"k^((det+2)*closure_sep) = {table.k}^{(det_star + 2) * s_hat} "
+            f"< rows {table.n_rows}",
+            table,
+        )
 
         # isolating one row pins the rule cost to the separation cost
-        report.checked += 1
         row = table.rows[rng.below(table.n_rows)]
         lone = isolate_row(measure, table, row)
         snd_lone = snd_tree_cost(measure, lone)[0]
         w_lone = table_costs(measure, lone)[0]
         want = row_separation_cost(measure, table, row)[0]
-        if not (snd_lone == w_lone == want):
-            report.findings.append(
-                Finding(
-                    f"isolate-row[{label}]",
-                    f"snd={snd_lone} w={w_lone} row-separation={want}",
-                    table,
-                )
-            )
+        report.record(
+            snd_lone == w_lone == want,
+            f"isolate-row[{label}]",
+            f"snd={snd_lone} w={w_lone} row-separation={want}",
+            table,
+        )
     return report
 
 
@@ -393,27 +376,27 @@ class ScenarioCheck:
     detail: str
 
 
+def _exact_growth(name: str, report: GrowthReport, want: list[int]) -> ScenarioCheck:
+    """Every point of the report is exact and equals ``want``."""
+    ok = report.values() == want and all(p.exhausted for p in report.points)
+    return ScenarioCheck(name, ok, f"values {report.values()} want {want}")
+
+
 def staircase_scenario(max_m: int = 5) -> list[ScenarioCheck]:
     """Identity-style staircase family under depth: every growth function
     climbs exactly linearly and every point is exact."""
     gens = [identity_table(m) for m in range(1, max_m + 1)]
     enum = enumerate_closure(gens)
     h = depth()
-    checks = []
-    for fn in ("FW", "FTheta", "G"):
-        rep = growth(
-            fn, gens, h, max_n=max_m, generator_label=f"staircase<= {max_m}", enumeration=enum
+    label = f"staircase<= {max_m}"
+    return [
+        _exact_growth(
+            f"staircase-{fn}",
+            growth(fn, gens, h, max_n=max_m, generator_label=label, enumeration=enum),
+            list(range(max_m + 1)),
         )
-        want = list(range(max_m + 1))
-        ok = rep.values() == want and all(p.exhausted for p in rep.points)
-        checks.append(
-            ScenarioCheck(
-                name=f"staircase-{fn}",
-                ok=ok,
-                detail=f"values {rep.values()} want {want}",
-            )
-        )
-    return checks
+        for fn in ("FW", "FTheta", "G")
+    ]
 
 
 def step_scenario(indices: Sequence[int] = (2, 5, 9), max_n: int = 10) -> list[ScenarioCheck]:
@@ -423,21 +406,15 @@ def step_scenario(indices: Sequence[int] = (2, 5, 9), max_n: int = 10) -> list[S
     enum = enumerate_closure(gens)
     step = StepFunction(tuple(sorted(indices)))
     want = [step.value(n) for n in range(max_n + 1)]
-    checks = []
-    for fn in ("FW", "FTheta"):
-        rep = growth(
-            fn, gens, measure, max_n=max_n, generator_label=f"steps{tuple(indices)}",
-            enumeration=enum,
+    label = f"steps{tuple(indices)}"
+    return [
+        _exact_growth(
+            f"steps-{fn}",
+            growth(fn, gens, measure, max_n=max_n, generator_label=label, enumeration=enum),
+            want,
         )
-        ok = rep.values() == want and all(p.exhausted for p in rep.points)
-        checks.append(
-            ScenarioCheck(
-                name=f"steps-{fn}",
-                ok=ok,
-                detail=f"values {rep.values()} want {want}",
-            )
-        )
-    return checks
+        for fn in ("FW", "FTheta")
+    ]
 
 
 def unit_rows_scenario(phi: Sequence[int] = (0, 1, 4, 9)) -> list[ScenarioCheck]:
@@ -452,37 +429,18 @@ def unit_rows_scenario(phi: Sequence[int] = (0, 1, 4, 9)) -> list[ScenarioCheck]
         snd = snd_tree_cost(measure, fam.table)[0]
         det = det_tree_cost(measure, fam.table)[0]
         ok = w == phi[n] and snd == n and det == phi[n]
-        checks.append(
-            ScenarioCheck(
-                name=f"unit-rows-member-{n}",
-                ok=ok,
-                detail=f"w={w} snd={snd} det={det} phi={phi[n]}",
-            )
-        )
-    rep = growth(
-        "F",
-        [f.table for f in members],
-        measure,
-        max_n=max_n,
-        generator_label=f"unit-rows phi={tuple(phi)}",
-    )
-    ok = rep.values() == list(phi[: max_n + 1]) and all(p.exhausted for p in rep.points)
-    checks.append(
-        ScenarioCheck(
-            name="unit-rows-F",
-            ok=ok,
-            detail=f"values {rep.values()} want {list(phi[: max_n + 1])}",
-        )
-    )
+        detail = f"w={w} snd={snd} det={det} phi={phi[n]}"
+        checks.append(ScenarioCheck(f"unit-rows-member-{n}", ok, detail))
+    label = f"unit-rows phi={tuple(phi)}"
+    rep = growth("F", [f.table for f in members], measure, max_n=max_n, generator_label=label)
+    checks.append(_exact_growth("unit-rows-F", rep, list(phi[: max_n + 1])))
     return checks
 
 
 def run_growth_suite(config: VerifySuiteConfig) -> VerifyReport:
     report = VerifyReport(suite="growth", checked=0)
     for check in staircase_scenario() + step_scenario() + unit_rows_scenario():
-        report.checked += 1
-        if not check.ok:
-            report.findings.append(Finding(check.name, check.detail))
+        report.record(check.ok, check.name, check.detail)
     return report
 
 

@@ -192,3 +192,21 @@ def test_max_rows_stop_skips_later_levels(monkeypatch):
     assert [m.table.n_rows for m in enum.members] == [0]
     assert (enum.exhausted, enum.complete_column_count) == (False, 0)
     assert len(calls) == 1 + 18
+
+
+@pytest.mark.parametrize("max_rows, calls_made, members", [(1, 50, 63), (2, 939, 3263)])
+def test_walk_extends_only_fitting_column_sets(monkeypatch, max_rows, calls_made, members):
+    # a superset of a column set that does not fit max_rows cannot fit, so
+    # only the fitting sets of a level are extended to the next one
+    calls = []
+
+    def counting(removed, table):
+        calls.append(removed)
+        return remove_columns(removed, table)
+
+    monkeypatch.setattr(closure, "remove_columns", counting)
+    table = random_table(2, 14, 3, seed=5)
+    enum = enumerate_closure([table], ClosureLimits(max_rows=max_rows))
+    assert (len(calls), len(enum.members)) == (calls_made, members)
+    monkeypatch.undo()
+    assert summary(enum) == reference_closure([table], ClosureLimits(max_rows=max_rows))

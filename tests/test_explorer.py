@@ -2,16 +2,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dtlab import explorer
 from dtlab.closure import ClosureLimits, enumerate_closure
 from dtlab.constructions import identity_table, single_attribute_generators
 from dtlab.explorer import (
     GROWTH_FUNCTIONS,
+    ClassStats,
     StepFunction,
     UnboundedMeasure,
     class_stats,
     growth,
 )
 from dtlab.measures import depth, max_weight
+from dtlab.randgen import random_table
 from dtlab.tables import DtError
 
 from conftest import tables_st
@@ -35,6 +38,12 @@ def test_step_function_validation():
         StepFunction((3, 3))
     with pytest.raises(DtError):
         StepFunction((-1, 2))
+    with pytest.raises(DtError):
+        StepFunction((1.5,))
+    with pytest.raises(DtError):
+        StepFunction((True, 2))
+    with pytest.raises(DtError):
+        StepFunction(("a",))
 
 
 def test_growth_two_step_generators():
@@ -149,6 +158,22 @@ def test_class_stats_identity_family():
     assert stats.max_rows == 4
     assert stats.max_separation == 3
     assert stats.exhausted
+
+
+def test_class_stats_solves_separation_once_per_base(monkeypatch):
+    # separation, column costs and row count depend on the base alone, so
+    # the 2,993 members of this closure need one separation per base
+    calls = []
+    real = explorer.table_separation_cost
+
+    def counting(measure, table):
+        calls.append(table)
+        return real(measure, table)
+
+    monkeypatch.setattr(explorer, "table_separation_cost", counting)
+    gens = [random_table(2, 4, 11, seed=3)]
+    assert class_stats(gens, depth(), n=1) == ClassStats(2993, 4, 11, True)
+    assert len(calls) == 16
 
 
 def test_class_stats_rejects_unbounded():

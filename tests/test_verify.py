@@ -1,8 +1,13 @@
+import hashlib
+
 import pytest
 
+from dtlab import verify
+from dtlab.constructions import BLUE
 from dtlab.measures import depth
-from dtlab.tables import DtError, validate
+from dtlab.tables import DtError, is_constant, validate
 from dtlab.verify import (
+    ScenarioCheck,
     VerifySuiteConfig,
     lemma_findings,
     run_suite,
@@ -182,3 +187,105 @@ def test_shrink_table_handles_raising_predicate():
 
     shrunk = shrink_table(table, fails)
     assert shrunk.n_rows == 2
+
+
+# Planted failures pin every suite's report: counts, text and finding
+# tables.  The digests and texts below were written by the code before the
+# suites shared one table loop and one check recorder.
+
+
+def _finding_digests(report):
+    tables = [
+        (
+            f.label,
+            f.detail,
+            None
+            if f.table is None
+            else (f.table.k, tuple(c.name for c in f.table.columns), f.table.rows, f.table.decisions),
+        )
+        for f in report.findings
+    ]
+    text = hashlib.sha256(report.as_text().encode()).hexdigest()
+    return text, hashlib.sha256(repr(tables).encode()).hexdigest()
+
+
+def test_planted_dp_oracle_findings_are_shrunk(monkeypatch):
+    brute = verify.det_tree_cost_bruteforce
+    monkeypatch.setattr(
+        verify, "det_tree_cost_bruteforce", lambda m, t: brute(m, t) + (t.n_rows >= 2)
+    )
+    report = run_suite(VerifySuiteConfig("dp-oracle", k=2, max_cols=2, max_rows=3))
+    assert (report.checked, len(report.findings)) == (73, 180)
+    assert {f.table.n_rows for f in report.findings} == {2}
+    assert report.findings[0].label == "dp-oracle[depth]"
+    assert report.findings[0].detail == "search found 0, oracle found 1"
+    assert _finding_digests(report) == (
+        "4b98dfbc59f28a9910f42d9f5c090e7f30b40f283ece67579f192c0e3dc5eb36",
+        "54b0ed64d9f57f7a61d7bd51f92b2928dc1f350bbf7d4eba65f70354b8d65eed",
+    )
+
+
+def test_planted_lemma_findings_are_shrunk(monkeypatch):
+    real = verify.lemma_findings
+
+    def planted(measure, table):
+        extra = ["planted-a", "planted-b"] if table.n_rows >= 2 and not is_constant(table) else []
+        return real(measure, table) + extra
+
+    monkeypatch.setattr(verify, "lemma_findings", planted)
+    config = VerifySuiteConfig("lemmas", k=3, max_cols=2, max_rows=4, samples=20, seed=5)
+    report = run_suite(config)
+    assert (report.checked, len(report.findings)) == (20, 30)
+    assert {f.table.n_rows for f in report.findings} == {2}
+    assert report.as_text().startswith(
+        "suite lemmas: checked 20 inputs, 30 finding(s)\n"
+        "FAIL lemmas[depth]: planted-a, planted-b\n"
+        "k 3\nattrs f0 f1\nrow 2 1 0\nrow 0 0 1\n"
+    )
+    assert _finding_digests(report) == (
+        "f8e997cbf70b565a817aec72f00d88f30d64dca752d2138c1465d81ed34f1ad2",
+        "3043e0e3e8227bdaefb7376b709d7636b8ba658104081a2d5bf34831385037eb",
+    )
+
+
+def test_planted_two_color_findings_carry_no_table(monkeypatch):
+    monkeypatch.setattr(verify, "two_color", lambda graph: {n: BLUE for n in graph.nodes})
+    report = run_suite(VerifySuiteConfig("constructions", samples=5, seed=7))
+    assert report.as_text() == (
+        "suite constructions: checked 25 inputs, 2 finding(s)\n"
+        "FAIL two-color: cut 0 of 2 edges, need 1\n"
+        "FAIL two-color: cut 0 of 3 edges, need 2\n"
+    )
+    assert [f.table for f in report.findings] == [None, None]
+
+
+def test_planted_construction_findings_keep_their_input_table(monkeypatch):
+    real = verify.row_separation_cost
+
+    def dearer(measure, table, row):
+        cost, *rest = real(measure, table, row)
+        return (cost + 1, *rest)
+
+    monkeypatch.setattr(verify, "row_separation_cost", dearer)
+    report = run_suite(VerifySuiteConfig("constructions", samples=2, seed=7))
+    assert report.as_text() == (
+        "suite constructions: checked 10 inputs, 2 finding(s)\n"
+        "FAIL isolate-row[additive]: snd=1 w=1 row-separation=2\n"
+        "k 2\nattrs f0\nrow 1 1\nrow 0 0\n"
+        "FAIL isolate-row[depth]: snd=2 w=2 row-separation=3\n"
+        "k 2\nattrs f0 f1\nrow 1 0 0\nrow 1 1 1\nrow 0 1 1\nrow 0 0 1\n"
+    )
+
+
+def test_planted_growth_finding_carries_no_table(monkeypatch):
+    real = verify.staircase_scenario
+    monkeypatch.setattr(
+        verify,
+        "staircase_scenario",
+        lambda: real() + [ScenarioCheck("planted", False, "planted failure")],
+    )
+    report = run_suite(VerifySuiteConfig("growth"))
+    assert report.as_text() == (
+        "suite growth: checked 10 inputs, 1 finding(s)\nFAIL planted: planted failure\n"
+    )
+    assert report.findings[0].table is None
