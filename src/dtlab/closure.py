@@ -28,18 +28,32 @@ table on demand: only ``dt closure``'s index prints them, while growth
 sweeps and suites read the tables alone, so building them for every
 member would be wasted work.
 
+Building members is nearly all the work of an enumeration, so each
+base's members are built in one loop that calls no constructor: the
+table and the member are made by ``object.__new__`` and their fields
+are set by ``object.__setattr__``, which saves two ``__init__`` frames
+per member.  That is sound only while neither ``DecisionTable`` nor
+``ClosureMember`` has a ``__post_init__`` or any other check in its
+constructor, and while the loop sets exactly the fields the dataclass
+constructor sets, no more and no fewer; ``tests/test_closure_kernel.py``
+compares every member with a constructor-built twin.  The zero-row
+member is built by the constructors.  The decision tuples (the
+labellings) are built once per row count in each call and shared by
+every base with that many rows.  On one pass of the ``closure``
+benchmark (about 35k members) that took the pass from 82-92 ms to
+68-73 ms (2-vCPU Xeon VM, Python 3.11.7, medians of 15, not
+normalised).
+
 The cyclic garbage collector is paused while the members are built.
 Members, bases and the returned enumeration hold no reference cycles,
 so reference counting frees everything the walk drops, and a collection
-could only walk live members again and again.  Unpaused, one pass of
-the ``closure`` benchmark (about 35k members) ran 137 young, 12 middle
-and 1 full collection, which took 16 ms of a 55 ms pass and freed
-nothing (2-vCPU Xeon VM, Python 3.11.7).  Paused, each call's new
-members are walked once, by the first young collection after it
-returns: 2 collections per pass (one per generator), 6 ms.  The pause
-is process-wide: cyclic garbage that another thread makes meanwhile
-waits until the call returns.  A collector that was off on entry stays
-off.
+could only walk live members again and again.  Unpaused, that pass ran
+134 young, 12 middle and 1 full collection, which took 31 ms of a
+99-102 ms pass and freed nothing.  Paused, the new members are walked
+once, by the first young collection after the calls return: 1
+collection per pass, 15 ms.  The pause is process-wide: cyclic garbage
+that another thread makes meanwhile waits until the call returns.  A
+collector that was off on entry stays off.
 
 A projection's row count never shrinks as more columns are kept, so no
 superset of a column set that does not fit ``max_rows`` fits either.
@@ -193,6 +207,11 @@ class ClosureMember:
     sorted rows (leftmost character = first sorted row), are derived from
     the table on each read, so members that nobody prints cost nothing
     beyond their table.
+
+    Enumeration builds members and their tables without calling
+    ``__init__`` (see the module docstring): a field added here or to
+    ``DecisionTable`` must be set in that loop too, and a
+    ``__post_init__`` would never run there.
     """
 
     table: DecisionTable
@@ -261,6 +280,8 @@ def _enumerate(generators: Sequence[DecisionTable], limits: ClosureLimits) -> Cl
         out.exhausted = False
 
     stopped = False
+    labellings: dict[int, list[tuple[int, ...]]] = {}  # by row count, shared by bases
+    new, setfield, append = object.__new__, object.__setattr__, out.members.append
     # per generator, the kept column positions to project at this count
     candidates: list[list[tuple[int, ...]]] = [[()] for _ in generators]
     for c in range(col_ceiling + 1):
@@ -308,12 +329,27 @@ def _enumerate(generators: Sequence[DecisionTable], limits: ClosureLimits) -> Cl
                     out.members.append(ClosureMember(DecisionTable(k, cols, rows, ()), gi, removed))
                     empty_emitted = True
             else:
-                # product counts with its last place fastest; reversed, bit j
-                # of the counter is the decision of sorted row j
-                out.members.extend(
-                    ClosureMember(DecisionTable(k, cols, rows, bits[::-1]), gi, removed)
-                    for bits in islice(product((0, 1), repeat=n), take)
-                )
+                labels = labellings.get(n)
+                if labels is None:
+                    # product counts with its last place fastest; reversed, bit
+                    # j of the counter is the decision of sorted row j.  Only
+                    # the last base walked is truncated, so a short list is
+                    # never read again.
+                    labels = labellings[n] = [
+                        b[::-1] for b in islice(product((0, 1), repeat=n), take)
+                    ]
+                # the fields the dataclass constructors set, without their frames
+                for bits in islice(labels, take):
+                    table = new(DecisionTable)
+                    setfield(table, "k", k)
+                    setfield(table, "columns", cols)
+                    setfield(table, "rows", rows)
+                    setfield(table, "decisions", bits)
+                    member = new(ClosureMember)
+                    setfield(member, "table", table)
+                    setfield(member, "generator_index", gi)
+                    setfield(member, "removed", removed)
+                    append(member)
             if stopped:
                 break
         if level_complete and out.complete_column_count == c - 1:

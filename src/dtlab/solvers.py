@@ -107,6 +107,13 @@ from .trees import (
 
 MAX_SUBSET_COLUMNS = 20
 MAX_TUPLE_SPACE = 1 << 24
+# the brute-force tree oracle stays exhaustive and finite only this far
+BRUTEFORCE_MAX_COLUMNS = 4
+BRUTEFORCE_MAX_K = 3
+BRUTEFORCE_LIMITS = (
+    f"brute-force tree search allows at most {BRUTEFORCE_MAX_COLUMNS} columns "
+    f"and k <= {BRUTEFORCE_MAX_K}"
+)
 _DEPTH_TRIPLE = "_depth_triple"  # the attribute a depth report sets on its table
 _NO_SUBSET = "no subset satisfied the predicate; full column set should"
 
@@ -514,8 +521,8 @@ def det_tree_cost_bruteforce(measure: ComplexityMeasure, table: DecisionTable) -
     """
     if table.is_empty:
         return 0
-    if table.n_cols > 4 or table.k > 3:
-        raise TooLarge("brute-force tree search allows at most 4 columns and k <= 3")
+    if table.n_cols > BRUTEFORCE_MAX_COLUMNS or table.k > BRUTEFORCE_MAX_K:
+        raise TooLarge(BRUTEFORCE_LIMITS)
     bits = _bits_of(table)
     cols = table.columns
     masks, ones, full = bits.masks, bits.ones, bits.full

@@ -131,7 +131,9 @@ class DecisionTable:
     ``rows[i]`` is the value tuple of row i and ``decisions[i]`` its 0/1
     decision.  Dataclass equality is representation equality (row order
     matters); table equality in the row-permutation sense is decided by
-    :func:`canonical_key`.
+    :func:`canonical_key`.  Closure enumeration builds its members'
+    tables field by field, without ``__init__``, so this class has no
+    ``__post_init__``.
     """
 
     k: int

@@ -8,11 +8,14 @@ Four suites, all deterministic for a fixed configuration:
                   enumerated or seeded random tables, under each
                   configured measure,
 ``dp-oracle``     cross-checks the memoized deterministic-tree search
-                  against the independent brute-force oracle,
+                  against the independent brute-force oracle; a config
+                  whose tables could exceed the oracle's guard rails
+                  (k <= 3, at most 4 columns) is rejected,
 ``constructions`` re-verifies the advertised postconditions of every
                   table construction on sampled inputs,
 ``growth``        reruns the planted growth scenarios and compares
-                  against their known exact values.
+                  against their known exact values; it takes no options,
+                  and a config that sets any is rejected.
 
 A failing lemma or dp-oracle check is shrunk by greedy row removal to a
 locally minimal failing table before it is reported; a failing
@@ -21,7 +24,7 @@ constructions check reports its input table as it is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -44,6 +47,9 @@ from .explorer import GrowthReport, StepFunction, growth
 from .measures import ComplexityMeasure, additive, depth, max_weight, table_costs
 from .randgen import SplitMix64, enumerate_small_tables, random_table
 from .solvers import (
+    BRUTEFORCE_LIMITS,
+    BRUTEFORCE_MAX_COLUMNS,
+    BRUTEFORCE_MAX_K,
     ParameterReport,
     det_tree_cost,
     det_tree_cost_bruteforce,
@@ -116,6 +122,28 @@ class VerifySuiteConfig:
             )
         ):
             raise DtError(f"measures must be (label, measure) pairs, got {self.measures!r}")
+        if self.suite == "dp-oracle" and (
+            self.k > BRUTEFORCE_MAX_K or self.max_cols > BRUTEFORCE_MAX_COLUMNS
+        ):
+            raise DtError(
+                f"the dp-oracle suite checks against the brute-force oracle, and the "
+                f"{BRUTEFORCE_LIMITS}; got k {self.k}, max_cols {self.max_cols}"
+            )
+        if self.suite == "growth":
+            # the planted scenarios fix their own tables and measures
+            defaults = {f.name: f.default for f in fields(self)}
+            given = [
+                name
+                for name in ("k", "max_cols", "max_rows", "samples", "seed")
+                if getattr(self, name) != defaults[name]
+            ]
+            if self.measures:
+                given.append("measures")
+            if given:
+                raise DtError(
+                    f"the growth suite runs fixed planted scenarios and takes no options; "
+                    f"got {', '.join(given)}"
+                )
 
     def measure_bundle(self) -> tuple[tuple[str, ComplexityMeasure], ...]:
         return self.measures if self.measures else standard_measures()
@@ -268,8 +296,7 @@ def run_dp_oracle_suite(config: VerifySuiteConfig) -> VerifyReport:
         want = det_tree_cost_bruteforce(measure, table)
         return f"search found {got}, oracle found {want}" if got != want else ""
 
-    small = (t for t in table_stream(config) if t.n_cols <= 4 and t.k <= 3)
-    return _table_suite(config, small, mismatch)
+    return _table_suite(config, table_stream(config), mismatch)
 
 
 def _random_graph(rng: SplitMix64) -> ConflictGraph:

@@ -204,6 +204,22 @@ def test_verify_cli_growth(capsys):
     assert "all checks passed" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--suite", "dp-oracle", "--k", "4", "--max-cols", "2", "--max-rows", "2"),
+        ("--suite", "growth", "--samples", "5", "--seed", "3", "--k", "3"),
+    ],
+    ids=["dp-oracle-k4", "growth-sampled"],
+)
+def test_verify_cli_config_that_would_check_nothing_exits_2(capsys, tmp_path, argv):
+    code = main(["verify", *argv, "--dump-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: the ")
+
+
 def test_verify_cli_lemmas_small(capsys, tmp_path):
     code, out = run(
         capsys, "verify", "--suite", "lemmas", "--k", "2",

@@ -35,16 +35,23 @@ def test_collector_state_restored(collector, enabled):
 
 
 def test_collector_restored_after_exception(collector, monkeypatch):
+    # members are built by setting their fields, so the failure is planted
+    # in the setter of a member's first field: the constructor of the
+    # zero-row member and the loop that builds the others both call it
     paused = []
-    real = closure.ClosureMember
+    slot = closure.ClosureMember.table
 
-    def failing(*args):
+    def set_table(member, table):
         if len(paused) == 4:
             raise RuntimeError("fifth member")
         paused.append(not gc.isenabled())
-        return real(*args)
+        slot.__set__(member, table)
 
-    monkeypatch.setattr(closure, "ClosureMember", failing)
+    class Failing(closure.ClosureMember):
+        __slots__ = ()
+        table = property(slot.__get__, set_table)
+
+    monkeypatch.setattr(closure, "ClosureMember", Failing)
     gc.enable()
     with pytest.raises(RuntimeError, match="fifth member"):
         enumerate_closure([TABLE])

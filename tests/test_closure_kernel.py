@@ -9,6 +9,8 @@ tuples in the same order and report the same truncation bookkeeping
 under every limit.
 """
 
+from collections import Counter
+from dataclasses import fields
 from itertools import combinations
 
 import pytest
@@ -16,6 +18,7 @@ import pytest
 from dtlab import closure
 from dtlab.closure import (
     ClosureLimits,
+    ClosureMember,
     enumerate_closure,
     remove_columns,
 )
@@ -85,10 +88,19 @@ def summary(enum):
     return members, enum.exhausted, enum.complete_column_count
 
 
+TABLE_FIELDS = {f.name for f in fields(DecisionTable)}
+
+
 def assert_same(generators, limits=ClosureLimits()):
+    """Same members as the reference, each as its constructors would build it."""
     got = enumerate_closure(generators, limits)
     assert summary(got) == reference_closure(generators, limits)
     for m in got.members:
+        assert type(m) is ClosureMember and type(m.table) is DecisionTable
+        assert set(vars(m.table)) == TABLE_FIELDS
+        t = m.table
+        twin = ClosureMember(DecisionTable(t.k, t.columns, t.rows, t.decisions), m.generator_index, m.removed)
+        assert m == twin and hash(m) == hash(twin)
         assert m.key == canonical_key(m.table)
     return got
 
@@ -114,6 +126,30 @@ GENERATOR_SETS = {
 def test_unlimited_matches_reference(name):
     got = assert_same(GENERATOR_SETS[name])
     assert got.exhausted
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_SETS))
+def test_members_are_built_without_their_constructors(monkeypatch, name):
+    # only the zero-row member and the remove_columns projections go
+    # through a constructor; every other member is built field by field
+    inits = Counter()
+    for cls in (DecisionTable, ClosureMember):
+        def counting(self, *args, _real=cls.__init__, _cls=cls):
+            inits[_cls] += 1
+            _real(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    projections = []
+
+    def projecting(removed, table):
+        projections.append(removed)
+        return remove_columns(removed, table)
+
+    monkeypatch.setattr(closure, "remove_columns", projecting)
+    enum = enumerate_closure(GENERATOR_SETS[name])
+    empties = sum(m.table.is_empty for m in enum.members)
+    assert inits[ClosureMember] == empties <= 1
+    assert inits[DecisionTable] <= len(projections) + empties
 
 
 def base_ends(enum):

@@ -68,6 +68,45 @@ def test_count_fields_must_be_integers(fields, name):
         VerifySuiteConfig("lemmas", **fields)
 
 
+@pytest.mark.parametrize(
+    "fields, given",
+    [
+        (dict(k=4, max_cols=2, max_rows=2), "k 4, max_cols 2"),
+        (dict(max_cols=5), "k 2, max_cols 5"),
+        (dict(k=4, max_cols=2, samples=3, seed=1), "k 4, max_cols 2"),
+    ],
+)
+def test_dp_oracle_config_beyond_oracle_rejected(fields, given):
+    with pytest.raises(DtError, match=f"at most 4 columns and k <= 3; got {given}$"):
+        VerifySuiteConfig("dp-oracle", **fields)
+
+
+def test_dp_oracle_config_at_oracle_limits_checks_every_table():
+    report = run_suite(VerifySuiteConfig("dp-oracle", k=3, max_cols=4, max_rows=2, samples=5, seed=2))
+    assert report.passed and report.checked == 5
+
+
+@pytest.mark.parametrize(
+    "fields, given",
+    [
+        (dict(k=3), "k"),
+        (dict(max_cols=2), "max_cols"),
+        (dict(max_rows=5), "max_rows"),
+        (dict(samples=5, seed=3, k=3), "k, samples, seed"),
+        (dict(seed=1), "seed"),
+        (dict(measures=(("depth", depth()),)), "measures"),
+    ],
+)
+def test_growth_config_with_options_rejected(fields, given):
+    with pytest.raises(DtError, match=f"takes no options; got {given}$"):
+        VerifySuiteConfig("growth", **fields)
+
+
+@pytest.mark.parametrize("measures", [(), None])
+def test_growth_config_at_defaults_accepted(measures):
+    assert VerifySuiteConfig("growth", measures=measures).suite == "growth"
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(DtError, match="unknown suite 'nope'"):
         VerifySuiteConfig("nope")
