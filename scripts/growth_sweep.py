@@ -8,6 +8,7 @@ file, and prints each report.  The planted scenarios have known exact
 answers, so this doubles as a quick end-to-end smoke run.
 """
 
+import argparse
 import sys
 from pathlib import Path
 
@@ -22,7 +23,12 @@ from dtlab.measures import depth
 
 
 def main() -> int:
-    out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("growth_out")
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    parser.add_argument(
+        "out_dir", nargs="?", type=Path, default=Path("growth_out"),
+        help="directory for the CSVs and summary.txt (default: growth_out)",
+    )
+    out_dir = parser.parse_args().out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = []
 

@@ -7,6 +7,7 @@ Exits nonzero if any suite reports a finding.  --quick shrinks the
 sampled streams for a fast sanity pass.
 """
 
+import argparse
 import sys
 import time
 
@@ -14,7 +15,11 @@ from dtlab.verify import VerifySuiteConfig, run_suite
 
 
 def main() -> int:
-    quick = "--quick" in sys.argv[1:]
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    parser.add_argument(
+        "--quick", action="store_true", help="shrink the sampled streams for a fast sanity pass"
+    )
+    quick = parser.parse_args().quick
     samples = 100 if quick else 1000
     rounds = 25 if quick else 100
     configs = [

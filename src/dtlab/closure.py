@@ -79,6 +79,7 @@ from .tables import (
     DtError,
     TableError,
     UnknownAttribute,
+    _in_alphabet,
     as_attribute,
     canonical_key,
     empty_table,
@@ -144,7 +145,7 @@ def relabel(nu, table: DecisionTable) -> DecisionTable:
             d = lookup(row)
         except KeyError:
             raise PartialRelabeling(f"relabeling assigns nothing to row {row}") from None
-        if d not in (0, 1):
+        if not _in_alphabet(d, 2):
             raise BadDecision(f"relabeling produced {d!r} for row {row}")
         new_decisions.append(d)
     return DecisionTable(table.k, table.columns, table.rows, tuple(new_decisions))
@@ -161,17 +162,12 @@ def is_critical(table: DecisionTable) -> tuple[bool, dict[Attribute, tuple[tuple
         return False, witnesses
     rows = sorted(table.rows)
     for pos, attr in enumerate(table.columns):
-        found = None
-        for i in range(len(rows)):
-            for j in range(i + 1, len(rows)):
-                a, b = rows[i], rows[j]
-                if a[pos] != b[pos] and all(
-                    a[q] == b[q] for q in range(len(table.columns)) if q != pos
-                ):
-                    found = (a, b)
-                    break
-            if found:
-                break
+        # rows agreeing off the column differ in it; groups keep row order,
+        # so the first pair of the first group of two is the first pair found
+        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for row in rows:
+            groups.setdefault(row[:pos] + row[pos + 1 :], []).append(row)
+        found = next(((g[0], g[1]) for g in groups.values() if len(g) > 1), None)
         if found is None:
             return False, witnesses
         witnesses[attr] = found

@@ -78,8 +78,9 @@ class ComplexityMeasure:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise MeasureError(f"unknown measure kind {self.kind!r}")
-        if self.default_weight < 1 or any(w < 1 for _, w in self.weight_items):
-            raise MeasureError("weights must be positive integers")
+        for w in (self.default_weight, *(w for _, w in self.weight_items)):
+            if not isinstance(w, int) or isinstance(w, bool) or w < 1:
+                raise MeasureError(f"weights must be positive integers, got {w!r}")
 
     # -- basic costs
 
@@ -180,8 +181,7 @@ def depth() -> ComplexityMeasure:
 def _weight_tuple(weights) -> tuple[tuple[int, int], ...]:
     if weights is None:
         return ()
-    items = sorted((as_attribute(a).index, int(w)) for a, w in dict(weights).items())
-    return tuple(items)
+    return tuple(sorted((as_attribute(a).index, w) for a, w in dict(weights).items()))
 
 
 def additive(weights=None, default: int = 1) -> ComplexityMeasure:

@@ -94,6 +94,7 @@ from .tables import (
     TooLarge,
     ValueOutOfRange,
     _bits_of,
+    _in_alphabet,
     _TableBits,
     is_constant,
 )
@@ -392,7 +393,7 @@ def fixing_cost_for_tuple(
             f"tuple has {len(values)} entries for a {table.n_cols}-column table"
         )
     for v in values:
-        if not isinstance(v, int) or not 0 <= v < table.k:
+        if not _in_alphabet(v, table.k):
             raise ValueOutOfRange(f"tuple entry {v!r} is outside E_{table.k}")
     if is_constant(table):
         return 0, ()

@@ -171,6 +171,12 @@ class DecisionTable:
         return f"DecisionTable(k={self.k}, cols=[{cols}], rows={self.n_rows})"
 
 
+def _in_alphabet(value, k: int) -> bool:
+    """Is ``value`` an int of E_k?  A bool is not: ``True`` equals 1 but
+    prints, parses and keys as ``True``."""
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < k
+
+
 def validate(k: int, columns: Sequence, rows: Iterable) -> DecisionTable:
     """Validate raw table data and build a :class:`DecisionTable`.
 
@@ -192,9 +198,9 @@ def validate(k: int, columns: Sequence, rows: Iterable) -> DecisionTable:
                 f"row {tup} has {len(tup)} entries but the table has {len(cols)} columns"
             )
         for v in tup:
-            if not isinstance(v, int) or not 0 <= v < k:
+            if not _in_alphabet(v, k):
                 raise ValueOutOfRange(f"row entry {v!r} is outside E_{k}")
-        if decision not in (0, 1):
+        if not _in_alphabet(decision, 2):
             raise BadDecision(f"decision must be 0 or 1, got {decision!r}")
         if tup in seen:
             raise DuplicateRow(f"row {tup} appears more than once")
@@ -302,7 +308,7 @@ def restrict(table: DecisionTable, fixings: Iterable) -> DecisionTable:
     resolved: list[tuple[int, int]] = []
     for attr, value in fixings:
         pos = table.column_position(attr)
-        if not isinstance(value, int) or not 0 <= value < table.k:
+        if not _in_alphabet(value, table.k):
             raise ValueOutOfRange(f"fixing value {value!r} is outside E_{table.k}")
         resolved.append((pos, value))
     keep = [

@@ -18,6 +18,10 @@ lands on some path, and every path's subtable is empty or all-1.  Such a
 tree is exactly a system of true decision rules covering the 1-rows; the
 root may have many edges and duplicate sibling values.
 
+Every helper and validator below reads one depth-first walk of its tree,
+which collects the complete paths, the attribute set, the shape and
+duplicate-value problems and the node count in a single pass.
+
 Text format (.tree)::
 
     (root (f4 (0 (leaf 1)) (1 (f3 (1 (leaf 0)) (0 (leaf 1))))))
@@ -29,7 +33,7 @@ internal nodes, ``(leaf <0|1>)`` for terminals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .tables import (
     Attribute,
@@ -37,6 +41,7 @@ from .tables import (
     DtError,
     ValueOutOfRange,
     _bits_of,
+    _in_alphabet,
     _TableBits,
     is_constant,
     restrict,
@@ -74,18 +79,7 @@ class DecisionTree:
     children: tuple[TreeNode, ...]
 
     def node_count(self) -> int:
-        return 1 + sum(_count_nodes(c) for c in self.children)
-
-
-# The tree walks below are module functions rather than nested closures: a
-# nested recursive function refers to itself through its closure cell, so
-# every call would leave a reference cycle for the cyclic collector.
-
-
-def _count_nodes(node: TreeNode) -> int:
-    if isinstance(node, Leaf):
-        return 1
-    return 1 + sum(_count_nodes(c) for _, c in node.edges)
+        return _walk(self).nodes
 
 
 @dataclass(frozen=True)
@@ -97,34 +91,64 @@ class CompletePath:
     decision: int
 
 
+class _TreeWalk(NamedTuple):
+    """What one depth-first pass over a tree collects, each in walk order."""
+
+    paths: tuple[CompletePath, ...]
+    attributes: frozenset[Attribute]
+    shape: list[str]  # root problems, then node and edge problems
+    duplicates: list[str]  # duplicate sibling edge values
+    nodes: int  # the root included
+
+
+# The one tree walk.  It keeps pending nodes on an explicit stack instead
+# of recursing through a nested function, which would refer to itself
+# through its closure cell and leave a reference cycle on every call.
+# Children pop in tree order, and a node checks its incoming edge value
+# when it pops, so each edge problem comes just before its subtree's.
+
+
+def _walk(tree: DecisionTree) -> _TreeWalk:
+    k = tree.k
+    shape: list[str] = []
+    if not tree.children:
+        shape.append("the root has no outgoing edges; a tree needs at least two nodes")
+    if k < 2:
+        shape.append(f"alphabet size k must be >= 2, got {k}")
+    duplicates, paths, attributes, nodes = [], [], set(), 1
+    stack = [(child, (), ()) for child in reversed(tree.children)]
+    while stack:
+        node, word, fixings = stack.pop()
+        nodes += 1
+        if fixings:
+            attr, value = fixings[-1]
+            if not 0 <= value < k:
+                shape.append(f"edge value {value} at {attr.name} is outside E_{k}")
+        if isinstance(node, Leaf):
+            if node.decision not in (0, 1):
+                shape.append(f"terminal decision {node.decision!r} is not 0 or 1")
+            paths.append(CompletePath(word, fixings, node.decision))
+            continue
+        attr = node.attribute
+        attributes.add(attr)
+        if not node.edges:
+            shape.append(f"attribute node {attr.name} has no outgoing edges")
+        values = [v for v, _ in node.edges]
+        if len(set(values)) != len(values):
+            duplicates.append(f"duplicate edge values {values} at node {attr.name}")
+        word += (attr,)
+        for value, child in reversed(node.edges):
+            stack.append((child, word, fixings + ((attr, value),)))
+    return _TreeWalk(tuple(paths), frozenset(attributes), shape, duplicates, nodes)
+
+
 def attributes_of(tree: DecisionTree) -> frozenset[Attribute]:
-    found: set[Attribute] = set()
-    for child in tree.children:
-        _collect_attributes(child, found)
-    return frozenset(found)
-
-
-def _collect_attributes(node: TreeNode, found: set[Attribute]) -> None:
-    if isinstance(node, Node):
-        found.add(node.attribute)
-        for _, child in node.edges:
-            _collect_attributes(child, found)
+    return _walk(tree).attributes
 
 
 def complete_paths(tree: DecisionTree) -> tuple[CompletePath, ...]:
     """All complete paths, one per terminal, in left-to-right tree order."""
-    paths: list[CompletePath] = []
-    for child in tree.children:
-        _collect_paths(child, [], [], paths)
-    return tuple(paths)
-
-
-def _collect_paths(node: TreeNode, word, fixings, paths: list[CompletePath]) -> None:
-    if isinstance(node, Leaf):
-        paths.append(CompletePath(tuple(word), tuple(fixings), node.decision))
-        return
-    for value, child in node.edges:
-        _collect_paths(child, word + [node.attribute], fixings + [(node.attribute, value)], paths)
+    return _walk(tree).paths
 
 
 def path_subtable(table: DecisionTable, path: CompletePath) -> DecisionTable:
@@ -133,32 +157,12 @@ def path_subtable(table: DecisionTable, path: CompletePath) -> DecisionTable:
 
 def tree_cost(measure: ComplexityMeasure, tree: DecisionTree) -> int:
     """Worst complete-path word cost; a bare root-to-terminal path costs 0."""
-    return max(measure.cost(p.word) for p in complete_paths(tree))
+    return max(measure.cost(p.word) for p in _walk(tree).paths)
 
 
 def structural_problems(tree: DecisionTree) -> list[str]:
     """Violations of the bare k-decision-tree shape, if any."""
-    problems: list[str] = []
-    if not tree.children:
-        problems.append("the root has no outgoing edges; a tree needs at least two nodes")
-    if tree.k < 2:
-        problems.append(f"alphabet size k must be >= 2, got {tree.k}")
-    for child in tree.children:
-        _shape_problems(child, tree.k, problems)
-    return problems
-
-
-def _shape_problems(node: TreeNode, k: int, problems: list[str]) -> None:
-    if isinstance(node, Leaf):
-        if node.decision not in (0, 1):
-            problems.append(f"terminal decision {node.decision!r} is not 0 or 1")
-        return
-    if not node.edges:
-        problems.append(f"attribute node {node.attribute.name} has no outgoing edges")
-    for value, child in node.edges:
-        if not 0 <= value < k:
-            problems.append(f"edge value {value} at {node.attribute.name} is outside E_{k}")
-        _shape_problems(child, k, problems)
+    return _walk(tree).shape
 
 
 @dataclass(frozen=True)
@@ -190,7 +194,7 @@ def _path_rows(bits: _TableBits, paths) -> tuple[list[int], int]:
     for path in paths:
         m = bits.full
         for attr, value in path.fixings:
-            if not isinstance(value, int) or not 0 <= value < k:
+            if not _in_alphabet(value, k):
                 raise ValueOutOfRange(f"fixing value {value!r} is outside E_{k}")
             m &= masks[position[attr]][value]
         path_rows.append(m)
@@ -198,51 +202,39 @@ def _path_rows(bits: _TableBits, paths) -> tuple[list[int], int]:
     return path_rows, reached
 
 
-def _queries_test(attrs: frozenset[Attribute], bits: _TableBits) -> bool:
-    return bits.is_test([bits.position[a] for a in attrs])
+def _verdict(problems: list[str], bits: _TableBits, walk: _TreeWalk) -> ValidationResult:
+    if not problems:
+        # any tree valid for the table queries a test of the table
+        tested = [bits.position[a] for a in walk.attributes]
+        assert bits.is_test(tested), "validated tree whose attributes are not a test"
+    return ValidationResult(not problems, tuple(problems))
 
 
 def validate_deterministic(tree: DecisionTree, table: DecisionTable) -> ValidationResult:
     """Check the five deterministic-tree conditions, naming each violation."""
     if table.is_empty:
         raise NotApplicable("deterministic trees are defined for nonempty tables only")
-    problems = structural_problems(tree)
+    walk = _walk(tree)
+    problems = walk.shape
     if len(tree.children) != 1:
         problems.append(f"{len(tree.children)} edges leave the root; exactly one is allowed")
-    for child in tree.children:
-        _duplicate_values(child, problems)
-    attrs = attributes_of(tree)
-    problems += _check_attributes(attrs, table)
+    problems += walk.duplicates
+    problems += _check_attributes(walk.attributes, table)
     if problems:
         return ValidationResult(False, tuple(problems))
 
     bits = _bits_of(table)
-    paths = complete_paths(tree)
-    path_rows, reached = _path_rows(bits, paths)
+    path_rows, reached = _path_rows(bits, walk.paths)
     for i, row in enumerate(table.rows):
         if not reached >> i & 1:
             problems.append(f"row {row} reaches no complete path")
-    for i, (path, m) in enumerate(zip(paths, path_rows)):
+    for i, (path, m) in enumerate(zip(walk.paths, path_rows)):
         if m & (~bits.ones if path.decision else bits.ones):
             problems.append(
                 f"path {i} ends in decision {path.decision} but its subtable "
                 f"has rows labeled otherwise"
             )
-    ok = not problems
-    if ok:
-        # any tree valid for the table queries a test of the table
-        assert _queries_test(attrs, bits), "validated tree whose attributes are not a test"
-    return ValidationResult(ok, tuple(problems))
-
-
-def _duplicate_values(node: TreeNode, problems: list[str]) -> None:
-    if isinstance(node, Leaf):
-        return
-    values = [v for v, _ in node.edges]
-    if len(set(values)) != len(values):
-        problems.append(f"duplicate edge values {values} at node {node.attribute.name}")
-    for _, child in node.edges:
-        _duplicate_values(child, problems)
+    return _verdict(problems, bits, walk)
 
 
 def validate_strongly_nondeterministic(
@@ -253,29 +245,23 @@ def validate_strongly_nondeterministic(
         raise NotApplicable(
             "strongly nondeterministic trees are defined for non-constant tables only"
         )
-    problems = structural_problems(tree)
-    attrs = attributes_of(tree)
-    problems += _check_attributes(attrs, table)
-    paths = complete_paths(tree)
-    for p in paths:
-        if p.decision != 1:
-            problems.append("a terminal node carries decision 0; all must carry 1")
-            break
+    walk = _walk(tree)
+    problems = walk.shape
+    problems += _check_attributes(walk.attributes, table)
+    if any(p.decision != 1 for p in walk.paths):
+        problems.append("a terminal node carries decision 0; all must carry 1")
     if problems:
         return ValidationResult(False, tuple(problems))
 
     bits = _bits_of(table)
-    path_rows, reached = _path_rows(bits, paths)
+    path_rows, reached = _path_rows(bits, walk.paths)
     for i, (row, d) in enumerate(table.entries()):
         if d == 1 and not reached >> i & 1:
             problems.append(f"1-row {row} reaches no complete path")
     for i, m in enumerate(path_rows):
         if m & ~bits.ones:
             problems.append(f"path {i} has a subtable with a 0-row")
-    ok = not problems
-    if ok:
-        assert _queries_test(attrs, bits), "validated tree whose attributes are not a test"
-    return ValidationResult(ok, tuple(problems))
+    return _verdict(problems, bits, walk)
 
 
 # ---------------------------------------------------------------------------

@@ -191,3 +191,66 @@ def brute_closure_keys(table):
                 )
                 keys.add(canonical_key(relabeled))
     return keys
+
+
+# ---------------------------------------------------------------------------
+# decision trees by definition: a terminal carries a ``decision``; any
+# other node carries an ``attribute`` and ``edges`` of (value, child)
+
+
+def _is_terminal(node):
+    return hasattr(node, "decision")
+
+
+def _paths_below(node):
+    if _is_terminal(node):
+        return [((), (), node.decision)]
+    return [
+        ((node.attribute,) + word, ((node.attribute, value),) + fixings, decision)
+        for value, child in node.edges
+        for word, fixings, decision in _paths_below(child)
+    ]
+
+
+def brute_tree_paths(tree):
+    """Every root-to-terminal path as (word, fixings, decision), the paths
+    of each root child in turn, each edge's paths before the next edge's."""
+    return [path for child in tree.children for path in _paths_below(child)]
+
+
+def _attributes_below(node):
+    if _is_terminal(node):
+        return set()
+    return {node.attribute}.union(*(_attributes_below(child) for _, child in node.edges))
+
+
+def brute_tree_attributes(tree):
+    """The attributes of all attribute nodes, those without edges included."""
+    return frozenset().union(*(_attributes_below(child) for child in tree.children))
+
+
+def _shape_below(node, k):
+    if _is_terminal(node):
+        if node.decision in (0, 1):
+            return []
+        return [f"terminal decision {node.decision!r} is not 0 or 1"]
+    name = node.attribute.name
+    out = [] if node.edges else [f"attribute node {name} has no outgoing edges"]
+    for value, child in node.edges:
+        if not 0 <= value < k:
+            out.append(f"edge value {value} at {name} is outside E_{k}")
+        out += _shape_below(child, k)
+    return out
+
+
+def brute_tree_shape_problems(tree):
+    """The bare k-decision-tree shape violations: the root's first, then
+    each node's before those of its subtrees, in edge order."""
+    out = []
+    if not tree.children:
+        out.append("the root has no outgoing edges; a tree needs at least two nodes")
+    if tree.k < 2:
+        out.append(f"alphabet size k must be >= 2, got {tree.k}")
+    for child in tree.children:
+        out += _shape_below(child, tree.k)
+    return out

@@ -24,6 +24,7 @@ from dtlab.tables import (
     empty_table,
     validate,
 )
+from dtlab.randgen import random_table
 
 from conftest import tables_st
 from oracles import brute_closure_keys
@@ -76,6 +77,13 @@ def test_relabel_errors(example6):
         relabel({(1, 1, 1): 0}, example6)
     with pytest.raises(BadDecision):
         relabel(lambda r: 2, example6)
+
+
+def test_relabel_rejects_boolean_decisions(example6):
+    with pytest.raises(BadDecision):
+        relabel(lambda r: True, example6)
+    with pytest.raises(BadDecision):
+        relabel({row: False for row in example6.rows}, example6)
 
 
 @given(tables_st(), st.data())
@@ -231,6 +239,41 @@ def test_is_critical_worked_example(example6):
     critical, witnesses = is_critical(example6)
     assert critical
     assert set(witnesses) == set(example6.columns)
+
+
+def pairwise_is_critical(table):
+    """``is_critical`` by its definition: per column, the first pair of
+    sorted rows (i < j) that differ in that column and nowhere else."""
+    witnesses = {}
+    if table.is_empty:
+        return False, witnesses
+    rows = sorted(table.rows)
+    for pos, attr in enumerate(table.columns):
+        pairs = (
+            (a, b)
+            for i, a in enumerate(rows)
+            for b in rows[i + 1 :]
+            if [q for q in range(table.n_cols) if a[q] != b[q]] == [pos]
+        )
+        found = next(pairs, None)
+        if found is None:
+            return False, witnesses
+        witnesses[attr] = found
+    return True, witnesses
+
+
+def test_is_critical_matches_pairwise_definition():
+    verdicts = set()
+    shapes = [(2, 1, 2), (2, 2, 3), (2, 3, 3), (2, 3, 6), (2, 3, 8), (3, 2, 3), (3, 2, 9),
+              (2, 4, 5), (2, 4, 12), (2, 5, 9), (3, 3, 6), (3, 3, 20), (3, 3, 27)]
+    for i, (k, cols, rows) in enumerate(shapes):
+        for seed in range(20):
+            table = random_table(k, cols, rows, seed=20261019 + 100 * i + seed)
+            got = is_critical(table)
+            assert got == pairwise_is_critical(table), table
+            verdicts.add((got[0], len(got[1]) > 0))
+    # critical tables, and non-critical ones failing at the first and at a later column
+    assert verdicts == {(True, True), (False, False), (False, True)}
 
 
 def test_is_critical_negatives():

@@ -22,16 +22,21 @@ def summary_values(text):
     return out
 
 
-def test_growth_sweep_script(tmp_path):
+def run_script(*args, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "growth_sweep.py"), str(tmp_path)],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "growth_sweep.py"), *args],
         env=env,
+        cwd=cwd,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def test_growth_sweep_script(tmp_path):
+    done = run_script(str(tmp_path))
     assert done.returncode == 0, done.stderr
     assert len(list(tmp_path.glob("*.csv"))) == 6
     values = summary_values((tmp_path / "summary.txt").read_text(encoding="utf-8"))
@@ -45,3 +50,17 @@ def test_growth_sweep_script(tmp_path):
         ("FTheta", "steps(2,5,9)"): steps,
         ("F", "unit-rows phi=(0, 1, 4, 9, 16)"): [0, 1, 4, 9, 16],
     }
+
+
+def test_growth_sweep_help_writes_nothing(tmp_path):
+    done = run_script("--help", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: growth_sweep.py")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_growth_sweep_unknown_argument_exits_2(tmp_path):
+    done = run_script("--bogus", cwd=tmp_path)
+    assert done.returncode == 2
+    assert "unrecognized arguments: --bogus" in done.stderr
+    assert list(tmp_path.iterdir()) == []

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dtlab.measures import (
+    ComplexityMeasure,
     MeasureError,
     NotDecomposable,
     additive,
@@ -58,6 +59,24 @@ def test_weights_must_be_positive():
         additive({2: 0})
     with pytest.raises(MeasureError):
         max_weight(default=0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: additive(default=1.5),
+        lambda: additive({0: 2.7}),
+        lambda: additive({0: "3"}),
+        lambda: additive({0: True}),
+        lambda: max_weight(default=True),
+        lambda: ComplexityMeasure("maxw", ((0, 2.5),)),
+    ],
+    ids=["default-float", "weight-float", "weight-str", "weight-bool", "default-bool", "maxw-float"],
+)
+def test_weights_must_be_integers(build):
+    # a fractional weight would make costs inexact; int() would silently truncate it
+    with pytest.raises(MeasureError):
+        build()
 
 
 def test_table_costs(example6, weighted):

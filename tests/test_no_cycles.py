@@ -12,11 +12,17 @@ from dtlab.explorer import GROWTH_FUNCTIONS, growth
 from dtlab.measures import depth, sum_of
 from dtlab.randgen import SplitMix64, random_table
 from dtlab.solvers import det_tree_cost, det_tree_cost_bruteforce, parameter_report
+from dtlab.tables import Attribute, is_constant
 from dtlab.trees import (
+    DecisionTree,
+    Leaf,
+    Node,
     attributes_of,
     complete_paths,
     format_tree,
     parse_tree,
+    structural_problems,
+    tree_cost,
     validate_deterministic,
     validate_strongly_nondeterministic,
 )
@@ -52,6 +58,53 @@ def test_solvers_and_validators_leave_no_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def invalid_trees(tree):
+    """Trees failing the shape checks, the root-edge and duplicate-value
+    checks, and the path checks of both validators."""
+    bad = Node(Attribute(99), ((0, Leaf(7)), (0, Leaf(1)), (5, Node(Attribute(98), ()))))
+    flipped = DecisionTree(tree.k, tuple(_flip(c) for c in tree.children))
+    return [
+        DecisionTree(tree.k, ()),
+        DecisionTree(1, tree.children + (bad,)),
+        DecisionTree(tree.k, tree.children * 2),
+        flipped,
+        DecisionTree(tree.k, (Leaf(1),)),
+    ]
+
+
+def _flip(node):
+    if isinstance(node, Leaf):
+        return Leaf(1 - node.decision)
+    return Node(node.attribute, tuple((v, _flip(c)) for v, c in node.edges))
+
+
+def test_invalid_trees_leave_no_cycles():
+    measure = depth()
+    checked = []
+    trees = []
+    for seed in range(6):
+        table = random_table(2 + seed % 2, 3, 6, seed=20261019 + seed)
+        _, tree = det_tree_cost(measure, table)
+        trees.append((table, tree))
+    gc.collect()
+    gc.disable()
+    try:
+        for table, tree in trees:
+            for bad in invalid_trees(tree):
+                structural_problems(bad)
+                if bad.children:
+                    tree_cost(measure, bad)
+                det = validate_deterministic(bad, table)
+                checked.append(det.ok)
+                if not is_constant(table):
+                    snd = validate_strongly_nondeterministic(bad, table)
+                    checked.append(snd.ok)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert checked and not any(checked)
 
 
 def test_closure_and_growth_leave_no_cycles():

@@ -24,7 +24,7 @@ from dtlab.solvers import (
     table_separation_cost,
 )
 from dtlab.randgen import SplitMix64, random_table
-from dtlab.tables import Attribute, TooLarge, empty_table, is_test, validate
+from dtlab.tables import Attribute, TooLarge, ValueOutOfRange, empty_table, is_test, validate
 from dtlab.trees import (
     attributes_of,
     format_tree,
@@ -190,6 +190,13 @@ def test_fixing_for_tuple_examples(example6):
     assert fixing_cost_for_tuple(depth(), constant, (0,)) == (0, ())
     with pytest.raises(BadTupleLength):
         fixing_cost_for_tuple(depth(), example6, (1, 1))
+
+
+def test_fixing_for_tuple_rejects_boolean_values(example6):
+    with pytest.raises(ValueOutOfRange):
+        fixing_cost_for_tuple(depth(), example6, (True, 1, 1))
+    with pytest.raises(ValueOutOfRange):
+        fixing_cost_for_tuple(depth(), validate(2, [0, 1], [((1, 0), 1), ((0, 1), 0)]), (True, 0))
 
 
 def test_fixing_cost_worked_example(example6):

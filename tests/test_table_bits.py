@@ -317,6 +317,38 @@ def test_validators_match_restrict_reference(table):
         assert any(name == "value-beyond-table" and isinstance(v, tuple) for name, _, v in seen)
 
 
+def shape_breakers(tree, table_k):
+    """Trees breaking each bare-shape rule, which the mutations above keep."""
+    wide = value_beyond_table(tree, table_k)
+    out = [
+        replace(tree, k=1),
+        DecisionTree(tree.k, ()),
+        DecisionTree(tree.k, (Leaf(7), *tree.children, Node(Attribute(0), ()))),
+    ]
+    if wide is not None:
+        out.append(replace(wide, k=table_k))  # the edge value is outside the tree's own E_k
+    return out
+
+
+@pytest.mark.parametrize("table", [t for _, t in TABLES], ids=[tid for tid, _ in TABLES])
+def test_tree_helpers_match_definition_oracles(table):
+    problems = set()
+    for source, tree in witness_trees(table):
+        trees = [v for _, v in variants(tree, table)] + shape_breakers(tree, table.k)
+        for variant in trees:
+            shape = structural_problems(variant)
+            assert shape == oracles.brute_tree_shape_problems(variant), (source, variant)
+            assert attributes_of(variant) == oracles.brute_tree_attributes(variant), source
+            got = [(p.word, p.fixings, p.decision) for p in complete_paths(variant)]
+            assert got == oracles.brute_tree_paths(variant), (source, variant)
+            problems.update(d.split(" ")[0] for d in shape)
+    # every kind of shape problem came up: root, alphabet, terminal,
+    # edgeless node and edge value
+    assert problems >= {"the", "alphabet", "terminal", "attribute"}
+    if not is_constant(table):
+        assert "edge" in problems
+
+
 def test_value_beyond_table_raises_like_restrict():
     table = validate(2, [0, 1], [((0, 0), 0), ((0, 1), 1), ((1, 0), 1)])
     tree = DecisionTree(3, (Node(Attribute(0), ((0, Node(Attribute(1), ((0, Leaf(0)), (1, Leaf(1))))), (2, Leaf(1)))),))

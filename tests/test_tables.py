@@ -63,6 +63,19 @@ def test_validate_rejections():
         validate(1, [0], [((0,), 0)])
 
 
+def test_validate_rejects_boolean_entries_and_decisions():
+    # True == 1 and hashes alike, but it would print as "True" in .dt text
+    # and in the canonical key
+    with pytest.raises(ValueOutOfRange):
+        validate(2, [0, 1], [((True, 0), 1), ((0, 1), False)])
+    with pytest.raises(BadDecision):
+        validate(2, [0, 1], [((1, 0), True)])
+    with pytest.raises(BadDecision):
+        validate(2, [0, 1], [((1, 0), 1.0)])
+    table = validate(2, [0, 1], [((1, 0), 1), ((0, 1), 0)])
+    assert parse_table(format_table(table)) == table
+
+
 def test_restrict_single_fixing(example6):
     r = restrict(example6, [(3, 0)])
     assert set(r.rows) == {(1, 1, 0), (1, 0, 0), (0, 0, 0)}
@@ -81,6 +94,11 @@ def test_restrict_identity_and_errors(example6):
         restrict(example6, [(9, 0)])
     with pytest.raises(ValueOutOfRange):
         restrict(example6, [(2, 5)])
+
+
+def test_restrict_rejects_boolean_fixing_values(example6):
+    with pytest.raises(ValueOutOfRange):
+        restrict(example6, [(2, True)])
 
 
 def test_restrict_conflicting_fixings_empty(example6):

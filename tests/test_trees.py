@@ -1,7 +1,8 @@
 import pytest
 
+from dtlab import trees
 from dtlab.measures import depth
-from dtlab.tables import Attribute, empty_table, is_test, restrict, validate
+from dtlab.tables import Attribute, ValueOutOfRange, empty_table, is_test, restrict, validate
 from dtlab.trees import (
     DecisionTree,
     Leaf,
@@ -154,6 +155,38 @@ def test_node_count():
     assert det_example_tree().node_count() == 6
     assert snd_example_tree().node_count() == 5
     assert DecisionTree(2, (Leaf(0),)).node_count() == 2
+
+
+def test_each_helper_and_validator_walks_its_tree_once(monkeypatch, example6):
+    walks = []
+    walk = trees._walk
+    monkeypatch.setattr(trees, "_walk", lambda tree: walks.append(tree) or walk(tree))
+    det, snd = det_example_tree(), snd_example_tree()
+    calls = [
+        attributes_of,
+        complete_paths,
+        structural_problems,
+        lambda tree: tree_cost(depth(), tree),
+        DecisionTree.node_count,
+        lambda tree: validate_deterministic(tree, example6),
+        lambda tree: validate_strongly_nondeterministic(tree, example6),
+    ]
+    # det is valid only as deterministic and snd only as nondeterministic,
+    # so each validator runs both its full check and its early rejection
+    for i, call in enumerate(calls):
+        for tree in (det, snd):
+            walks.clear()
+            call(tree)
+            assert walks == [tree], i
+
+
+def test_boolean_edge_value_raises_like_restrict(example6):
+    tree = DecisionTree(2, (Node(Attribute(4), ((True, Leaf(1)), (0, Leaf(1)))),))
+    for validator in (validate_deterministic, validate_strongly_nondeterministic):
+        with pytest.raises(ValueOutOfRange, match="fixing value True is outside E_2"):
+            validator(tree, example6)
+    with pytest.raises(ValueOutOfRange, match="fixing value True is outside E_2"):
+        restrict(example6, [(4, True)])
 
 
 def test_format_golden():

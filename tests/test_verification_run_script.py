@@ -10,16 +10,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_verification_run_quick():
+def run_script(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "verification_run.py"), "--quick"],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "verification_run.py"), *args],
         env=env,
         capture_output=True,
         text=True,
         timeout=300,
     )
+
+
+def test_verification_run_quick():
+    done = run_script("--quick")
     assert done.returncode == 0, done.stdout + done.stderr
     suites = re.findall(r"suite (\S+): checked (\d+) inputs, (\d+) finding\(s\)", done.stdout)
     assert suites == [
@@ -30,3 +34,18 @@ def test_verification_run_quick():
         ("constructions", "125", "0"),
         ("growth", "9", "0"),
     ]
+
+
+def test_verification_run_help():
+    done = run_script("--help")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: verification_run.py [-h] [--quick]")
+    assert "checked" not in done.stdout  # no suite ran
+
+
+def test_verification_run_unknown_argument_exits_2():
+    # a misspelt --quick must not fall through to the full sweep
+    done = run_script("--quik")
+    assert done.returncode == 2
+    assert "unrecognized arguments: --quik" in done.stderr
+    assert done.stdout == ""
