@@ -63,10 +63,20 @@ stored on a table: a closure keeps tens of thousands of member tables
 alive, and a variant that kept bits on its tables took FTheta growth
 over the 28,341-member closure of ``random_table(2, 5, 14, seed=3)``
 from 9.1 s to 12.9 s and its peak RSS from 28 MB to 186 MB (2-vCPU VM,
-Python 3.11.7).  The only value a report leaves on a table is the depth
-triple (min test, det and separation cost under depth), which later
-non-depth reports of the same table object read for their
-depth-specific checks.
+Python 3.11.7).
+
+A non-depth report re-checks three depth-only inequalities, which need
+the depth triple (min test, det and separation cost under depth).  A
+depth report leaves its triple in a second one-table slot,
+``_depth_slot``, and a later report reads it only when the slot holds
+that very table object; otherwise it solves the triple.  Tables are
+slotted, so the triple cannot be stored on them.  Nor can it live in the
+kernel slot: ``verify.transfer_findings`` solves ``det_tree_cost`` on
+the collapsed table between the depth report of a table and the next
+measure's report, which replaces the kernel slot, so a triple kept there
+would be gone when that report looks for it.  Re-solving the triple in
+every non-depth report made a ``verify`` pass 25-45% slower.  Only depth
+reports write the depth slot.
 
 The deterministic-tree search memoizes on (surviving row set, accumulator
 state).  Keying on the accumulator matters: under combinator measures the
@@ -115,7 +125,8 @@ BRUTEFORCE_LIMITS = (
     f"brute-force tree search allows at most {BRUTEFORCE_MAX_COLUMNS} columns "
     f"and k <= {BRUTEFORCE_MAX_K}"
 )
-_DEPTH_TRIPLE = "_depth_triple"  # the attribute a depth report sets on its table
+# the last depth report's table and its (min test, det, separation) costs
+_depth_slot: tuple[DecisionTable | None, tuple[int, int, int] | None] = (None, None)
 _NO_SUBSET = "no subset satisfied the predicate; full column set should"
 
 
@@ -660,7 +671,8 @@ def inequality_findings(measure: ComplexityMeasure, table: DecisionTable, vals: 
     exponentiation so boundary cases stay exact.  Depth-specific checks
     need the depth triple (min test, det and separation cost under
     depth).  When the report's measure is something else, they read the
-    triple that a depth report stored on this table object, or solve it.
+    triple that the last depth report left in the depth slot if it was a
+    report of this very table object, or solve it.
     """
     checks: list[str] = []
     failed: list[str] = []
@@ -679,8 +691,8 @@ def inequality_findings(measure: ComplexityMeasure, table: DecisionTable, vals: 
     if measure.kind == "depth":
         theta_h, det_h, sep_h = vals["min_test_cost"], vals["det_cost"], vals["separation_cost"]
     else:
-        triple = vars(table).get(_DEPTH_TRIPLE)
-        if triple is None:
+        held, triple = _depth_slot
+        if held is not table:
             h = depth()
             triple = (
                 min_test_cost(h, table)[0],
@@ -714,8 +726,9 @@ def parameter_report(measure: ComplexityMeasure, table: DecisionTable) -> Parame
     against the table, and the worst tuple must reproduce the fixing
     cost.  Failures land in ``failed_checks``.  Every solver and
     validator it calls reads the table's kernel from one slot.  A depth
-    report stores its depth triple on the table for later reports.
+    report leaves its depth triple in the depth slot for later reports.
     """
+    global _depth_slot
     attr_set_cost, max_attr_cost = table_costs(measure, table)
     theta, test_witness = min_test_cost(measure, table)
     seps = tuple((row, *sep) for row, sep in zip(table.rows, _row_separations(measure, table)))
@@ -728,7 +741,7 @@ def parameter_report(measure: ComplexityMeasure, table: DecisionTable) -> Parame
         det, det_tree = det_tree_cost_bruteforce(measure, table), None
     snd, snd_tree = snd_tree_cost(measure, table)
     if measure.kind == "depth":
-        object.__setattr__(table, _DEPTH_TRIPLE, (theta, det, separation))
+        _depth_slot = (table, (theta, det, separation))
 
     vals = {
         "rows": table.n_rows,

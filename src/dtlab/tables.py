@@ -11,11 +11,8 @@ collapse into a single canonical class, every parameter of which is zero.
 A zero-column table may not carry rows.
 
 Tables are immutable after validation and all operations here are pure,
-so instances can be shared freely across threads.  The one value ever
-stored on a table is the depth triple (min test, det and separation cost
-under the depth measure) that a depth parameter report leaves for later
-reports on the same table object.  It is a function of the table alone
-and the write is idempotent, so sharing tables across threads stays safe.
+so instances can be shared freely across threads.  A table is slotted:
+no value is ever stored on it beyond its fields.
 
 ``_TableBits`` is the bit kernel of the solvers and validators: the
 rows as bitmasks per column value, by column position and by column
@@ -124,16 +121,30 @@ def as_attribute(a) -> Attribute:
     raise UnknownAttribute(f"cannot interpret {a!r} as an attribute")
 
 
-@dataclass(frozen=True)
-class DecisionTable:
+class _WeakReferable:
+    """A slotted base that gives its subclasses a ``__weakref__`` slot.
+
+    ``dataclass(weakref_slot=True)`` does the same from Python 3.11 on;
+    a base class does it on 3.10 too.
+    """
+
+    __slots__ = ("__weakref__",)
+
+
+@dataclass(frozen=True, slots=True)
+class DecisionTable(_WeakReferable):
     """An immutable, validated decision table.
 
     ``rows[i]`` is the value tuple of row i and ``decisions[i]`` its 0/1
     decision.  Dataclass equality is representation equality (row order
     matters); table equality in the row-permutation sense is decided by
-    :func:`canonical_key`.  Closure enumeration builds its members'
-    tables field by field, without ``__init__``, so this class has no
-    ``__post_init__``.
+    :func:`canonical_key`.
+
+    A table keeps its four fields in slots and has no ``__dict__``, so
+    nothing else can be stored on it; it can still be pickled, copied,
+    hashed and weakly referenced.  Closure enumeration builds its
+    members' tables by setting the four slots through their descriptors,
+    without ``__init__``, so this class has no ``__post_init__``.
     """
 
     k: int

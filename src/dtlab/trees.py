@@ -57,6 +57,10 @@ class TreeFormatError(DtError):
     pass
 
 
+class NoCompletePath(DtError):
+    """The tree has no complete path, so it has no cost."""
+
+
 @dataclass(frozen=True)
 class Leaf:
     decision: int
@@ -122,8 +126,8 @@ def _walk(tree: DecisionTree) -> _TreeWalk:
         nodes += 1
         if fixings:
             attr, value = fixings[-1]
-            if not 0 <= value < k:
-                shape.append(f"edge value {value} at {attr.name} is outside E_{k}")
+            if not _in_alphabet(value, k):
+                shape.append(f"edge value {value!r} at {attr.name} is outside E_{k}")
         if isinstance(node, Leaf):
             if node.decision not in (0, 1):
                 shape.append(f"terminal decision {node.decision!r} is not 0 or 1")
@@ -156,8 +160,15 @@ def path_subtable(table: DecisionTable, path: CompletePath) -> DecisionTable:
 
 
 def tree_cost(measure: ComplexityMeasure, tree: DecisionTree) -> int:
-    """Worst complete-path word cost; a bare root-to-terminal path costs 0."""
-    return max(measure.cost(p.word) for p in _walk(tree).paths)
+    """Worst complete-path word cost; a bare root-to-terminal path costs 0.
+
+    A tree with no complete path, such as a bare root or one whose
+    attribute nodes have no edges, raises :class:`NoCompletePath`.
+    """
+    paths = _walk(tree).paths
+    if not paths:
+        raise NoCompletePath("the tree has no complete path, so it has no cost")
+    return max(measure.cost(p.word) for p in paths)
 
 
 def structural_problems(tree: DecisionTree) -> list[str]:

@@ -16,6 +16,7 @@ from dtlab.tables import Attribute, is_constant
 from dtlab.trees import (
     DecisionTree,
     Leaf,
+    NoCompletePath,
     Node,
     attributes_of,
     complete_paths,
@@ -94,8 +95,10 @@ def test_invalid_trees_leave_no_cycles():
         for table, tree in trees:
             for bad in invalid_trees(tree):
                 structural_problems(bad)
-                if bad.children:
+                try:
                     tree_cost(measure, bad)
+                except NoCompletePath:
+                    assert not complete_paths(bad)
                 det = validate_deterministic(bad, table)
                 checked.append(det.ok)
                 if not is_constant(table):

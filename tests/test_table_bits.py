@@ -5,8 +5,9 @@ reference validators below are the earlier ones that build a
 ``restrict``ed subtable per path, and every ``ValidationResult`` (or
 raised error) must match them exactly.  The all-rows separation routine
 must give each row the value and witness of ``row_separation_cost`` and
-of the brute-force oracle.  A parameter report leaves only the depth
-triple on its table, and growth leaves nothing on closure members.  The
+of the brute-force oracle.  Tables are slotted and store nothing: a
+depth report leaves its depth triple in a one-table slot, which a later
+report reads only for that very table object.  The
 kernel slot serves calls on one table object from one kernel, keeps no
 earlier table alive, and gives the answers of a fresh kernel per call.
 """
@@ -18,6 +19,7 @@ from itertools import product
 
 import pytest
 
+from dtlab import solvers
 from dtlab.closure import enumerate_closure
 from dtlab.explorer import GROWTH_FUNCTIONS, growth
 from dtlab.measures import additive, depth
@@ -61,7 +63,6 @@ from dtlab.verify import standard_measures
 
 import oracles
 
-FIELDS = {f.name for f in fields(DecisionTable)}
 MEASURES = standard_measures()
 SHAPES = [(2, 2, 3), (2, 3, 5), (2, 3, 8), (2, 4, 9), (3, 2, 5), (3, 3, 9), (3, 3, 14)]
 
@@ -415,25 +416,35 @@ def test_all_rows_separation_matches_per_row_and_oracle(table):
 
 
 # ---------------------------------------------------------------------------
-# what a report or a growth sweep leaves on tables
+# the depth slot, and tables that store nothing
 
 
-def test_report_leaves_only_the_depth_triple():
+def test_depth_report_fills_the_one_table_depth_slot():
     table = random_table(3, 3, 9, seed=11)
+    depth_report = parameter_report(depth(), table)
+    want = (depth_report.min_test_cost, depth_report.det_cost, depth_report.separation_cost)
+    assert solvers._depth_slot == (table, want)
+    # only a depth report writes the slot
     for _, measure in MEASURES[1:]:
         parameter_report(measure, table)
-    assert set(vars(table)) == FIELDS
-    depth_report = parameter_report(depth(), table)
-    assert set(vars(table)) == FIELDS | {"_depth_triple"}
-    want = (depth_report.min_test_cost, depth_report.det_cost, depth_report.separation_cost)
-    assert table._depth_triple == want
-    for _, measure in MEASURES:
-        parameter_report(measure, table)
-    assert set(vars(table)) == FIELDS | {"_depth_triple"}
-    assert table._depth_triple == want
+        det_tree_cost(depth(), random_table(2, 3, 5, seed=12))
+    assert solvers._depth_slot == (table, want)
+    # the slot holds at most one table: the next depth report replaces it
+    other = random_table(2, 3, 5, seed=13)
+    gone = weakref.ref(table)
+    parameter_report(depth(), other)
+    held, _ = solvers._depth_slot
+    assert held is other
+    gc.collect()
+    gc.disable()
+    try:
+        del table, held
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
-def test_non_depth_report_reads_the_triple_of_its_own_table():
+def test_non_depth_report_reads_the_depth_slot_of_its_own_table(monkeypatch):
     measure = additive({0: 2, 1: 1, 2: 3, 3: 1})
     small = validate(2, [0, 1], [((0, 0), 0), ((1, 1), 1)])
     fresh = parameter_report(measure, small)
@@ -443,20 +454,47 @@ def test_non_depth_report_reads_the_triple_of_its_own_table():
     parity = validate(2, range(4), [(r, sum(r) % 2) for r in product((0, 1), repeat=4)])
     assert parameter_report(depth(), parity).min_test_cost == 4
     assert parameter_report(measure, small) == fresh
-    # small's own triple is read: a wrong one planted there fails the checks
-    object.__setattr__(small, "_depth_triple", (0, 0, 0))
+    # nor may a triple left for an equal table that is another object
+    monkeypatch.setattr(solvers, "_depth_slot", (replace(small), (0, 0, 0)))
+    assert parameter_report(measure, small) == fresh
+    # small's own triple is read: a wrong one planted for it fails the checks
+    monkeypatch.setattr(solvers, "_depth_slot", (small, (0, 0, 0)))
     assert not parameter_report(measure, small).consistent
     parameter_report(depth(), small)
     assert parameter_report(measure, small) == fresh
 
 
-def test_growth_leaves_members_bare():
+def test_non_depth_report_solves_depth_only_without_the_slot(monkeypatch):
+    depth_solves = []
+
+    def counting(measure, table):
+        if measure.kind == "depth":
+            depth_solves.append(table)
+        return det_tree_cost(measure, table)
+
+    monkeypatch.setattr(solvers, "det_tree_cost", counting)
+    measure = MEASURES[1][1]
+    table, other = random_table(2, 4, 9, seed=14), random_table(2, 4, 9, seed=15)
+    parameter_report(depth(), table)
+    depth_solves.clear()
+    report = parameter_report(measure, table)
+    assert depth_solves == []
+    parameter_report(depth(), other)
+    depth_solves.clear()
+    assert parameter_report(measure, table) == report
+    assert depth_solves == [table]
+
+
+def test_growth_leaves_member_tables_slotted_and_equal_to_their_twins():
     gen = random_table(2, 3, 5, seed=4)
     enum = enumerate_closure([gen])
     for fn in GROWTH_FUNCTIONS:
         growth(fn, [gen], depth(), 3, enumeration=enum)
-    assert all(set(vars(m.table)) == FIELDS for m in enum.members)
-    assert set(vars(gen)) == FIELDS
+    for t in [gen, *enum.tables()]:
+        assert not hasattr(t, "__dict__")
+        twin = DecisionTable(t.k, t.columns, t.rows, t.decisions)
+        assert t == twin and hash(t) == hash(twin)
+    assert {f.name for f in fields(DecisionTable)} == set(DecisionTable.__slots__)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,19 @@
+import copy
+import dataclasses
 import itertools
+import pickle
+import weakref
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dtlab.closure import ClosureMember, enumerate_closure
 from dtlab.tables import (
     Attribute,
     BadDecision,
     BadShape,
+    DecisionTable,
     DuplicateColumn,
     DuplicateRow,
     UnknownAttribute,
@@ -74,6 +80,39 @@ def test_validate_rejects_boolean_entries_and_decisions():
         validate(2, [0, 1], [((1, 0), 1.0)])
     table = validate(2, [0, 1], [((1, 0), 1), ((0, 1), 0)])
     assert parse_table(format_table(table)) == table
+
+
+def test_table_is_slotted_frozen_and_still_a_value(example6):
+    assert not hasattr(example6, "__dict__")
+    assert {f.name for f in dataclasses.fields(DecisionTable)} == set(DecisionTable.__slots__)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        example6.k = 3
+    # a name that is no field has no slot; CPython 3.11's frozen __setattr__
+    # raises TypeError for it on a slotted class, FrozenInstanceError before
+    with pytest.raises((AttributeError, TypeError)):
+        example6.extra = 1
+    twin = validate(2, [2, 4, 3], EXAMPLE6_ROWS)
+    assert twin == example6 and hash(twin) == hash(example6) and twin is not example6
+    assert repr(example6) == "DecisionTable(k=2, cols=[f2,f4,f3], rows=6)"
+    for copied in (
+        pickle.loads(pickle.dumps(example6)),
+        copy.deepcopy(example6),
+        dataclasses.replace(example6),
+    ):
+        assert type(copied) is DecisionTable and copied is not example6
+        assert copied == example6 and hash(copied) == hash(example6)
+        assert dataclasses.astuple(copied) == dataclasses.astuple(example6)
+    assert dataclasses.replace(example6, decisions=(1,) * 6) != example6
+    ref = weakref.ref(example6)
+    assert ref() is example6
+
+
+def test_closure_member_pickles_with_its_slotted_table(example6):
+    for member in enumerate_closure([example6]).members[::7]:
+        copied = pickle.loads(pickle.dumps(member))
+        assert type(copied) is ClosureMember and type(copied.table) is DecisionTable
+        assert copied == member and hash(copied) == hash(member)
+        assert not hasattr(copied.table, "__dict__")
 
 
 def test_restrict_single_fixing(example6):

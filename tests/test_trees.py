@@ -1,11 +1,14 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dtlab import trees
 from dtlab.measures import depth
-from dtlab.tables import Attribute, ValueOutOfRange, empty_table, is_test, restrict, validate
+from dtlab.tables import Attribute, DtError, ValueOutOfRange, empty_table, is_test, restrict, validate
 from dtlab.trees import (
     DecisionTree,
     Leaf,
+    NoCompletePath,
     Node,
     NotApplicable,
     TreeFormatError,
@@ -19,6 +22,8 @@ from dtlab.trees import (
     validate_deterministic,
     validate_strongly_nondeterministic,
 )
+
+from conftest import tables_st
 
 
 def det_example_tree():
@@ -180,13 +185,59 @@ def test_each_helper_and_validator_walks_its_tree_once(monkeypatch, example6):
             assert walks == [tree], i
 
 
-def test_boolean_edge_value_raises_like_restrict(example6):
-    tree = DecisionTree(2, (Node(Attribute(4), ((True, Leaf(1)), (0, Leaf(1)))),))
+@pytest.mark.parametrize("value", [True, False, 1.0, 0.0, None, "1", -1, 2])
+def test_edge_value_outside_the_alphabet_is_a_shape_problem(example6, value):
+    tree = DecisionTree(2, (Node(Attribute(4), ((value, Leaf(1)), (9, Leaf(1)))),))
+    problems = [
+        f"edge value {value!r} at f4 is outside E_2",
+        "edge value 9 at f4 is outside E_2",
+    ]
+    assert structural_problems(tree) == problems
     for validator in (validate_deterministic, validate_strongly_nondeterministic):
-        with pytest.raises(ValueOutOfRange, match="fixing value True is outside E_2"):
-            validator(tree, example6)
-    with pytest.raises(ValueOutOfRange, match="fixing value True is outside E_2"):
-        restrict(example6, [(4, True)])
+        assert validator(tree, example6).diagnostics[:2] == tuple(problems)
+    # restrict rejects the same values as fixings
+    with pytest.raises(ValueOutOfRange, match="is outside E_2"):
+        restrict(example6, [(4, value)])
+
+
+def test_tree_cost_without_a_complete_path_raises():
+    for tree in (DecisionTree(2, ()), DecisionTree(2, (Node(Attribute(0), ()),))):
+        with pytest.raises(NoCompletePath, match="no complete path"):
+            tree_cost(depth(), tree)
+
+
+def trees_st():
+    """Tree objects built directly, not parsed: bare roots, attribute nodes
+    without edges, and edge values of any type or range."""
+    values = st.one_of(
+        st.integers(-2, 4), st.none(), st.booleans(), st.floats(-1, 3), st.just("1")
+    )
+    leaves = st.builds(Leaf, st.integers(0, 1))
+    nodes = st.recursive(
+        leaves,
+        lambda children: st.builds(
+            Node,
+            st.integers(0, 4).map(Attribute),
+            st.lists(st.tuples(values, children), max_size=3).map(tuple),
+        ),
+        max_leaves=8,
+    )
+    return st.builds(DecisionTree, st.integers(1, 3), st.lists(nodes, max_size=3).map(tuple))
+
+
+def returns_or_raises_dterror(fn, *args):
+    try:
+        fn(*args)
+    except DtError:
+        pass
+
+
+@given(trees_st(), tables_st(max_k=3, max_cols=5, max_rows=6))
+def test_tree_objects_return_or_raise_dterror(tree, table):
+    returns_or_raises_dterror(structural_problems, tree)
+    returns_or_raises_dterror(tree_cost, depth(), tree)
+    returns_or_raises_dterror(validate_deterministic, tree, table)
+    returns_or_raises_dterror(validate_strongly_nondeterministic, tree, table)
 
 
 def test_format_golden():
