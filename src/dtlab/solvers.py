@@ -12,7 +12,7 @@ For a table T and complexity measure psi this module computes:
                            constant class by fixing attributes to the
                            values of a tuple, maximized over all tuples,
 * ``det_tree_cost``        cheapest deterministic decision tree (exact
-                           memoized search, plus an independent
+                           branch-and-bound search, plus an independent
                            brute-force oracle),
 * ``snd_tree_cost``        cheapest strongly nondeterministic decision
                            tree (per 1-row minimal true rules glued under
@@ -78,10 +78,19 @@ would be gone when that report looks for it.  Re-solving the triple in
 every non-depth report made a ``verify`` pass 25-45% slower.  Only depth
 reports write the depth slot.
 
-The deterministic-tree search memoizes on (surviving row set, accumulator
-state).  Keying on the accumulator matters: under combinator measures the
-best subtree genuinely depends on the tested prefix, so a row-set-only
-memo would be wrong; the brute-force oracle pins this down in the tests.
+The deterministic-tree search is a branch and bound in the manner of
+DL8.5 (Aglin, Nijssen, Schaus, AAAI 2020) and MurTree (Demirovic et al.,
+JMLR 2022).  It solves each subproblem, keyed on (surviving row set,
+accumulator state), under the best worst case its parent has found so
+far, keeps exact answers and lower bounds in two memos, and prunes only
+by the nondecreasing axiom; ``det_tree_cost`` gives the rules.  Keying
+on the accumulator matters: under combinator measures the best subtree
+genuinely depends on the tested prefix, so a row-set-only memo would be
+wrong; the brute-force oracle pins this down in the tests.  The witness
+is the one the unbounded search it replaced returns, which
+``tests/test_det_search.py`` keeps as the reference.  Under depth, on
+the ``random_table(2, 6, 32)`` of the ``params`` benchmark's variant 3,
+the bounded search calls ``extend`` 42 times and the unbounded one 582.
 Its recursive helpers refer to themselves through closure cells, which
 are cleared before the search returns: a call leaves no reference cycle,
 so its memo and trees are freed by reference counting, not by the cyclic
@@ -420,13 +429,22 @@ def fixing_cost(
     so of one decision: no tuple costs more than the min test cost, and
     the sweep stops at the first tuple that reaches it.
     """
+    return _fixing_sweep(measure, table, None)
+
+
+def _fixing_sweep(
+    measure: ComplexityMeasure, table: DecisionTable, cap: int | None
+) -> tuple[int, tuple[int, ...] | None]:
+    """``fixing_cost``, given the table's min test cost as ``cap`` or
+    solving it when ``cap`` is None, after the guard rail."""
     if is_constant(table):
         return 0, None
     if table.k**table.n_cols > MAX_TUPLE_SPACE:
         raise TooLarge(
             f"{table.k}^{table.n_cols} value tuples exceed the exact-sweep guard rail"
         )
-    cap = min_test_cost(measure, table)[0]
+    if cap is None:
+        cap = min_test_cost(measure, table)[0]
     order = _subset_order(measure, table.columns)
     bits = _bits_of(table)
     best = -1
@@ -449,14 +467,39 @@ def det_tree_cost(
 ) -> tuple[int, DecisionTree | None]:
     """Cheapest deterministic decision tree for the table, with a witness.
 
-    Exact search over reachable subtables (bitmask row sets), memoized on
-    (row set, accumulator state).  Candidate attributes at a node are
-    those taking at least two values among the surviving rows; testing
-    any other attribute can never lower the cost of a path because
-    extension never decreases the accumulator value.  An attribute's
-    children stop being solved once its worst child reaches the best cost
-    so far (alpha cutoff): it can no longer be picked, and every memo entry
-    still holds an exact value.  The empty table has cost 0 and no tree by
+    Branch-and-bound search over reachable subtables (bitmask row sets),
+    keyed by (row set, accumulator state).  ``solve(mask, state, bound)``
+    returns the subtable's exact cost when it is below ``bound``, and
+    otherwise some value at least ``bound``.  Exact costs go in ``memo``
+    with the chosen column; "costs at least b" facts go in ``floors``,
+    which ``rebuild`` never reads.  A node tries its columns in rank
+    order and hands every child the best worst case so far as its bound.
+
+    Every prune rests on the nondecreasing axiom, under which every leaf
+    below a state costs at least that state's value:
+
+    * a column taking fewer than two values among the rows splits
+      nothing, and testing it can never lower a path's cost;
+    * a column whose step ``value(extend(state, a))`` reaches the bound
+      cannot beat it;
+    * a non-constant child needs one more test, so it costs at least the
+      floor of its state, the least step over all columns: the column is
+      dropped once that floor reaches the bound;
+    * a constant child is a leaf that costs the step and is never
+      searched.
+
+    ``moves`` is the move table: per state, the state after each column,
+    its step and the floor, so ``extend`` and ``value`` run once per
+    (state, column).  A path never tests a column twice, so the cost is
+    at most u, the value with every column folded in; the root starts at
+    bound u + 1 and must come in under it.
+
+    The witness cannot differ from the unbounded search's.  A column is
+    taken only when its worst case is strictly below the bound, and
+    everything pruned costs at least the bound, so each node takes the
+    first column in rank order of least worst case.  That column's
+    children all came back below the bound, so they are exact and in
+    ``memo`` for ``rebuild``.  The empty table has cost 0 and no tree by
     fiat.
     """
     if table.is_empty:
@@ -467,46 +510,70 @@ def det_tree_cost(
     k = table.k
     cols = table.columns
     masks, ones, full, order = bits.masks, bits.ones, bits.full, bits.ranks
+    s0 = measure.initial_state()
+    x = full & ones
+    if x == 0 or x == full:
+        return measure.value(s0), DecisionTree(k, (Leaf(table.decisions[0]),))
+    extend, value = measure.extend, measure.value
+    indices = [c.index for c in cols]
     memo: dict[tuple[int, object], tuple[int, int]] = {}
+    floors: dict[tuple[int, object], int] = {}
+    moves: dict[object, tuple[list, list[int], int]] = {}
 
-    def constant(mask: int) -> bool:
-        x = mask & ones
-        return x == 0 or x == mask
+    def add_moves(state):
+        """The move-table row of ``state``: the state after each column,
+        its value (the column's step), and the least step (the floor)."""
+        after = [extend(state, i) for i in indices]
+        steps = [value(s) for s in after]
+        row = moves[state] = (after, steps, min(steps))
+        return row
 
-    def solve(mask: int, state) -> int:
-        if constant(mask):
-            return measure.value(state)
+    def solve(mask: int, state, bound: int) -> int:
         key = (mask, state)
         hit = memo.get(key)
         if hit is not None:
             return hit[0]
-        best = None
+        lo = floors.get(key, 0)
+        if lo >= bound:
+            return lo
+        after, steps, _ = moves[state]
         best_p = -1
         for p in order:
-            live = [masks[p][v] & mask for v in range(k)]
-            live = [m for m in live if m]
+            step = steps[p]
+            if step >= bound:
+                continue
+            live = [m for m in [vm & mask for vm in masks[p]] if m]
             if len(live) < 2:
                 continue
-            st = measure.extend(state, cols[p].index)
-            worst = 0
+            st = after[p]
+            worst = step
             for m in live:
-                c = solve(m, st)
+                x = m & ones
+                if x == 0 or x == m:
+                    continue  # a leaf of cost step
+                if (moves.get(st) or add_moves(st))[2] >= bound:
+                    worst = bound
+                    break
+                c = solve(m, st, bound)
                 if c > worst:
                     worst = c
-                if best is not None and worst >= best:
-                    break  # p can no longer beat best, so its exact worst is not needed
-            if best is None or worst < best:
-                best, best_p = worst, p
-        assert best is not None, "non-constant subtable with no splitting attribute"
-        memo[key] = (best, best_p)
-        return best
+                    if worst >= bound:
+                        break
+            if worst < bound:
+                bound, best_p = worst, p
+        if best_p < 0:
+            floors[key] = bound
+            return bound
+        memo[key] = (bound, best_p)
+        return bound
 
     def rebuild(mask: int, state):
-        if constant(mask):
+        x = mask & ones
+        if x == 0 or x == mask:
             first = (mask & -mask).bit_length() - 1
             return Leaf(table.decisions[first])
-        _, p = memo[(mask, state)]
-        st = measure.extend(state, cols[p].index)
+        p = memo[(mask, state)][1]
+        st = moves[state][0][p]
         edges = tuple(
             (v, rebuild(masks[p][v] & mask, st))
             for v in range(k)
@@ -514,9 +581,14 @@ def det_tree_cost(
         )
         return Node(cols[p], edges)
 
-    s0 = measure.initial_state()
+    u = s0
+    for i in indices:
+        u = extend(u, i)
+    u = value(u)
     try:
-        total = solve(full, s0)
+        add_moves(s0)
+        total = solve(full, s0, u + 1)
+        assert total <= u, "no tree within the cost of testing every column"
         tree = DecisionTree(k, (rebuild(full, s0),))
     finally:
         del solve, rebuild  # each refers to itself through its closure cell
@@ -734,7 +806,7 @@ def parameter_report(measure: ComplexityMeasure, table: DecisionTable) -> Parame
     seps = tuple((row, *sep) for row, sep in zip(table.rows, _row_separations(measure, table)))
     separation = max((c for _, c, _ in seps), default=0)
     closure_sep = closure_separation_cost(measure, table)
-    fix, worst = fixing_cost(measure, table)
+    fix, worst = _fixing_sweep(measure, table, theta)
     if measure.decomposable:
         det, det_tree = det_tree_cost(measure, table)
     else:

@@ -117,7 +117,11 @@ def _walk(tree: DecisionTree) -> _TreeWalk:
     shape: list[str] = []
     if not tree.children:
         shape.append("the root has no outgoing edges; a tree needs at least two nodes")
-    if k < 2:
+    # E_k is defined only for an int k; a tree without one gets no edge-value checks
+    int_k = isinstance(k, int) and not isinstance(k, bool)
+    if not int_k:
+        shape.append(f"alphabet size k must be an int >= 2, got {k!r}")
+    elif k < 2:
         shape.append(f"alphabet size k must be >= 2, got {k}")
     duplicates, paths, attributes, nodes = [], [], set(), 1
     stack = [(child, (), ()) for child in reversed(tree.children)]
@@ -126,10 +130,10 @@ def _walk(tree: DecisionTree) -> _TreeWalk:
         nodes += 1
         if fixings:
             attr, value = fixings[-1]
-            if not _in_alphabet(value, k):
+            if int_k and not _in_alphabet(value, k):
                 shape.append(f"edge value {value!r} at {attr.name} is outside E_{k}")
         if isinstance(node, Leaf):
-            if node.decision not in (0, 1):
+            if not _in_alphabet(node.decision, 2):
                 shape.append(f"terminal decision {node.decision!r} is not 0 or 1")
             paths.append(CompletePath(word, fixings, node.decision))
             continue
@@ -138,7 +142,11 @@ def _walk(tree: DecisionTree) -> _TreeWalk:
         if not node.edges:
             shape.append(f"attribute node {attr.name} has no outgoing edges")
         values = [v for v, _ in node.edges]
-        if len(set(values)) != len(values):
+        try:
+            repeated = len(set(values)) != len(values)
+        except TypeError:  # an unhashable value, outside E_k anyway: compare by equality
+            repeated = any(v in values[:i] for i, v in enumerate(values))
+        if repeated:
             duplicates.append(f"duplicate edge values {values} at node {attr.name}")
         word += (attr,)
         for value, child in reversed(node.edges):

@@ -231,7 +231,8 @@ def brute_tree_attributes(tree):
 
 def _shape_below(node, k):
     if _is_terminal(node):
-        if node.decision in (0, 1):
+        d = node.decision
+        if isinstance(d, int) and not isinstance(d, bool) and d in (0, 1):
             return []
         return [f"terminal decision {node.decision!r} is not 0 or 1"]
     name = node.attribute.name

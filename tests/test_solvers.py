@@ -242,6 +242,19 @@ def test_fixing_sweep_stops_at_min_test_cost(monkeypatch):
     assert len(calls) == 2
 
 
+def test_report_hands_its_min_test_cost_to_the_fixing_sweep(monkeypatch):
+    calls = []
+    real = solvers.min_test_cost
+    monkeypatch.setattr(solvers, "min_test_cost", lambda m, t: calls.append(t) or real(m, t))
+    table = random_table(2, 4, 9, seed=11)
+    report = solvers.parameter_report(depth(), table)
+    assert report.consistent and report.min_test_cost > 0
+    assert calls == [table]
+    # the public sweep still solves its own cap
+    assert fixing_cost(depth(), table) == (report.fixing_cost, report.worst_tuple)
+    assert calls == [table, table]
+
+
 @given(tables_st(max_cols=3, max_rows=5), measures_st())
 def test_fixing_worst_tuple_is_first_worst_in_product_order(table, measure):
     value, worst = fixing_cost(measure, table)

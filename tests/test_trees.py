@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -206,13 +208,18 @@ def test_tree_cost_without_a_complete_path_raises():
             tree_cost(depth(), tree)
 
 
+# leaf decisions that equal 0 or 1 but are not the ints 0 and 1
+LOOKALIKE_DECISIONS = [True, False, 1.0, 0.0]
+
+
 def trees_st():
     """Tree objects built directly, not parsed: bare roots, attribute nodes
-    without edges, and edge values of any type or range."""
+    without edges, edge values of any type or range (unhashable ones too),
+    leaf decisions that only look like 0 or 1, and a missing alphabet."""
     values = st.one_of(
-        st.integers(-2, 4), st.none(), st.booleans(), st.floats(-1, 3), st.just("1")
+        st.integers(-2, 4), st.none(), st.booleans(), st.floats(-1, 3), st.just("1"), st.just([0])
     )
-    leaves = st.builds(Leaf, st.integers(0, 1))
+    leaves = st.builds(Leaf, st.sampled_from([0, 1, *LOOKALIKE_DECISIONS]))
     nodes = st.recursive(
         leaves,
         lambda children: st.builds(
@@ -222,7 +229,8 @@ def trees_st():
         ),
         max_leaves=8,
     )
-    return st.builds(DecisionTree, st.integers(1, 3), st.lists(nodes, max_size=3).map(tuple))
+    alphabets = st.one_of(st.integers(1, 3), st.none())
+    return st.builds(DecisionTree, alphabets, st.lists(nodes, max_size=3).map(tuple))
 
 
 def returns_or_raises_dterror(fn, *args):
@@ -238,6 +246,54 @@ def test_tree_objects_return_or_raise_dterror(tree, table):
     returns_or_raises_dterror(tree_cost, depth(), tree)
     returns_or_raises_dterror(validate_deterministic, tree, table)
     returns_or_raises_dterror(validate_strongly_nondeterministic, tree, table)
+
+
+def well_shaped_trees_st():
+    """Trees whose only possible shape problem is a lookalike leaf decision."""
+    leaves = st.builds(Leaf, st.sampled_from([0, 1, 0, 1, *LOOKALIKE_DECISIONS]))
+    nodes = st.recursive(
+        leaves,
+        lambda children: st.builds(
+            Node,
+            st.integers(0, 4).map(Attribute),
+            st.lists(st.tuples(st.integers(0, 1), children), min_size=1, max_size=3).map(tuple),
+        ),
+        max_leaves=6,
+    )
+    return st.builds(DecisionTree, st.integers(2, 3), st.lists(nodes, min_size=1, max_size=2).map(tuple))
+
+
+@given(well_shaped_trees_st())
+def test_trees_without_shape_problems_round_trip_through_text(tree):
+    if structural_problems(tree):
+        return
+    text = format_tree(tree)
+    back = parse_tree(text, tree.k)
+    assert back == tree and format_tree(back) == text
+
+
+@pytest.mark.parametrize("decision", [*LOOKALIKE_DECISIONS, None, "1", [1], -1, 2])
+def test_leaf_decision_other_than_int_0_or_1_is_a_shape_problem(example6, decision):
+    tree = DecisionTree(2, (Leaf(decision),))
+    problems = [f"terminal decision {decision!r} is not 0 or 1"]
+    assert structural_problems(tree) == problems
+    assert validate_deterministic(tree, example6).diagnostics[:1] == tuple(problems)
+
+
+def test_unhashable_edge_value_and_missing_alphabet_are_shape_problems(example6):
+    tree = DecisionTree(2, (Node(Attribute(4), (([0], Leaf(1)), ([0], Leaf(0)), (1, Leaf(1)))),))
+    outside = "edge value [0] at f4 is outside E_2"
+    assert structural_problems(tree) == [outside, outside]
+    assert validate_deterministic(tree, example6).diagnostics == (
+        outside,
+        outside,
+        "duplicate edge values [[0], [0], 1] at node f4",
+    )
+    for k in (None, "2", True, 2.0):
+        no_k = DecisionTree(k, (Node(Attribute(4), ((0, Leaf(1)), (1, Leaf(0)))),))
+        assert structural_problems(no_k) == [f"alphabet size k must be an int >= 2, got {k!r}"]
+        assert not validate_strongly_nondeterministic(no_k, example6)
+    assert structural_problems(replace(tree, k=1))[0] == "alphabet size k must be >= 2, got 1"
 
 
 def test_format_golden():
