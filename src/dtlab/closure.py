@@ -20,7 +20,9 @@ decision vector.  Bases within one column count are distinct, bases of
 different column counts have different column tuples, and the canonical
 key of a table with at least one row spells out its columns, rows and
 decisions.  So only zero-row members can coincide: they all share the key
-of the empty table, and only the first of them is emitted.
+of the empty table, and only the first of them is emitted: the labelling
+list of zero rows is ``[()]`` until one zero-row member is built and
+empty from then on.
 
 A member stores only its table and provenance, in slots with no
 ``__dict__``.  Its canonical key and relabeling bits are read from the
@@ -39,9 +41,9 @@ the type.  It is sound only while neither class has a ``__post_init__``
 or any other check in its constructor, and while the loop sets exactly
 the fields the dataclass constructor sets, no more and no fewer;
 ``tests/test_closure_kernel.py`` compares every member with a
-constructor-built twin.  The zero-row member is built by the
-constructors.  The decision tuples (the labellings) are built once per
-row count in each call and shared by every base with that many rows.
+constructor-built twin.  The decision tuples (the labellings) are
+built once per row count in each call and shared by every base with
+that many rows.
 On one pass of the ``closure`` benchmark (about 35k members), setting
 the fields by ``object.__setattr__`` instead of calling the constructors
 took the pass from 82-92 ms to 68-73 ms.  Setting them through the slot
@@ -71,16 +73,23 @@ superset of a column set that does not fit ``max_rows`` fits either.
 The walk keeps, per generator, the column sets of one count that fit,
 and projects at the next count only those sets, each extended by a
 larger column position, in order.  Without ``max_rows`` that is every
-column set in ``combinations`` order.  The walk stops at the first
-count where no set fits.
+column set in ``combinations`` order.  A projection that does not fit
+marks the enumeration and its column count incomplete where it is
+projected and never becomes a base.  The walk stops at the first count
+where no set fits.
+
+Members come out base by base, so a run of members with equal columns
+and rows is (part of) one base; ``_base_tables`` is the one grouping of
+members into bases that the growth sweeps read.
 """
 
 from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, field
-from itertools import islice, product
-from typing import Iterable, Mapping, Sequence
+from itertools import groupby, islice, product
+from operator import attrgetter
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .tables import (
     Attribute,
@@ -254,6 +263,18 @@ class ClosureEnumeration:
         return [m.table for m in self.members]
 
 
+def _base_tables(members: Iterable[ClosureMember]) -> Iterator[list[DecisionTable]]:
+    """The member tables of each run of members with equal columns and rows.
+
+    A base is a column set with its rows, and its members differ only in
+    their decisions, so each run is (part of) one base.  Columns and rows
+    are compared by value, so members out of emission order or holding
+    copied tuples still group.
+    """
+    for _, run in groupby(members, key=attrgetter("table.columns", "table.rows")):
+        yield [m.table for m in run]
+
+
 def enumerate_closure(
     generators: Sequence[DecisionTable],
     limits: ClosureLimits = ClosureLimits(),
@@ -280,13 +301,11 @@ def _enumerate(generators: Sequence[DecisionTable], limits: ClosureLimits) -> Cl
         raise TableError("closure generators must share one value alphabet")
 
     out = ClosureEnumeration()
-    empty_emitted = False
     max_cols = max((g.n_cols for g in generators), default=0)
     col_ceiling = max_cols if limits.max_columns is None else min(max_cols, limits.max_columns)
     if col_ceiling < max_cols:
         out.exhausted = False
 
-    stopped = False
     labellings: dict[int, list[tuple[int, ...]]] = {}  # by row count, shared by bases
     new, append = object.__new__, out.members.append
     # the bound setters of the slot descriptors, read at call time
@@ -298,9 +317,9 @@ def _enumerate(generators: Sequence[DecisionTable], limits: ClosureLimits) -> Cl
     # per generator, the kept column positions to project at this count
     candidates: list[list[tuple[int, ...]]] = [[()] for _ in generators]
     for c in range(col_ceiling + 1):
-        # bases: projected row sets with c retained columns, first provenance wins
+        # bases: fitting projected row sets with c retained columns, first provenance wins
         bases: dict[tuple, tuple[int, tuple[Attribute, ...]]] = {}
-        level_fits = False
+        level_complete = True
         for gi, g in enumerate(generators):
             fitting = []
             for keep in candidates[gi]:
@@ -308,65 +327,59 @@ def _enumerate(generators: Sequence[DecisionTable], limits: ClosureLimits) -> Cl
                     sorted((g.columns[p] for p in range(g.n_cols) if p not in keep))
                 )
                 proj = remove_columns(removed, g)
-                if limits.max_rows is None or proj.n_rows <= limits.max_rows:
-                    fitting.append(keep)
+                if limits.max_rows is not None and proj.n_rows > limits.max_rows:
+                    out.exhausted = False
+                    level_complete = False
+                    continue
+                fitting.append(keep)
                 base = (proj.columns, tuple(sorted(proj.rows)))
                 if base not in bases:
                     bases[base] = (gi, removed)
-            level_fits = level_fits or bool(fitting)
             # no superset of a set that does not fit can fit
             candidates[gi] = [
                 (*keep, p)
                 for keep in fitting
                 for p in range(keep[-1] + 1 if keep else 0, g.n_cols)
             ]
-        level_complete = True
         for base in sorted(bases, key=lambda b: (len(b[1]), tuple(a.index for a in b[0]), b[1])):
             cols, rows = base
             gi, removed = bases[base]
             n = len(rows)
-            if limits.max_rows is not None and n > limits.max_rows:
-                out.exhausted = False
-                level_complete = False
-                continue
             # the base has 2^n relabelings; max_tables stops the walk at the
-            # first one that would exceed it, even a zero-row repeat
+            # first one that would exceed it, even a zero-row repeat, and
+            # leaves this column count incomplete
             take = 1 << n
-            if limits.max_tables is not None and limits.max_tables - len(out.members) < take:
+            stopped = limits.max_tables is not None and limits.max_tables - len(out.members) < take
+            if stopped:
                 take = limits.max_tables - len(out.members)
                 out.exhausted = False
-                level_complete = False
-                stopped = True
-            if n == 0:
-                if take and not empty_emitted:
-                    out.members.append(ClosureMember(DecisionTable(k, cols, rows, ()), gi, removed))
-                    empty_emitted = True
-            else:
-                labels = labellings.get(n)
-                if labels is None:
-                    # product counts with its last place fastest; reversed, bit
-                    # j of the counter is the decision of sorted row j.  Only
-                    # the last base walked is truncated, so a short list is
-                    # never read again.
-                    labels = labellings[n] = [
-                        b[::-1] for b in islice(product((0, 1), repeat=n), take)
-                    ]
-                # the fields the dataclass constructors set, without their frames
-                for bits in islice(labels, take):
-                    table = new(DecisionTable)
-                    set_k(table, k)
-                    set_columns(table, cols)
-                    set_rows(table, rows)
-                    set_decisions(table, bits)
-                    member = new(ClosureMember)
-                    set_table(member, table)
-                    set_generator_index(member, gi)
-                    set_removed(member, removed)
-                    append(member)
+            labels = labellings.get(n)
+            if labels is None:
+                # product counts with its last place fastest; reversed, bit
+                # j of the counter is the decision of sorted row j.  Only
+                # the last base walked is truncated, so a short list is
+                # never read again.
+                labels = labellings[n] = [
+                    b[::-1] for b in islice(product((0, 1), repeat=n), take)
+                ]
+            # the fields the dataclass constructors set, without their frames
+            for bits in islice(labels, take):
+                table = new(DecisionTable)
+                set_k(table, k)
+                set_columns(table, cols)
+                set_rows(table, rows)
+                set_decisions(table, bits)
+                member = new(ClosureMember)
+                set_table(member, table)
+                set_generator_index(member, gi)
+                set_removed(member, removed)
+                append(member)
+            if not n:  # every zero-row table has the empty table's key
+                labellings[0] = []
             if stopped:
-                break
+                return out
         if level_complete and out.complete_column_count == c - 1:
             out.complete_column_count = c
-        if stopped or not level_fits:
+        if not bases:
             break
     return out

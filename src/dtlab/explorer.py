@@ -20,15 +20,19 @@ member with column-set cost at most n to have at most n columns.  Points
 that are not exhausted are certified lower bounds.
 
 ``growth`` sweeps the members once, base by base (a base is a column
-set with its rows; its members differ only in their decisions), keeping
-the running value best[n] of every point n <= max_n.  A member with
-filter value f can only raise the points n >= f, and best is
-nondecreasing in n, so its objective is solved only when f <= max_n and
-an upper bound on the objective exceeds best[f]; otherwise it cannot
-raise any point, now or later, because running values only grow.  The
-bound is the cost u of the member's column set: det <= min test cost <=
-u (the full column set is a test, and a tree that tests each column of a
-test at most once per path costs at most the test), and snd <= det.
+set with its rows; its members differ only in their decisions; the runs
+come from ``closure._base_tables``), keeping the running value best[n]
+of every point n <= max_n.  A member with filter value f can only raise
+the points n >= f, and best is nondecreasing in n, so its objective is
+solved only when f <= max_n and an upper bound on the objective exceeds
+best[f]; otherwise it cannot raise any point, now or later, because
+running values only grow.  The bound is the cost u of the member's
+column set: det <= min test cost <= u (the full column set is a test,
+and a tree that tests each column of a test at most once per path costs
+at most the test), and snd <= det.  FTheta is bounded by its own filter
+value f, the min test cost, which is never looser than u: every report
+checks det <= test.  Over the 16 ``explore`` benchmark generators under
+depth with max_n 5 that takes FTheta from 12,569 solves to 119.
 
 FW and G filter every member of a base by the same u, and G has a
 sharper bound there.  A set on which no other row agrees with a row is
@@ -61,11 +65,9 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from itertools import groupby
-from operator import attrgetter
 from typing import Sequence
 
-from .closure import ClosureEnumeration, ClosureLimits, enumerate_closure
+from .closure import ClosureEnumeration, ClosureLimits, _base_tables, enumerate_closure
 from .measures import ComplexityMeasure, depth, table_costs
 from .solvers import (
     MAX_SUBSET_COLUMNS,
@@ -200,10 +202,7 @@ def growth(
             return snd_tree_cost(measure, table)[0]
         return table_costs(measure, table)[0]
 
-    # A base is its column set with its rows, so a run of members with
-    # equal columns and rows is (part of) one base.
-    for _, run in groupby(enum.members, key=attrgetter("table.columns", "table.rows")):
-        tables = [m.table for m in run]
+    for tables in _base_tables(enum.members):
         first = tables[0]
         # snd_tree_cost raises TooLarge past its guard rail, so such members are solved
         if not prune or (fn == "G" and first.n_cols > MAX_SUBSET_COLUMNS):
@@ -214,7 +213,8 @@ def growth(
         if fn in ("FTheta", "F"):
             for table in tables:
                 f = filter_value(table)
-                if f <= max_n and u > best[f]:
+                # FTheta's filter bounds det too: det <= min test cost = f <= u
+                if f <= max_n and (f if fn == "FTheta" else u) > best[f]:
                     solve(table, f)
             continue
         # FW and G: every member of the base has filter value u
@@ -297,12 +297,12 @@ def class_stats(
     max_sep = 0
     max_rows = 0
     # separation, column costs and row count depend on the base alone
-    for _, run in groupby(enum.members, key=attrgetter("table.columns", "table.rows")):
-        first = next(run).table
+    for tables in _base_tables(enum.members):
+        first = tables[0]
         _, single_worst = table_costs(measure, first)
         if single_worst > n:
             continue
-        members += 1 + sum(1 for _ in run)
+        members += len(tables)
         max_sep = max(max_sep, table_separation_cost(h, first))
         max_rows = max(max_rows, first.n_rows)
     return ClassStats(

@@ -20,7 +20,11 @@ root may have many edges and duplicate sibling values.
 
 Every helper and validator below reads one depth-first walk of its tree,
 which collects the complete paths, the attribute set, the shape and
-duplicate-value problems and the node count in a single pass.
+duplicate-value problems and the node count in a single pass.  Tree
+objects built by hand are walked without trusting their parts: a child
+that is neither a ``Leaf`` nor a ``Node`` of an ``Attribute`` (its
+subtree is not walked) and an edge that is not a (value, child) pair
+are shape problems, not Python errors.
 
 Text format (.tree)::
 
@@ -137,11 +141,17 @@ def _walk(tree: DecisionTree) -> _TreeWalk:
                 shape.append(f"terminal decision {node.decision!r} is not 0 or 1")
             paths.append(CompletePath(word, fixings, node.decision))
             continue
+        if not (isinstance(node, Node) and isinstance(node.attribute, Attribute)):
+            shape.append(f"tree node {node!r} is neither a Leaf nor a Node of an Attribute")
+            continue
         attr = node.attribute
         attributes.add(attr)
         if not node.edges:
             shape.append(f"attribute node {attr.name} has no outgoing edges")
-        values = [v for v, _ in node.edges]
+        edges = [e for e in node.edges if isinstance(e, tuple) and len(e) == 2]
+        shape += [f"edge {e!r} at {attr.name} is not a (value, child) pair"
+                  for e in node.edges if e not in edges]
+        values = [v for v, _ in edges]
         try:
             repeated = len(set(values)) != len(values)
         except TypeError:  # an unhashable value, outside E_k anyway: compare by equality
@@ -149,7 +159,7 @@ def _walk(tree: DecisionTree) -> _TreeWalk:
         if repeated:
             duplicates.append(f"duplicate edge values {values} at node {attr.name}")
         word += (attr,)
-        for value, child in reversed(node.edges):
+        for value, child in reversed(edges):
             stack.append((child, word, fixings + ((attr, value),)))
     return _TreeWalk(tuple(paths), frozenset(attributes), shape, duplicates, nodes)
 

@@ -235,9 +235,17 @@ def _shape_below(node, k):
         if isinstance(d, int) and not isinstance(d, bool) and d in (0, 1):
             return []
         return [f"terminal decision {node.decision!r} is not 0 or 1"]
+    if not hasattr(node, "edges") or type(node.attribute).__name__ != "Attribute":
+        return [f"tree node {node!r} is neither a Leaf nor a Node of an Attribute"]
     name = node.attribute.name
     out = [] if node.edges else [f"attribute node {name} has no outgoing edges"]
-    for value, child in node.edges:
+    pairs = []
+    for edge in node.edges:
+        if isinstance(edge, tuple) and len(edge) == 2:
+            pairs.append(edge)
+        else:
+            out.append(f"edge {edge!r} at {name} is not a (value, child) pair")
+    for value, child in pairs:
         if not 0 <= value < k:
             out.append(f"edge value {value} at {name} is outside E_{k}")
         out += _shape_below(child, k)
@@ -246,7 +254,11 @@ def _shape_below(node, k):
 
 def brute_tree_shape_problems(tree):
     """The bare k-decision-tree shape violations: the root's first, then
-    each node's before those of its subtrees, in edge order."""
+    each node's before those of its subtrees, in edge order.  A child that
+    is neither a leaf nor a node of an ``Attribute`` is one problem, with
+    nothing below it; a node's own problems are no edges, then each edge
+    that is no (value, child) pair; a pair's value comes just before its
+    subtree's problems."""
     out = []
     if not tree.children:
         out.append("the root has no outgoing edges; a tree needs at least two nodes")

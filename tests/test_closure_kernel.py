@@ -9,6 +9,8 @@ tuples in the same order and report the same truncation bookkeeping
 under every limit.
 """
 
+import dataclasses
+import random
 from collections import Counter
 from itertools import combinations
 
@@ -127,8 +129,8 @@ def test_unlimited_matches_reference(name):
 
 @pytest.mark.parametrize("name", sorted(GENERATOR_SETS))
 def test_members_are_built_without_their_constructors(monkeypatch, name):
-    # only the zero-row member and the remove_columns projections go
-    # through a constructor; every other member is built field by field
+    # only the remove_columns projections go through a constructor; every
+    # member, the zero-row one included, is built field by field
     inits = Counter()
     for cls in (DecisionTable, ClosureMember):
         def counting(self, *args, _real=cls.__init__, _cls=cls):
@@ -143,10 +145,46 @@ def test_members_are_built_without_their_constructors(monkeypatch, name):
         return remove_columns(removed, table)
 
     monkeypatch.setattr(closure, "remove_columns", projecting)
-    enum = enumerate_closure(GENERATOR_SETS[name])
-    empties = sum(m.table.is_empty for m in enum.members)
-    assert inits[ClosureMember] == empties <= 1
-    assert inits[DecisionTable] <= len(projections) + empties
+    enumerate_closure(GENERATOR_SETS[name])
+    assert inits[ClosureMember] == 0
+    assert inits[DecisionTable] <= len(projections)
+
+
+def runs_by_value(members):
+    """The tables of each run of consecutive members with equal columns and
+    rows, grouped one member at a time."""
+    runs = []
+    for m in members:
+        if runs and (runs[-1][-1].columns, runs[-1][-1].rows) == (m.table.columns, m.table.rows):
+            runs[-1].append(m.table)
+        else:
+            runs.append([m.table])
+    return runs
+
+
+@pytest.mark.parametrize("order", ["emitted", "reversed", "shuffled", "copied"])
+@pytest.mark.parametrize("name", sorted(GENERATOR_SETS))
+def test_base_tables_groups_runs_by_value(name, order):
+    members = enumerate_closure(GENERATOR_SETS[name]).members
+    bases = {(m.table.columns, m.table.rows) for m in members}
+    if order == "reversed":
+        members = members[::-1]
+    elif order == "shuffled":
+        members = list(members)
+        random.Random(20261019).shuffle(members)
+    elif order == "copied":  # equal columns and rows held in distinct tuples
+        members = [
+            dataclasses.replace(m, table=dataclasses.replace(
+                m.table, columns=tuple(list(m.table.columns)), rows=tuple(list(m.table.rows))
+            ))
+            for m in members
+        ]
+    got = list(closure._base_tables(members))
+    assert got == runs_by_value(members)
+    # the members' own tables, in member order
+    assert [id(t) for run in got for t in run] == [id(m.table) for m in members]
+    if order != "shuffled":  # each base's members are one run
+        assert len(got) == len(bases)
 
 
 def base_ends(enum):

@@ -1,12 +1,13 @@
 """The bound-pruned growth sweep against the all-members reference loop.
 
 ``growth`` solves a member's objective only when an upper bound on it
-(the member's attribute-set cost, or for G the worst row separation
-cost of its base) exceeds the running value at the member's filter
-point.  Within a base, G first solves the member whose only 1-row is
-the worst-separated row, and FW the parity labelling.  The reference
-below is the plain loop it replaced: filter and objective for every
-member, then a max per point.
+(the member's attribute-set cost, for FTheta its own filter value, the
+min test cost, or for G the worst row separation cost of its base)
+exceeds the running value at the member's filter point.  Within a
+base, G first solves the member whose only 1-row is the worst-separated
+row, and FW the parity labelling.  The reference below is the plain
+loop it replaced: filter and objective for every member, then a max per
+point.
 Both must give the same report, raise where the other raises, and the
 inequalities the bound rests on are pinned here as well.
 """
@@ -195,6 +196,19 @@ def test_bound_prunes_explore_shaped_closure():
             report = growth(fn, gens, depth(), 5, enumeration=enum)
             assert report.members_solved < report.members_seen
             assert public(report) == public(reference_reports(fn, enum, depth(), [5])[5])
+
+
+@pytest.mark.parametrize("shape, column_set_solves", [((2, 4, 11), 884), ((3, 3, 10), 571)])
+def test_ftheta_is_bounded_by_its_own_filter(shape, column_set_solves):
+    """det <= min test cost, FTheta's filter value f, and f <= u, so
+    bounding a member by f in place of its column-set cost u solves fewer
+    members of the ``explore``-shaped closures than the 884 and 571 that u
+    left, and raises the same points."""
+    gens = [random_table(*shape, seed=3)]
+    enum = enumerate_closure(gens)
+    report = growth("FTheta", gens, depth(), 5, enumeration=enum)
+    assert report.members_solved < column_set_solves
+    assert public(report) == public(reference_reports("FTheta", enum, depth(), [5])[5])
 
 
 @pytest.mark.parametrize("gens_name", ["k2", "k3", "k2-multi", "k3-multi"])

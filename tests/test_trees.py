@@ -25,6 +25,7 @@ from dtlab.trees import (
     validate_strongly_nondeterministic,
 )
 
+import oracles
 from conftest import tables_st
 
 
@@ -215,17 +216,20 @@ LOOKALIKE_DECISIONS = [True, False, 1.0, 0.0]
 def trees_st():
     """Tree objects built directly, not parsed: bare roots, attribute nodes
     without edges, edge values of any type or range (unhashable ones too),
-    leaf decisions that only look like 0 or 1, and a missing alphabet."""
+    leaf decisions that only look like 0 or 1, a missing alphabet, children
+    that are no node (``None``), edges that are no (value, child) pair and
+    nodes whose attribute is no ``Attribute``."""
     values = st.one_of(
         st.integers(-2, 4), st.none(), st.booleans(), st.floats(-1, 3), st.just("1"), st.just([0])
     )
-    leaves = st.builds(Leaf, st.sampled_from([0, 1, *LOOKALIKE_DECISIONS]))
+    leaves = st.one_of(st.builds(Leaf, st.sampled_from([0, 1, *LOOKALIKE_DECISIONS])), st.none())
+    attributes = st.one_of(st.integers(0, 4).map(Attribute), st.integers(0, 5), st.none())
     nodes = st.recursive(
         leaves,
         lambda children: st.builds(
             Node,
-            st.integers(0, 4).map(Attribute),
-            st.lists(st.tuples(values, children), max_size=3).map(tuple),
+            attributes,
+            st.lists(st.one_of(st.tuples(values, children), st.tuples(values)), max_size=3).map(tuple),
         ),
         max_leaves=8,
     )
@@ -246,6 +250,40 @@ def test_tree_objects_return_or_raise_dterror(tree, table):
     returns_or_raises_dterror(tree_cost, depth(), tree)
     returns_or_raises_dterror(validate_deterministic, tree, table)
     returns_or_raises_dterror(validate_strongly_nondeterministic, tree, table)
+
+
+MALFORMED = {
+    "none-child": (
+        DecisionTree(2, (None,)),
+        ["tree node None is neither a Leaf nor a Node of an Attribute"],
+    ),
+    "one-tuple-edge": (
+        DecisionTree(2, (Node(Attribute(4), ((0,),)),)),
+        ["edge (0,) at f4 is not a (value, child) pair"],
+    ),
+    "int-attribute": (
+        DecisionTree(2, (Node(5, ((0, Leaf(1)),)),)),
+        ["tree node Node(attribute=5, edges=((0, Leaf(decision=1)),)) is neither a Leaf nor a Node of an Attribute"],
+    ),
+    "mixed": (
+        DecisionTree(2, (Node(Attribute(4), ((0, None), (7, Leaf(1)), (1,), (1, Node(5, ())))),)),
+        [
+            "edge (1,) at f4 is not a (value, child) pair",
+            "tree node None is neither a Leaf nor a Node of an Attribute",
+            "edge value 7 at f4 is outside E_2",
+            "tree node Node(attribute=5, edges=()) is neither a Leaf nor a Node of an Attribute",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_tree_objects_are_shape_problems(example6, name):
+    tree, problems = MALFORMED[name]
+    assert structural_problems(tree) == problems == oracles.brute_tree_shape_problems(tree)
+    for validator in (validate_deterministic, validate_strongly_nondeterministic):
+        assert validator(tree, example6).diagnostics == tuple(problems)
+    returns_or_raises_dterror(tree_cost, depth(), tree)
 
 
 def well_shaped_trees_st():
