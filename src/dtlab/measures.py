@@ -74,6 +74,8 @@ class ComplexityMeasure:
     # (not per value: opaque measures compare equal whatever cost_fn is).
     # The memo is not locked: solve with one instance in one thread at a time.
     subset_orders: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # weight_items as a dict, built once; the first item of an index wins
+    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -81,15 +83,19 @@ class ComplexityMeasure:
         for w in (self.default_weight, *(w for _, w in self.weight_items)):
             if not isinstance(w, int) or isinstance(w, bool) or w < 1:
                 raise MeasureError(f"weights must be positive integers, got {w!r}")
+        for i, w in self.weight_items:
+            self._weights.setdefault(i, w)
 
     # -- basic costs
 
     def weight(self, attr) -> int:
-        idx = as_attribute(attr).index
-        for i, w in self.weight_items:
-            if i == idx:
-                return w
-        return self.default_weight
+        if isinstance(attr, Attribute):
+            idx = attr.index
+        elif type(attr) is int and attr >= 0:
+            idx = attr  # an index needs no Attribute built around it
+        else:
+            idx = as_attribute(attr).index
+        return self._weights.get(idx, self.default_weight)
 
     def cost(self, attrs: Iterable) -> int:
         """Cost of a multiset (any iterable; order and grouping ignored)."""

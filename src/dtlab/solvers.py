@@ -31,29 +31,114 @@ nondecreasing axiom makes the first satisfying subset optimal.
 
 Every search but ``min_cost_subset`` asks one question of a subset S:
 do the rows agreeing with a given row or value tuple on S all carry one
-label?  One walker, ``_first_constant``, answers it for each entry of
-the order with one AND, narrowing the parent entry's agreeing rows at
-the entry's highest column.  A fixing or a rule asks it of the
-decisions.  A row separator asks whether the row stands alone, since a
-row always agrees with itself.  A test asks it of wide masks that hold,
-lane by lane, the 1-rows agreeing with each 0-row, plus one bit that
-every wide mask sets: S is a test when only that bit survives.
+label?  The scalar walker, ``_first_constant``, answers it for one query
+with one AND per entry of the order, narrowing the parent entry's
+agreeing rows at the entry's highest column.  A fixing or a rule asks it
+of the decisions.  A row separator asks whether the row stands alone,
+since a row always agrees with itself.  A test asks it of wide masks
+that hold, lane by lane, the 1-rows agreeing with each 0-row, plus one
+bit that every wide mask sets: S is a test when only that bit survives.
+
+Three parameters are a maximum over many such queries on one table: the
+separation cost over the rows, the fixing cost over the k^n value tuples
+and the strongly nondeterministic cost over the 1-rows' rules.  The lane
+walker, ``_lane_walk``, answers all the queries of one search in one
+walk of the order, by SIMD within a register with guard bits (Lamport,
+"Multiple byte processing with full-word instructions", CACM 1975).
+Each query gets a lane of n row bits below one guard bit, and the lanes
+sit side by side in one Python int, so one AND per entry narrows every
+lane.  A lane holds the agreeing rows that would break its label, so it
+turns constant when it empties; a value tuple, which may also agree with
+no row, gets two sub-lanes, its agreeing 1-rows and its agreeing 0-rows,
+and turns constant when either empties.  Adding the low mask (every row
+bit of every sub-lane) carries into the guard bit of each sub-lane that
+still holds a row, so the guard bits that drop out flag, all at once,
+the lanes that just turned constant.  A lane's answer is the first entry
+of the order at which it turns constant, which is exactly the scalar
+walk's answer, so every value, witness and tie-break is that of one
+``_first_constant`` per query.
+
+Row separations (label: the row alone), the 1-rows' minimal rules
+(label: the 1-rows; the 0-rows' lanes start done) and closure separation
+(label: the row's class on the kept column set; merged rows start done)
+walk the kernel's row lanes, in chunks of as many rows as fit one wide
+mask.  The fixing sweep first walks the tuple (0, ..., 0) alone, then
+the value tuples in blocks of k^d tuples in product order, one lane
+each.  A block's masks are value masks times repeated-lane constants,
+with no Python loop over tuples; only its worst tuple, the lowest lane
+of the block's maximum cost, is decoded.  A walk given a cap (the min
+test cost for the sweep, cost(C) for a kept column set C) stops at the
+first answer that reaches it: no lane can cost more, so the lanes
+still open then cost exactly the cap, and the sweep stops after the
+first block that reaches it.
+
+The walker's bounds are constants, timed interleaved in one process
+(2-vCPU VM, Python 3.11.7).  A wide mask holds at most
+``tables.LANE_BITS`` = 2^12 bits; without a bound, the 2^14 value
+tuples of a 14-column binary table would form one block of 2^14 lanes.
+The bounds 2^11, 2^12, 2^13 and 2^14 took a ``params`` pass 9.2, 9.2,
+9.5 and 9.4 ms, within the noise; the fixing sweeps of six k=2 tables
+of 9-11 columns 7.9, 8.1, 9.5 and 12.7 ms, as smaller blocks stop
+sooner once one reaches the cap; and the row and closure separations of
+three tables of 150-300 rows 480, 327, 286 and 356 ms, as narrower
+chunks take more walks and wider ones a smaller entry budget (median of
+16 and of 8).  2^16 took those sweeps 24 ms and those separations
+1.99 s.  ``identity_table(14)`` does not tell the bounds apart: its 15
+rows fit one mask under each, and its first tuple settles its sweep.
+
+Fewer than ``MIN_LANES`` = 8 row questions get a scalar walk each, and
+so does the first tuple of the sweep, which settles it on 314 of the
+540 non-constant reports of the ``verify`` benchmark's sampled tables
+(at most 8 rows); there, scalar walks below 8 questions instead of 2
+made the 900 reports 141.5 ms instead of 155.7 ms (fastest of 10), with
+``params`` unchanged, and 16 and 32 measured within the noise of 8.  A
+walk hands its open lanes to ``_first_constant`` once its stored masks
+pass ``WALK_BYTES`` = 2 MiB.  A handed-off lane is walked again from
+the start, so a walk does not hand off its last few lanes: handing them
+off once at most 1/4, 1/16 or 1/64 of them were open, or never, took a
+``params`` pass 10.4, 9.4, 9.1 and 9.7 ms, the six sweeps 16.3, 9.3,
+7.8 and 8.0 ms and the three separations 1.21, 0.54, 0.32 and 0.34 s.
+One lane left open alone is handed off, though, when less than half of
+the order's 2^w entries has been walked: the scalar walk then redoes
+fewer entries than may be left.  The zero row of ``identity_table(14)`` is
+left open after 15 entries and needs all 16,384: its row separations
+took 5.0 ms so against 9.5 ms walking on in the wide masks, while a
+``params`` pass took 18.7 ms either way, the fixing sweeps 15.3 and
+15.7 ms, and the row separations, closure separations and rules of
+``random_table(2, 9, 300)``, ``(3, 7, 150)`` and ``(3, 6, 200)`` 62.2
+and 60.2 ms (median of 12, on a busier host than the runs above).
+Handing off the last lane wherever it is left made that ``params`` pass
+29% and those separations 23% slower than walking on.
+
+A walk inside a column set C stores no masks for the entries outside
+C, since every entry below one of them in the order lies outside too,
+so the budget counts subsets of C only.  Under depth, the closure
+separation of ``random_table(2, 11, 200, seed=11)``, which walks 67
+kept column sets, took 0.92 s counting every entry against the budget,
+0.47 s skipping those outside C and 4.04 s as one scalar walk per row
+(median of 3, busier host).  The budget bounds memory, not time: on the
+14-column table of the zero row, the all-ones row, the unit rows and
+their complements, whose first two rows stay open through all 16,384
+entries, row separations took 11.6 ms under 1 MiB, 15.8 ms under 2 MiB
+(cut after about 13,800 entries, both lanes then walked again), 9.8 ms
+under 4 MiB or no bound and 9.0 ms as scalar walks, with tracemalloc
+peaks of 1.08, 2.17, 2.56 and 0.66 MB (median of 10).
 
 Closure separation never builds a projection.  For a kept column
 set C, the rows agreeing with a row on C form one projected row, stood
 for by its lowest row, and that row's separators in the projection are
-the subsets of C on which it agrees with no other class: the walker
-restricted to subsets of C, with the class as the label.  That
-restriction is exactly the order the projection would build, because a
-key depends only on the attribute set.  C itself separates every
-projected row, so the projection keeping C costs at most cost(C).  The
-sweep therefore takes the kept column sets from the dearest down and
-stops at the first one no dearer than the best value so far: no later
-set can raise it.
+the subsets of C on which it agrees with no other class: one lane walk
+per C, restricted to subsets of C, with each lowest row's class as its
+lane's label.  That restriction is exactly the order the projection
+would build, because a key depends only on the attribute set.  C itself
+separates every projected row, so the projection keeping C costs at
+most cost(C).  The sweep therefore takes the kept column sets from the
+dearest down and stops at the first one no dearer than the best value
+so far: no later set can raise it.
 
 Every solver and validator reads its table through one bit kernel,
 ``tables._TableBits``: rank order, value masks and the ones mask, all
-built with the kernel.  It takes the kernel from ``tables._bits_of``, a
+built with the kernel, and the row lanes, built when first asked for.  It takes the kernel from ``tables._bits_of``, a
 slot holding the kernel of the last table asked for, so calls on one
 table object in a row share one kernel, and ``parameter_report``, which
 calls the public solvers and validators one after another on its
@@ -100,13 +185,16 @@ garbage collector.
 from __future__ import annotations
 
 import heapq
+import math
 import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterator
 
 from .measures import ComplexityMeasure, NotDecomposable, depth, table_costs
 from .tables import (
+    LANE_BITS,
     Attribute,
     DecisionTable,
     DtError,
@@ -137,6 +225,10 @@ BRUTEFORCE_LIMITS = (
 # the last depth report's table and its (min test, det, separation) costs
 _depth_slot: tuple[DecisionTable | None, tuple[int, int, int] | None] = (None, None)
 _NO_SUBSET = "no subset satisfied the predicate; full column set should"
+# fewer than MIN_LANES row questions get the scalar walk each; a lane walk
+# hands its open lanes to the scalar walk once its stored masks pass WALK_BYTES
+MIN_LANES = 8
+WALK_BYTES = 1 << 21
 
 
 class RowNotInTable(DtError):
@@ -228,11 +320,12 @@ def _subset_order(
             f"subset search over {len(columns)} columns exceeds the "
             f"{MAX_SUBSET_COLUMNS}-column guard rail"
         )
-    attrs = tuple(sorted(columns))
+    # keyed by plain ints, so a lookup runs no Attribute __lt__ or __hash__
+    key = (tuple(sorted([a.index for a in columns])), card_first)
     memo = measure.subset_orders
-    order = memo.get((attrs, card_first))
+    order = memo.get(key)
     if order is None:
-        order = memo[(attrs, card_first)] = _SubsetOrder(measure, attrs, card_first)
+        order = memo[key] = _SubsetOrder(measure, tuple(sorted(columns)), card_first)
     return order
 
 
@@ -259,14 +352,180 @@ def _first_constant(
     raise AssertionError(_NO_SUBSET)
 
 
+@lru_cache(maxsize=1024)
+def _repeat(width: int, count: int, unit: int = 1) -> int:
+    """``unit`` in each of ``count`` lanes of ``width`` bits.  The default
+    unit 1 gives bit 0 of each lane: times a value below 2^width, it
+    copies the value into every lane.  Built by doubling, in O(log count)
+    shifts, with no product of two wide ints, and kept for the next walk
+    of the same shape."""
+    out, block, size, done = 0, unit, 1, 0  # block holds size lanes
+    while count:
+        if count & 1:
+            out |= block << done * width
+            done += size
+        count >>= 1
+        if count:
+            block |= block << size * width
+            size *= 2
+    return out
+
+
+def _lane_walk(
+    order: _SubsetOrder,
+    lanes: int,
+    width: int,
+    shift: int,
+    start: int,
+    wide: list[int],
+    low: int,
+    open_: int,
+    scalar: Callable[[int], tuple[int, int]],
+    within: int = -1,
+    cap: float = math.inf,
+) -> list[tuple[int, int] | None]:
+    """Per lane, (cost, column-rank mask) of the first subset S of the
+    order inside ``within`` at which the lane turns constant, or None for
+    a lane that does not ask and for one still open when an answer
+    reaches ``cap``: the walk stops there, and the lanes it leaves open
+    cost at least ``cap``.
+
+    Lane j, the ``width`` bits from bit j * ``width`` on, holds one
+    query: one sub-lane of n row bits below a guard bit that stays 0, or
+    two such sub-lanes, ``shift`` bits apart, when ``shift`` is not 0.
+    ``start`` holds each sub-lane's rows for the empty subset and
+    ``wide[r]`` the rows that agree at column rank r, so, as in
+    ``_first_constant``, each entry's masks are its parent's narrowed
+    with one AND, for every lane at once.  A lane is open while each of
+    its sub-lanes holds a row: adding ``low``, the row bits of every
+    sub-lane, carries into a sub-lane's guard bit exactly when it holds
+    one.  ``open_`` holds the low guard bit of each lane that asks.
+    An entry outside ``within`` gets no masks: no subset below it in the
+    order lies inside either.  ``scalar(j)`` answers each open lane j
+    instead, from the start of the order, once the stored masks pass
+    ``WALK_BYTES``, and once one lane is left open before half the
+    order is walked; it answers the lane of a one-lane block too.
+    """
+    answers: list[tuple[int, int] | None] = [None] * lanes
+    if not open_:
+        return answers
+    parents, lasts, masks, costs = order.parents, order.lasts, order.masks, order.costs
+    outside = ~within
+    agree: list[int] = []
+    # one open lane gets the scalar walk; an int of lanes * width bits
+    # takes about that many bits / 8 + 28 bytes, and its list slot 8 more
+    room = WALK_BYTES // (lanes * width // 8 + 36) if open_ & open_ - 1 else 0
+    for i in order.walk():
+        if masks[i] & outside:
+            agree.append(0)
+            continue
+        if not room:
+            break
+        room -= 1
+        p = parents[i]
+        m = start if p < 0 else agree[p] & wide[lasts[i]]
+        agree.append(m)
+        f = m + low
+        live = f & (f >> shift) & open_ if shift else f & open_
+        if live != open_:
+            answer = costs[i], masks[i]
+            for j in _set_lanes(open_ ^ live, width):
+                answers[j] = answer
+            open_ = live
+            if answer[0] >= cap or not open_:
+                return answers
+            if not open_ & open_ - 1 and 2 * i < 1 << len(order.attrs):
+                break  # redoing the entries walked on one narrow lane costs less than what may be left
+    del agree
+    for j in _set_lanes(open_, width):
+        answers[j] = scalar(j)
+        if answers[j][0] >= cap:
+            break
+    return answers
+
+
+def _set_lanes(guards: int, width: int) -> Iterator[int]:
+    """The lanes of ``width`` bits with a bit set in ``guards``, lowest first."""
+    while guards:
+        bit = guards & -guards
+        yield (bit.bit_length() - 1) // width
+        guards ^= bit
+
+
+def _fixings_of(
+    order: _SubsetOrder, bits: _TableBits, values: tuple[int, ...], mask: int
+) -> tuple[tuple[Attribute, int], ...]:
+    """The fixings from ``values`` (one per column position) on the
+    columns of a column-rank mask."""
+    chosen = zip(order.attrs, bits.ranks)
+    return tuple((a, values[p]) for r, (a, p) in enumerate(chosen) if mask >> r & 1)
+
+
 def _fixings(
     order: _SubsetOrder, bits: _TableBits, values: tuple[int, ...]
 ) -> tuple[int, tuple[tuple[Attribute, int], ...]]:
     """Cheapest fixings from ``values`` (one per column position) that
     leave rows of a single decision, as (cost, fixings)."""
     cost, mask = _first_constant(order, bits.full, bits.rank_values(values), bits.ones)
-    chosen = zip(order.attrs, bits.ranks)
-    return cost, tuple((a, values[p]) for r, (a, p) in enumerate(chosen) if mask >> r & 1)
+    return cost, _fixings_of(order, bits, values, mask)
+
+
+def _row_walks(
+    order: _SubsetOrder,
+    bits: _TableBits,
+    asking: int,
+    labels: list[int],
+    within: int = -1,
+    cap: float = math.inf,
+    chunk_lanes: dict[int, list[int]] | None = None,
+) -> list[tuple[int, int] | None]:
+    """Per row, the first subset answering the row's question, as
+    ``_lane_walk`` gives it.
+
+    Row j asks, when bit j of the row mask ``asking`` is set, whether
+    its agreeing rows all lie in ``labels[j]``, a mask holding row j.
+    Fewer than ``MIN_LANES`` questions get the scalar walk each; more are
+    walked in chunks of as many rows as fit one wide mask of
+    ``LANE_BITS``.  ``within`` and ``cap`` apply to every walk, and no
+    question is asked after an answer reaches ``cap``.  A caller that
+    walks one table's rows many times passes a dict as ``chunk_lanes``,
+    which keeps each chunk's row lanes, by first row, between the calls.
+    """
+    full, rows = bits.full, bits.table.rows
+    n = len(rows)
+    answers: list[tuple[int, int] | None] = [None] * n
+    if asking.bit_count() < MIN_LANES:
+        for j in _set_lanes(asking, 1):
+            answers[j] = _first_constant(order, full, bits.rank_values(rows[j]), labels[j], within)
+            if answers[j][0] >= cap:
+                break
+        return answers
+    width = n + 1
+    size = max(1, LANE_BITS // width)
+    for first in range(0, n, size):
+        stop = min(n, first + size)
+        chunk = asking >> first & (1 << stop - first) - 1
+        if not chunk:
+            continue
+        low = full * _repeat(width, stop - first)
+        # a lane keeps the agreeing rows outside its labels, so it empties when constant
+        start = low ^ sum(m << j * width for j, m in enumerate(labels[first:stop]))
+        open_ = sum(1 << j * width + n for j in _set_lanes(chunk, 1))  # the asking lanes' guard bits
+
+        def scalar(j: int, first=first) -> tuple[int, int]:
+            row = first + j
+            return _first_constant(order, full, bits.rank_values(rows[row]), labels[row], within)
+
+        wide = None if chunk_lanes is None else chunk_lanes.get(first)
+        if wide is None:
+            wide = bits.row_lanes(first, stop)
+            if chunk_lanes is not None:
+                chunk_lanes[first] = wide
+        walked = _lane_walk(order, stop - first, width, 0, start, wide, low, open_, scalar, within, cap)
+        answers[first:stop] = walked
+        if any(a is not None and a[0] >= cap for a in walked):
+            break
+    return answers
 
 
 def min_cost_subset(
@@ -306,10 +565,10 @@ def min_test_cost(
     bits = _bits_of(table)
     n, ones = table.n_rows, bits.ones
     full, wide, shift = 1, [1] * table.n_cols, 1
-    for row, d in table.entries():
+    for values, d in zip(bits.row_values(), table.decisions):
         if not d:
             full |= ones << shift
-            wide = [w | (v & ones) << shift for w, v in zip(wide, bits.rank_values(row))]
+            wide = [w | (v & ones) << shift for w, v in zip(wide, values)]
             shift += n
     order = _subset_order(measure, table.columns)
     cost, mask = _first_constant(order, full, wide, 1)
@@ -349,10 +608,7 @@ def _row_separations(
         return []
     order = _subset_order(measure, table.columns)
     bits = _bits_of(table)
-    seps = [
-        _first_constant(order, bits.full, bits.rank_values(row), 1 << i)
-        for i, row in enumerate(table.rows)
-    ]
+    seps = _row_walks(order, bits, bits.full, [1 << j for j in range(len(table.rows))])
     return [(cost, order.attributes(mask)) for cost, mask in seps]
 
 
@@ -379,13 +635,15 @@ def closure_separation_cost(measure: ComplexityMeasure, table: DecisionTable) ->
     order.complete()
     bits = _bits_of(table)
     full = bits.full
-    row_values = [bits.rank_values(row) for row in table.rows]
+    row_values = bits.row_values()
     best = 0
+    chunk_lanes: dict[int, list[int]] = {}  # a tall table's row lanes, built once for every C
     for cost_c, c in zip(reversed(order.costs), reversed(order.masks)):
         if cost_c <= best:
             break  # C separates every projected row, so no set from here on can raise best
         kept = [r for r in range(len(order.attrs)) if c >> r & 1]
-        merged = 0
+        merged = lowest = 0
+        classes = [0] * len(row_values)  # each projected row's class, at its lowest row
         for a, values in enumerate(row_values):
             if merged >> a & 1:
                 continue  # an earlier row stands for a's projected row
@@ -393,9 +651,11 @@ def closure_separation_cost(measure: ComplexityMeasure, table: DecisionTable) ->
             for r in kept:
                 same &= values[r]
             merged |= same
-            best = max(best, _first_constant(order, full, values, same, c)[0])
-            if best >= cost_c:
-                break
+            lowest |= 1 << a
+            classes[a] = same
+        # no projected row costs more than C, so the walks stop at the first that does
+        answers = _row_walks(order, bits, lowest, classes, c, cost_c, chunk_lanes)
+        best = max(best, max(a[0] for a in answers if a is not None))
     return best
 
 
@@ -447,12 +707,50 @@ def _fixing_sweep(
         cap = min_test_cost(measure, table)[0]
     order = _subset_order(measure, table.columns)
     bits = _bits_of(table)
-    best = -1
-    worst_tuple = None
-    for values in product(range(table.k), repeat=table.n_cols):
-        c, _ = _first_constant(order, bits.full, bits.rank_values(values), bits.ones)
-        if c > best:
-            best, worst_tuple = c, values
+    k, w, n = table.k, table.n_cols, table.n_rows
+    full, ones = bits.full, bits.ones
+    # The first tuple alone is the scalar walk: when it reaches the cap,
+    # as on most small tables, no block is built.  Block 0 answers it again.
+    worst_tuple = (0,) * w
+    best = _first_constant(order, full, bits.rank_values(worst_tuple), ones)[0]
+    if best >= cap:
+        return best, worst_tuple
+    # A block is the k^d tuples that share their first w - d values, one
+    # lane each in product order: a low sub-lane for the agreeing 1-rows
+    # and a high one for the agreeing 0-rows, open while both hold a row.
+    sub = n + 1
+    width = 2 * sub
+    d = 0
+    while d < w and k ** (d + 1) * width <= LANE_BITS:
+        d += 1
+    lanes, fixed = k**d, w - d
+    both = 1 | 1 << sub  # a value in both sub-lanes
+    every = _repeat(width, lanes)
+    # the rows agreeing at a column position: one value for the whole
+    # block at a fixed position, lane t's own digit at a varying one
+    per_value = [[m * both * every for m in masks] for masks in bits.masks[:fixed]]
+    varying = {}
+    for q, p in enumerate(range(fixed, w)):
+        span = k ** (d - 1 - q)  # lanes sharing the digit of position p in a row
+        runs = _repeat(k * span * width, k**q, _repeat(width, span, both))
+        varying[p] = sum(m * runs << v * span * width for v, m in enumerate(bits.masks[p]))
+    start = (ones | (full ^ ones) << sub) * every
+    low = full * both * every
+    open_ = (1 << n) * every
+    for prefix in product(range(k), repeat=fixed):
+        wide = [per_value[p][prefix[p]] if p < fixed else varying[p] for p in bits.ranks]
+
+        def values_of(t: int, prefix=prefix) -> tuple[int, ...]:
+            return prefix + tuple(t // k ** (d - 1 - q) % k for q in range(d))
+
+        def scalar(t: int) -> tuple[int, int]:
+            return _first_constant(order, full, bits.rank_values(values_of(t)), ones)
+
+        answers = _lane_walk(order, lanes, width, sub, start, wide, low, open_, scalar, cap=cap)
+        costs = [cap if a is None else a[0] for a in answers]  # a lane left open costs the cap
+        top = max(costs)
+        if top > best:
+            best, worst_tuple = top, values_of(costs.index(top))
             if best >= cap:
                 break
     return best, worst_tuple
@@ -667,10 +965,13 @@ def snd_tree_cost(
     value = 0
     order = _subset_order(measure, table.columns)
     bits = _bits_of(table)
-    for row, d in table.entries():
-        if d != 1:
+    ones = bits.ones
+    # a 1-row's lane is constant once no 0-row agrees: the row's minimal_rule
+    for row, answer in zip(table.rows, _row_walks(order, bits, ones, [ones] * len(table.rows))):
+        if answer is None:
             continue
-        cost, fixings = _fixings(order, bits, row)  # the row's minimal_rule
+        cost, mask = answer
+        fixings = _fixings_of(order, bits, row, mask)
         assert fixings, "a non-constant table cannot have an empty rule"
         value = max(value, cost)
         rules.append(fixings)

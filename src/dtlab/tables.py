@@ -18,14 +18,26 @@ no value is ever stored on it beyond its fields.
 rows as bitmasks per column value, by column position and by column
 rank, and the decisions as a row mask.  A search narrows the rows that
 agree with a value tuple by AND-ing those masks, so the kernel holds no
-pairwise row differences.  ``_bits_of`` keeps the kernel of the last
-table asked for in a one-table slot, so calls on one table object in a
-row share a kernel, and the slot never keeps more than one table alive
-(``solvers`` says why).  A kernel builds all its views before it
-enters the slot, and the slot is swapped in one assignment, so threads
-sharing a kernel only read fields that are already complete; the subset
-orders that the solvers memoize on a measure still need one measure
-instance per thread.
+pairwise row differences.  For searches that ask one question per row
+at once, it also gives the row lanes: per column rank, one int holding
+side by side, for each row j, the mask of the rows that agree with row j
+at that rank, each in a lane of n + 1 bits whose top (guard) bit is 0.
+One AND of such ints narrows every row's agreeing rows at once; the
+solvers' lane walker reads the guard bits (``solvers`` says how).  The
+lanes are built when first asked for, and kept when all the rows fit in
+one int of ``LANE_BITS`` bits (63 rows), so tables that never meet a
+lane search never pay for them; longer tables get their lanes chunk by
+chunk.  Each row's value masks by rank are built on first use too, and
+always kept: they hold one reference per table entry.
+
+``_bits_of`` keeps the kernel of the last table asked for in a
+one-table slot, so calls on one table object in a row share a kernel,
+and the slot never keeps more than one table alive (``solvers`` says
+why).  A kernel builds all its views but those two before it enters the
+slot, and the slot and each kept view are set in one assignment, so
+threads sharing a kernel only read fields that are already complete (two
+threads may both build the same view); the subset orders that the
+solvers memoize on a measure still need one measure instance per thread.
 
 File format (.dt, UTF-8, line oriented)::
 
@@ -109,10 +121,13 @@ class Attribute:
 
 
 def as_attribute(a) -> Attribute:
-    """Coerce an Attribute, bare index, or name string to an Attribute."""
+    """Coerce an Attribute, bare index, or name string to an Attribute.
+
+    A bool is not an index: ``True`` equals 1 but would be named ``fTrue``.
+    """
     if isinstance(a, Attribute):
         return a
-    if isinstance(a, int):
+    if isinstance(a, int) and not isinstance(a, bool):
         if a < 0:
             raise UnknownAttribute(f"attribute index must be nonnegative, got {a}")
         return Attribute(a)
@@ -244,8 +259,12 @@ def canonical_key(table: DecisionTable) -> CanonicalKey:
     return f"k{table.k}|{cols}|{body}"
 
 
+# the width bound of a wide mask: lanes side by side in one int hold at most this many bits
+LANE_BITS = 1 << 12
+
+
 class _TableBits:
-    """Bit views of one table, all built with the kernel.
+    """Bit views of one table, all built with the kernel but the row lanes.
 
     Bit i of a row mask stands for row i.  Bit r of a column mask stands
     for the column of rank r, the one with the r-th smallest attribute
@@ -253,6 +272,8 @@ class _TableBits:
     an attribute to its column position, ``masks`` a column position and
     a value to the mask of the rows with that value, ``rank_masks`` holds
     the value masks by rank, and ``ones`` is the mask of the rows labeled 1.
+    ``row_lanes`` gives the row masks of many rows side by side in one
+    int, and ``row_values`` each row's value masks by rank.
     """
 
     def __init__(self, table: DecisionTable):
@@ -271,11 +292,45 @@ class _TableBits:
                 masks[p][v] |= bit
         self.ones = ones
         self.rank_masks = [masks[p] for p in self.ranks]
+        self._lanes: list[int] | None = None
+        self._row_values: list[list[int]] | None = None
+
+    def row_lanes(self, first: int, stop: int) -> list[int]:
+        """Per column rank, the lanes of rows ``first`` to ``stop - 1``.
+
+        Lane j is the n + 1 bits from bit j * (n + 1) on, n the row count:
+        the mask of the rows that agree with row ``first + j`` at that
+        rank, below a guard bit left 0.  The lanes of all the rows are
+        built on the first call that asks for them and kept, when they fit
+        in ``LANE_BITS``; a longer table gets its lanes chunk by chunk,
+        built on each call, so the kernel never holds more than
+        ``LANE_BITS`` bits of lanes per rank.
+        """
+        rows = self.table.rows
+        whole = first == 0 and stop == len(rows)
+        if whole and self._lanes is not None:
+            return self._lanes
+        width = len(rows) + 1
+        rows = rows[first:stop]
+        lanes = [
+            sum(masks[row[p]] << j * width for j, row in enumerate(rows))
+            for masks, p in zip(self.rank_masks, self.ranks)
+        ]
+        if whole and len(rows) * width <= LANE_BITS:
+            self._lanes = lanes  # one assignment: a thread sees no lanes or all of them
+        return lanes
 
     def rank_values(self, values: Sequence[int]) -> list[int]:
         """Per column rank, the mask of rows sharing ``values``' entry there
         (``values`` holds one value per column position)."""
         return [masks[values[p]] for masks, p in zip(self.rank_masks, self.ranks)]
+
+    def row_values(self) -> list[list[int]]:
+        """``rank_values`` of each row, built on the first call and kept
+        (one assignment, as for the row lanes)."""
+        if self._row_values is None:
+            self._row_values = [self.rank_values(row) for row in self.table.rows]
+        return self._row_values
 
     def agreeing(self, i: int, positions: Iterable[int]) -> int:
         """Mask of the rows equal to row i on the given column positions."""

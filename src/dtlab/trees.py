@@ -22,9 +22,10 @@ Every helper and validator below reads one depth-first walk of its tree,
 which collects the complete paths, the attribute set, the shape and
 duplicate-value problems and the node count in a single pass.  Tree
 objects built by hand are walked without trusting their parts: a child
-that is neither a ``Leaf`` nor a ``Node`` of an ``Attribute`` (its
-subtree is not walked) and an edge that is not a (value, child) pair
-are shape problems, not Python errors.
+that is neither a ``Leaf`` nor a ``Node`` of an ``Attribute``, a node
+whose attribute has an unhashable index, a node whose edges are not
+iterable (the subtrees of these three are not walked) and an edge that
+is not a (value, child) pair are shape problems, not Python errors.
 
 Text format (.tree)::
 
@@ -145,12 +146,21 @@ def _walk(tree: DecisionTree) -> _TreeWalk:
             shape.append(f"tree node {node!r} is neither a Leaf nor a Node of an Attribute")
             continue
         attr = node.attribute
-        attributes.add(attr)
-        if not node.edges:
+        try:
+            attributes.add(attr)
+        except TypeError:
+            shape.append(f"attribute {attr.name} has an unhashable index {attr.index!r}")
+            continue
+        try:
+            node_edges = tuple(node.edges)
+        except TypeError:
+            shape.append(f"edges {node.edges!r} at {attr.name} are not a sequence of (value, child) pairs")
+            continue
+        if not node_edges:
             shape.append(f"attribute node {attr.name} has no outgoing edges")
-        edges = [e for e in node.edges if isinstance(e, tuple) and len(e) == 2]
+        edges = [e for e in node_edges if isinstance(e, tuple) and len(e) == 2]
         shape += [f"edge {e!r} at {attr.name} is not a (value, child) pair"
-                  for e in node.edges if e not in edges]
+                  for e in node_edges if e not in edges]
         values = [v for v, _ in edges]
         try:
             repeated = len(set(values)) != len(values)

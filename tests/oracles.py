@@ -238,9 +238,17 @@ def _shape_below(node, k):
     if not hasattr(node, "edges") or type(node.attribute).__name__ != "Attribute":
         return [f"tree node {node!r} is neither a Leaf nor a Node of an Attribute"]
     name = node.attribute.name
-    out = [] if node.edges else [f"attribute node {name} has no outgoing edges"]
+    try:
+        hash(node.attribute.index)
+    except TypeError:
+        return [f"attribute {name} has an unhashable index {node.attribute.index!r}"]
+    try:
+        edges = list(node.edges)
+    except TypeError:
+        return [f"edges {node.edges!r} at {name} are not a sequence of (value, child) pairs"]
+    out = [] if edges else [f"attribute node {name} has no outgoing edges"]
     pairs = []
-    for edge in node.edges:
+    for edge in edges:
         if isinstance(edge, tuple) and len(edge) == 2:
             pairs.append(edge)
         else:
@@ -256,9 +264,10 @@ def brute_tree_shape_problems(tree):
     """The bare k-decision-tree shape violations: the root's first, then
     each node's before those of its subtrees, in edge order.  A child that
     is neither a leaf nor a node of an ``Attribute`` is one problem, with
-    nothing below it; a node's own problems are no edges, then each edge
-    that is no (value, child) pair; a pair's value comes just before its
-    subtree's problems."""
+    nothing below it, and so is a node whose attribute index is unhashable
+    or whose edges cannot be iterated; a node's own problems are no
+    edges, then each edge that is no (value, child) pair; a pair's value
+    comes just before its subtree's problems."""
     out = []
     if not tree.children:
         out.append("the root has no outgoing edges; a tree needs at least two nodes")

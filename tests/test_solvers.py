@@ -24,7 +24,7 @@ from dtlab.solvers import (
     table_separation_cost,
 )
 from dtlab.randgen import SplitMix64, random_table
-from dtlab.tables import Attribute, TooLarge, ValueOutOfRange, empty_table, is_test, validate
+from dtlab.tables import LANE_BITS, Attribute, TooLarge, ValueOutOfRange, empty_table, is_test, validate
 from dtlab.trees import (
     attributes_of,
     format_tree,
@@ -141,26 +141,33 @@ def test_closure_separation_sweep_matches_oracle(table, measure):
     )
 
 
-def _count_walker_calls(monkeypatch):
+def _count_calls(monkeypatch, name):
     calls = []
-    walker = solvers._first_constant
+    walker = getattr(solvers, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return walker(*args)
+        return walker(*args, **kwargs)
 
-    monkeypatch.setattr(solvers, "_first_constant", counted)
+    monkeypatch.setattr(solvers, name, counted)
     return calls
 
 
-@pytest.mark.parametrize("m", [4, 6])
+@pytest.mark.parametrize("m", [4, 6, 9, 12])
 def test_closure_separation_stops_at_the_dearest_set(monkeypatch, m):
     """The zero row of the m-column staircase needs every column, so the
     full column set, the first set of the downward sweep, settles the
-    value with one walk."""
-    calls = _count_walker_calls(monkeypatch)
+    value with one walk: the scalar walk of the zero row, its first row,
+    when the staircase has fewer rows than ``MIN_LANES``, else one lane
+    walk over all its rows, which hands the zero row, the one lane left
+    open early in the order, to one scalar walk."""
+    lane_walks = _count_calls(monkeypatch, "_lane_walk")
+    scalar_walks = _count_calls(monkeypatch, "_first_constant")
     assert closure_separation_cost(depth(), identity_table(m)) == m
-    assert len(calls) == 1
+    if m + 1 < solvers.MIN_LANES:
+        assert (len(lane_walks), len(scalar_walks)) == (0, 1)
+    else:
+        assert (len(lane_walks), len(scalar_walks)) == (1, 1)
 
 
 def test_report_calls_public_closure_separation(monkeypatch, example6, weighted):
@@ -233,13 +240,22 @@ def test_fixing_matches_oracle(table, measure):
 
 
 def test_fixing_sweep_stops_at_min_test_cost(monkeypatch):
-    """No tuple costs more than the min test cost (1 here), so the sweep
-    stops at the first tuple that reaches it: one walk for the min test
-    and one for that tuple, not one for each of the 2^14 tuples."""
-    table = random_table(2, 14, 2, seed=1)
-    calls = _count_walker_calls(monkeypatch)
-    assert fixing_cost(depth(), table) == (1, (0,) * 14)
-    assert len(calls) == 2
+    """No tuple costs more than the min test cost, so the sweep stops at
+    the first tuple or block that reaches it.  On the first table every
+    tuple costs 1, the min test cost: one scalar walk for the min test
+    and one for the first tuple, and no block.  On the second the first
+    tuple costs 1 and tuple 963 the min test cost 2: the sweep walks the
+    blocks up to the one holding it, not all the blocks of the 2^14
+    tuples."""
+    lane_walks = _count_calls(monkeypatch, "_lane_walk")
+    scalar_walks = _count_calls(monkeypatch, "_first_constant")
+    assert fixing_cost(depth(), random_table(2, 14, 2, seed=1)) == (1, (0,) * 14)
+    assert (len(lane_walks), len(scalar_walks)) == (0, 2)
+    worst = tuple(963 >> (13 - p) & 1 for p in range(14))
+    assert fixing_cost(depth(), random_table(2, 14, 5, seed=2)) == (2, worst)
+    # a block holds the most tuples whose lanes of 2 * (5 + 1) bits fit the width bound
+    block = 1 << (LANE_BITS // 12).bit_length() - 1
+    assert len(lane_walks) == 963 // block + 1 < 2**14 // block
 
 
 def test_report_hands_its_min_test_cost_to_the_fixing_sweep(monkeypatch):
@@ -480,23 +496,41 @@ def test_report_always_consistent(table, measure):
 
 
 def test_report_witness_checks_do_not_use_the_walker(monkeypatch):
-    # This walker drops the highest column of every test and separator it
-    # finds: an earlier, cheaper subset of the order that fails the
-    # search.  The report checks its witnesses on the kernel's value
-    # masks, not through the walker, so it must flag both.
+    # Both walkers are planted wrong: they drop the highest column of
+    # every test and row separator they find, an earlier, cheaper subset
+    # of the order that fails the search.  The report checks its
+    # witnesses on the kernel's value masks, not through a walker, so it
+    # must flag both.  The min test comes from the scalar walker, the
+    # separators of the 14 rows from a lane walk.
     table = random_table(2, 5, 14, seed=3)
     ones = sum(d << i for i, d in enumerate(table.decisions))
     assert ones.bit_count() > 1  # so no test or separator label equals it
-    walker = solvers._first_constant
+    scalar, lanes = solvers._first_constant, solvers._lane_walk
 
-    def wrong(order, full, rank_values, labels, within=-1):
-        cost, mask = walker(order, full, rank_values, labels, within)
-        if labels == ones or not mask:
-            return cost, mask  # fixings and rules stay right
+    def drop_highest(order, answer):
+        cost, mask = answer
+        if not mask:
+            return answer
         mask ^= 1 << (mask.bit_length() - 1)
         return order.costs[order.masks.index(mask)], mask
 
-    monkeypatch.setattr(solvers, "_first_constant", wrong)
+    def wrong_scalar(order, full, rank_values, labels, within=-1):
+        answer = scalar(order, full, rank_values, labels, within)
+        return answer if labels == ones else drop_highest(order, answer)  # fixings and rules stay right
+
+    def wrong_lanes(order, count, width, shift, *rest, **kwargs):
+        answers = lanes(order, count, width, shift, *rest, **kwargs)
+        if shift:
+            return answers  # the fixing sweep stays right
+        return [wrong_answer(order, a) for a in answers]
+
+    def wrong_answer(order, answer):
+        if answer is None or answer[1] & answer[1] - 1 == 0:
+            return answer  # one column or none stays, so no rule goes empty
+        return drop_highest(order, answer)
+
+    monkeypatch.setattr(solvers, "_first_constant", wrong_scalar)
+    monkeypatch.setattr(solvers, "_lane_walk", wrong_lanes)
     report = parameter_report(depth(), table)
     assert "test-witness-is-test" in report.failed_checks
     assert "row-separator-separates" in report.failed_checks

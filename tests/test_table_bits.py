@@ -36,6 +36,7 @@ from dtlab.solvers import (
     snd_tree_cost,
 )
 from dtlab.tables import (
+    LANE_BITS,
     Attribute,
     DecisionTable,
     ValueOutOfRange,
@@ -405,6 +406,28 @@ def test_kernel_fields_match_plain_computation(k, cols, rows, reverse):
     assert bits.ones == sum(d << i for i, d in enumerate(t.decisions))
     assert bits.full == (1 << rows) - 1
     assert all(bits.position[a] == p for p, a in enumerate(t.columns))
+
+
+@pytest.mark.parametrize("k, cols, rows", [(2, 3, 6), (3, 4, 20), (2, 9, 127), (2, 9, 128), (3, 7, 300)])
+def test_row_lanes_match_plain_computation(k, cols, rows):
+    t = random_table(k, cols, rows, seed=cols * 100 + rows)
+    bits = _TableBits(t)
+    width = rows + 1
+    ranks = sorted(range(cols), key=lambda p: t.columns[p].index)
+
+    def plain(first, stop):
+        return [
+            sum(
+                sum(1 << i for i, other in enumerate(t.rows) if other[p] == row[p]) << (j - first) * width
+                for j, row in enumerate(t.rows[first:stop], first)
+            )
+            for p in ranks
+        ]
+
+    for first, stop in [(0, rows), (0, 1), (rows // 2, rows), (rows - 1, rows)]:
+        assert bits.row_lanes(first, stop) == plain(first, stop)
+    # the lanes of all rows are kept only when they fit one wide mask
+    assert (bits.row_lanes(0, rows) is bits.row_lanes(0, rows)) == (rows * width <= LANE_BITS)
 
 
 @pytest.mark.parametrize("table", [t for _, t in TABLES], ids=[tid for tid, _ in TABLES])

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dtlab.closure import ClosureMember, enumerate_closure
+from dtlab.measures import additive, depth
 from dtlab.tables import (
     Attribute,
     BadDecision,
@@ -18,6 +19,7 @@ from dtlab.tables import (
     DuplicateRow,
     UnknownAttribute,
     ValueOutOfRange,
+    as_attribute,
     canonical_key,
     empty_table,
     format_table,
@@ -80,6 +82,22 @@ def test_validate_rejects_boolean_entries_and_decisions():
         validate(2, [0, 1], [((1, 0), 1.0)])
     table = validate(2, [0, 1], [((1, 0), 1), ((0, 1), 0)])
     assert parse_table(format_table(table)) == table
+
+
+@pytest.mark.parametrize("label", [True, False])
+def test_boolean_column_labels_are_rejected(label):
+    # True == 1, but as a label it would be named fTrue, which .dt text cannot parse back
+    with pytest.raises(UnknownAttribute):
+        as_attribute(label)
+    with pytest.raises(UnknownAttribute):
+        validate(2, [label, 3], [((0, 1), 1)])
+    with pytest.raises(UnknownAttribute):
+        additive({label: 3})
+    with pytest.raises(UnknownAttribute):
+        depth().weight(label)
+    table = validate(2, [int(label), 3], [((0, 1), 1)])
+    assert parse_table(format_table(table)) == table
+    assert additive({int(label): 3}).describe() == f"additive(default=1,f{int(label)}=3)"
 
 
 def test_table_is_slotted_frozen_and_still_a_value(example6):

@@ -217,19 +217,25 @@ def trees_st():
     """Tree objects built directly, not parsed: bare roots, attribute nodes
     without edges, edge values of any type or range (unhashable ones too),
     leaf decisions that only look like 0 or 1, a missing alphabet, children
-    that are no node (``None``), edges that are no (value, child) pair and
-    nodes whose attribute is no ``Attribute``."""
+    that are no node (``None``), edges that are no (value, child) pair,
+    nodes whose attribute is no ``Attribute`` or has an unhashable index,
+    and nodes whose edges are ``None``."""
     values = st.one_of(
         st.integers(-2, 4), st.none(), st.booleans(), st.floats(-1, 3), st.just("1"), st.just([0])
     )
     leaves = st.one_of(st.builds(Leaf, st.sampled_from([0, 1, *LOOKALIKE_DECISIONS])), st.none())
-    attributes = st.one_of(st.integers(0, 4).map(Attribute), st.integers(0, 5), st.none())
+    attributes = st.one_of(
+        st.integers(0, 4).map(Attribute), st.integers(0, 5), st.none(), st.just(Attribute([1]))
+    )
     nodes = st.recursive(
         leaves,
         lambda children: st.builds(
             Node,
             attributes,
-            st.lists(st.one_of(st.tuples(values, children), st.tuples(values)), max_size=3).map(tuple),
+            st.one_of(
+                st.lists(st.one_of(st.tuples(values, children), st.tuples(values)), max_size=3).map(tuple),
+                st.none(),
+            ),
         ),
         max_leaves=8,
     )
@@ -264,6 +270,14 @@ MALFORMED = {
     "int-attribute": (
         DecisionTree(2, (Node(5, ((0, Leaf(1)),)),)),
         ["tree node Node(attribute=5, edges=((0, Leaf(decision=1)),)) is neither a Leaf nor a Node of an Attribute"],
+    ),
+    "edges-none": (
+        DecisionTree(2, (Node(Attribute(4), None),)),
+        ["edges None at f4 are not a sequence of (value, child) pairs"],
+    ),
+    "unhashable-index": (
+        DecisionTree(2, (Node(Attribute([1]), ((0, Leaf(1)),)),)),
+        ["attribute f[1] has an unhashable index [1]"],
     ),
     "mixed": (
         DecisionTree(2, (Node(Attribute(4), ((0, None), (7, Leaf(1)), (1,), (1, Node(5, ())))),)),
