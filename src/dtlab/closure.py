@@ -31,42 +31,51 @@ sweeps and suites read the tables alone, so building them for every
 member would be wasted work.
 
 Building members is nearly all the work of an enumeration, so each
-base's members are built in one loop that calls no constructor: the
-table and the member are made by ``object.__new__`` and their seven
-fields are set through the bound ``__set__`` of the slot descriptors of
-``DecisionTable`` and ``ClosureMember``, read once per call.  That saves
-two ``__init__`` frames per member, and a descriptor's setter writes its
-slot directly, where ``object.__setattr__`` first looks the name up on
-the type.  It is sound only while neither class has a ``__post_init__``
-or any other check in its constructor, and while the loop sets exactly
-the fields the dataclass constructor sets, no more and no fewer;
+base's members are built in map passes that call no constructor and run
+no bytecode per member: ``object.__new__`` mapped over the class makes
+the base's tables, then one pass per field maps the bound ``__set__`` of
+that field's slot descriptor over the tables and the field's values
+(``repeat`` of the shared columns and rows, the labellings for the
+decisions), drained by a zero-length ``deque``; the members follow in
+the same way.  That saves two ``__init__`` frames per member, and a
+descriptor's setter writes its slot directly, where
+``object.__setattr__`` first looks the name up on the type.  It is sound
+only while neither class has a ``__post_init__`` or any other check in
+its constructor, and while the passes set exactly the fields the
+dataclass constructor sets, no more and no fewer;
 ``tests/test_closure_kernel.py`` compares every member with a
 constructor-built twin.  The decision tuples (the labellings) are
 built once per row count in each call and shared by every base with
 that many rows.
 On one pass of the ``closure`` benchmark (about 35k members), setting
 the fields by ``object.__setattr__`` instead of calling the constructors
-took the pass from 82-92 ms to 68-73 ms.  Setting them through the slot
-descriptors took it from 50-57 ms to 35-44 ms, measured later on the
-same machine (2-vCPU Xeon VM, Python
-3.11.7, medians of 15 passes in each of three runs, not normalised), and
-the benchmark's normalised ``wall_s`` from 0.103-0.108 s to
-0.074-0.085 s.  Slotting ``DecisionTable`` alone, still set through
-``object.__setattr__``, took the raw pass only to 45-54 ms: that call
-still parses its arguments, checks the type and looks the name up on
-it for every field, so most of the gain is the setters, and a table
-has slot descriptors only once it is slotted.
+took the pass from 82-92 ms to 68-73 ms, and setting them through the
+slot descriptors in a per-member loop took it from 50-57 ms to 35-44 ms
+(2-vCPU Xeon VM, Python 3.11.7, medians of 15 passes in each of three
+runs, not normalised).  The map passes, with the loop's bytecode gone,
+took the benchmark's normalised ``wall_s`` a further 12% down (median
+0.078 to 0.069 s, better in 9 of 10 paired 20 s runs; ``BENCH_21.json``).
 
 The cyclic garbage collector is paused while the members are built.
 Members, bases and the returned enumeration hold no reference cycles,
 so reference counting frees everything the walk drops, and a collection
-could only walk live members again and again.  Unpaused, that pass ran
+could only walk live members again and again.  Unpaused, a pass ran
 134 young, 12 middle and 1 full collection, which took 31 ms of a
 99-102 ms pass and freed nothing.  Paused, the new members are walked
-once, by the first young collection after the calls return: 1
-collection per pass, 15 ms.  The pause is process-wide: cyclic garbage
-that another thread makes meanwhile waits until the call returns.  A
-collector that was off on entry stays off.
+once, by the first young collection after the call returns: a
+``closure`` pass of two calls runs 2 collections, 12-14 ms of 54-73 ms
+(timed with ``gc.callbacks``).  The pause is process-wide: cyclic
+garbage that another thread makes meanwhile waits until the call
+returns.  A collector that was off on entry stays off.
+
+That one walk stays.  Calling ``gc.freeze()`` then ``gc.unfreeze()`` on
+exit would skip it, by moving every tracked object in the process to the
+oldest generation, where only a full collection looks again.  The
+caller's young cyclic garbage goes there too: 300 calls with 100 cycles
+(of 1 kB each) made between calls left all 30,000 cycles alive, where
+the walk leaves 100, and peak RSS rose from 20 to 53 MB.  A young
+collection on entry would free that garbage first, but a call runs no
+collection (``tests/test_closure_gc.py``).
 
 A projection's row count never shrinks as more columns are kept, so no
 superset of a column set that does not fit ``max_rows`` fits either.
@@ -87,9 +96,10 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, field
-from itertools import groupby, islice, product
+from collections import deque
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from itertools import groupby, islice, product, repeat
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from .tables import (
     Attribute,
@@ -227,7 +237,7 @@ class ClosureMember:
     Enumeration builds members and their tables without calling
     ``__init__``, through their slot descriptors (see the module
     docstring): a field added here or to ``DecisionTable`` must be set
-    in that loop too, and a ``__post_init__`` would never run there.
+    in those map passes too, and a ``__post_init__`` would never run there.
     """
 
     table: DecisionTable
@@ -284,6 +294,15 @@ def enumerate_closure(
     The cyclic garbage collector is paused for the call (see the module
     docstring) and turned back on only if it was on at entry.
     """
+    if not isinstance(generators, Sequence):
+        raise TableError(
+            f"closure generators must be a sequence of tables, got {type(generators).__name__}"
+        )
+    for i, g in enumerate(generators):
+        if not isinstance(g, DecisionTable):
+            raise TableError(f"closure generator {i} is not a DecisionTable: {g!r}")
+    if not isinstance(limits, ClosureLimits):
+        raise BadLimit(f"closure limits must be a ClosureLimits, got {type(limits).__name__}")
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -307,7 +326,7 @@ def _enumerate(generators: Sequence[DecisionTable], limits: ClosureLimits) -> Cl
         out.exhausted = False
 
     labellings: dict[int, list[tuple[int, ...]]] = {}  # by row count, shared by bases
-    new, append = object.__new__, out.members.append
+    new, consume = object.__new__, deque(maxlen=0).extend
     # the bound setters of the slot descriptors, read at call time
     set_k, set_columns = DecisionTable.k.__set__, DecisionTable.columns.__set__
     set_rows, set_decisions = DecisionTable.rows.__set__, DecisionTable.decisions.__set__
@@ -362,18 +381,19 @@ def _enumerate(generators: Sequence[DecisionTable], limits: ClosureLimits) -> Cl
                 labels = labellings[n] = [
                     b[::-1] for b in islice(product((0, 1), repeat=n), take)
                 ]
-            # the fields the dataclass constructors set, without their frames
-            for bits in islice(labels, take):
-                table = new(DecisionTable)
-                set_k(table, k)
-                set_columns(table, cols)
-                set_rows(table, rows)
-                set_decisions(table, bits)
-                member = new(ClosureMember)
-                set_table(member, table)
-                set_generator_index(member, gi)
-                set_removed(member, removed)
-                append(member)
+            # the fields the dataclass constructors set, one map pass per
+            # field; a zero-row repeat has no labelling left and builds nothing
+            take = min(take, len(labels))
+            tables = list(map(new, repeat(DecisionTable, take)))
+            consume(map(set_k, tables, repeat(k)))
+            consume(map(set_columns, tables, repeat(cols)))
+            consume(map(set_rows, tables, repeat(rows)))
+            consume(map(set_decisions, tables, labels))
+            members = list(map(new, repeat(ClosureMember, take)))
+            consume(map(set_table, members, tables))
+            consume(map(set_generator_index, members, repeat(gi)))
+            consume(map(set_removed, members, repeat(removed)))
+            out.members.extend(members)
             if not n:  # every zero-row table has the empty table's key
                 labellings[0] = []
             if stopped:

@@ -159,6 +159,11 @@ class GrowthReport:
         return [p.value for p in self.points]
 
 
+def _check_count(name: str, value) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise DtError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
 def growth(
     fn: str,
     generators: Sequence[DecisionTable],
@@ -175,8 +180,7 @@ def growth(
     """
     if fn not in GROWTH_FUNCTIONS:
         raise DtError(f"unknown growth function {fn!r}; pick one of {GROWTH_FUNCTIONS}")
-    if not isinstance(max_n, int) or isinstance(max_n, bool) or max_n < 0:
-        raise DtError(f"max_n must be a nonnegative integer, got {max_n!r}")
+    _check_count("max_n", max_n)
     if not measure.is_bounded:
         raise UnboundedMeasure(
             "growth functions need a bounded measure (cost must dominate word length)"
@@ -287,6 +291,7 @@ def class_stats(
     enumeration: ClosureEnumeration | None = None,
 ) -> ClassStats:
     """Count and bound the closure members with cheap single attributes."""
+    _check_count("n", n)
     if not measure.is_bounded:
         raise UnboundedMeasure(
             "class statistics need a bounded measure (cost must dominate word length)"

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import pickle
 
 import pytest
@@ -19,6 +20,7 @@ from dtlab.closure import (
 from dtlab.tables import (
     Attribute,
     BadDecision,
+    TableError,
     UnknownAttribute,
     canonical_key,
     empty_table,
@@ -191,6 +193,27 @@ def test_closure_bad_limit_rejected(field):
         with pytest.raises(BadLimit, match=field):
             ClosureLimits(**{field: bad})
     assert getattr(ClosureLimits(**{field: 0}), field) == 0
+
+
+@pytest.mark.parametrize(
+    "generators, limits, error, match",
+    [
+        (single_column_table(), ClosureLimits(), TableError, "sequence of tables, got DecisionTable"),
+        (None, ClosureLimits(), TableError, "sequence of tables, got NoneType"),
+        ([None], ClosureLimits(), TableError, "generator 0 is not a DecisionTable: None"),
+        ([single_column_table(), "ab"], ClosureLimits(), TableError, "generator 1 is not a DecisionTable: 'ab'"),
+        ([single_column_table()], {"max_tables": 3}, BadLimit, "ClosureLimits, got dict"),
+        ([single_column_table()], None, BadLimit, "ClosureLimits, got NoneType"),
+    ],
+)
+def test_closure_arguments_of_the_wrong_type_rejected(monkeypatch, generators, limits, error, match):
+    # rejected before the collector is paused
+    def disable():
+        raise AssertionError("collector paused")
+
+    monkeypatch.setattr(gc, "disable", disable)
+    with pytest.raises(error, match=match):
+        enumerate_closure(generators, limits)
 
 
 def test_closure_member_is_slotted_and_frozen(example6):

@@ -6,6 +6,7 @@ garbage.
 """
 
 import gc
+import weakref
 
 import pytest
 
@@ -72,3 +73,24 @@ def test_enumeration_runs_no_collection(collector):
     after = gc.get_stats()
     assert len(enum.members) > 5 * gc.get_threshold()[0]
     assert [s["collections"] for s in after] == [s["collections"] for s in before]
+
+
+class Cycle:
+    def __init__(self):
+        self.me = self
+
+
+def test_garbage_made_between_calls_is_freed_without_an_explicit_collect(collector):
+    # a call must not move the caller's young garbage past the young
+    # collections, as promoting every tracked object to the oldest
+    # generation on exit would: then only a full collection frees it
+    gc.enable()
+    gc.collect()
+    threshold = gc.get_threshold()[0]
+    refs = []
+    for _ in range(60):
+        enumerate_closure([TABLE])
+        for _ in range(threshold // 20):
+            refs.append(weakref.ref(Cycle()))
+    assert len(refs) >= 3 * threshold
+    assert sum(r() is not None for r in refs) < threshold

@@ -118,6 +118,8 @@ GENERATOR_SETS = {
     "zero-rows": [ZERO_ROWS],
     "zero-rows-first": [ZERO_ROWS, random_table(2, 2, 3, seed=21)],
     "zero-rows-last": [random_table(2, 3, 3, seed=22), ZERO_ROWS],
+    "zero-rows-twice": [ZERO_ROWS, validate(2, ["f3"], [])],
+    "zero-rows-around": [ZERO_ROWS, random_table(2, 2, 3, seed=23), validate(2, ["f3"], [])],
 }
 
 
@@ -195,17 +197,30 @@ def base_ends(enum):
 
 @pytest.mark.parametrize("name", sorted(GENERATOR_SETS))
 def test_table_limits_match_reference(name):
-    # 0, the count through each base, one short of and one past it, and
-    # the whole closure; with zero-row generators a count through a base
-    # can stop the walk just before a repeated zero-row member
+    # every count from 0 past the whole closure.  At 0, 1, the count
+    # through each base, one short of and one past it, and the whole
+    # closure, each member is also checked against its constructor-built
+    # twin; with zero-row generators a count through a base can stop the
+    # walk just before a repeated zero-row member.  The other counts cut
+    # inside a base, and compare tables and provenance: equal tables have
+    # equal keys and bits
     generators = GENERATOR_SETS[name]
     full = enumerate_closure(generators)
     total = len(full.members)
-    limits = {0, 1, total, total + 1}
+    twins = {0, 1, total, total + 1}
     for end in base_ends(full):
-        limits |= {end - 1, end, end + 1}
-    for max_tables in sorted(limits):
-        assert_same(generators, ClosureLimits(max_tables=max_tables))
+        twins |= {end - 1, end, end + 1}
+    for max_tables in range(total + 2):
+        limits = ClosureLimits(max_tables=max_tables)
+        if max_tables in twins:
+            assert_same(generators, limits)
+            continue
+        got = enumerate_closure(generators, limits)
+        members, exhausted, complete_column_count = reference_closure(generators, limits)
+        assert [(m.table, m.generator_index, m.removed) for m in got.members] == [
+            (table, gi, removed) for table, _, gi, removed, _ in members
+        ]
+        assert (got.exhausted, got.complete_column_count) == (exhausted, complete_column_count)
 
 
 @pytest.mark.parametrize("name", sorted(GENERATOR_SETS))
@@ -218,10 +233,11 @@ def test_row_and_column_limits_match_reference(name):
 
 
 def test_zero_row_members_emitted_once():
-    enum = assert_same([ZERO_ROWS, random_table(2, 2, 3, seed=21)])
-    empties = [m for m in enum.members if m.table.is_empty]
-    assert len(empties) == 1
-    assert empties[0].key == "empty"
+    for name in ("zero-rows-first", "zero-rows-twice", "zero-rows-around"):
+        enum = assert_same(GENERATOR_SETS[name])
+        empties = [m for m in enum.members if m.table.is_empty]
+        assert len(empties) == 1
+        assert empties[0].key == "empty"
 
 
 def test_larger_closure_matches_reference():

@@ -79,6 +79,12 @@ def test_growth_rejects_max_n_that_is_no_integer(max_n):
         growth("FW", [identity_table(2)], depth(), max_n=max_n)
 
 
+@pytest.mark.parametrize("n", [True, False, 1.5, 2.0, "2", None, -1])
+def test_class_stats_rejects_n_that_is_no_nonnegative_integer(n):
+    with pytest.raises(DtError, match=r"^n must be a nonnegative integer"):
+        class_stats([identity_table(2)], depth(), n)
+
+
 def test_growth_points_monotone_and_sandwiched():
     gens, measure = single_attribute_generators({2, 5, 9})
     fw = growth("FW", gens, measure, max_n=10)
