@@ -35,9 +35,8 @@ label?  The scalar walker, ``_first_constant``, answers it for one query
 with one AND per entry of the order, narrowing the parent entry's
 agreeing rows at the entry's highest column.  A fixing or a rule asks it
 of the decisions.  A row separator asks whether the row stands alone,
-since a row always agrees with itself.  A test asks it of wide masks
-that hold, lane by lane, the 1-rows agreeing with each 0-row, plus one
-bit that every wide mask sets: S is a test when only that bit survives.
+since a row always agrees with itself.  A test asks it of the kernel's
+test lanes: S is a test when only their marker bit survives.
 
 Three parameters are a maximum over many such queries on one table: the
 separation cost over the rows, the fixing cost over the k^n value tuples
@@ -138,8 +137,9 @@ so far: no later set can raise it.
 
 Every solver and validator reads its table through one bit kernel,
 ``tables._TableBits``: rank order, value masks and the ones mask, all
-built with the kernel, and the row lanes, built when first asked for.  It takes the kernel from ``tables._bits_of``, a
-slot holding the kernel of the last table asked for, so calls on one
+built with the kernel, and the row and test lanes, built when first
+asked for.  It takes the kernel from ``tables._bits_of``, a slot
+holding the kernel of the last table asked for, so calls on one
 table object in a row share one kernel, and ``parameter_report``, which
 calls the public solvers and validators one after another on its
 table, builds the value masks once; the reports of several measures on
@@ -555,23 +555,16 @@ def min_test_cost(
 ) -> tuple[int, tuple[Attribute, ...]]:
     """Cheapest test of the table; (0, empty) for constant tables.
 
-    A test leaves no 1-row agreeing with a 0-row.  Lane z of the wide
-    masks below holds the 1-rows that agree with the z-th 0-row, above
-    one bit that every mask sets, so S is a test exactly when only that
-    bit survives the AND over S.
+    A test leaves no 1-row agreeing with a 0-row: S is one exactly when
+    only the marker bit survives the AND of the kernel's test lanes over
+    S (``_TableBits.test_lanes``).
     """
     if is_constant(table):
         return 0, ()
     bits = _bits_of(table)
-    n, ones = table.n_rows, bits.ones
-    full, wide, shift = 1, [1] * table.n_cols, 1
-    for values, d in zip(bits.row_values(), table.decisions):
-        if not d:
-            full |= ones << shift
-            wide = [w | (v & ones) << shift for w, v in zip(wide, values)]
-            shift += n
+    full, lanes = bits.test_lanes()
     order = _subset_order(measure, table.columns)
-    cost, mask = _first_constant(order, full, wide, 1)
+    cost, mask = _first_constant(order, full, [lanes[p] for p in bits.ranks], 1)
     return cost, order.attributes(mask)
 
 
@@ -635,7 +628,7 @@ def closure_separation_cost(measure: ComplexityMeasure, table: DecisionTable) ->
     order.complete()
     bits = _bits_of(table)
     full = bits.full
-    row_values = bits.row_values()
+    row_values = [bits.rank_values(row) for row in table.rows]
     best = 0
     chunk_lanes: dict[int, list[int]] = {}  # a tall table's row lanes, built once for every C
     for cost_c, c in zip(reversed(order.costs), reversed(order.masks)):
@@ -1137,12 +1130,14 @@ def parameter_report(measure: ComplexityMeasure, table: DecisionTable) -> Parame
             failed.append(name)
 
     bits = _bits_of(table)
-    position = bits.position
+    position, masks = bits.position, bits.masks
     check("test-witness-is-test", bits.is_test({position[a] for a in test_witness}))
-    for i, (_, _, attrs) in enumerate(seps):
-        ok = bits.agreeing(i, [position[a] for a in attrs]) == 1 << i
-        check("row-separator-separates", ok)
-        if not ok:
+    for i, (row, _, attrs) in enumerate(seps):
+        agree = bits.full  # the rows equal to row i on its separator
+        for p in [position[a] for a in attrs]:
+            agree &= masks[p][row[p]]
+        check("row-separator-separates", agree == 1 << i)
+        if agree != 1 << i:
             break
     if worst is not None:
         check("worst-tuple-reproduces", fixing_cost_for_tuple(measure, table, worst)[0] == fix)

@@ -24,16 +24,17 @@ side by side, for each row j, the mask of the rows that agree with row j
 at that rank, each in a lane of n + 1 bits whose top (guard) bit is 0.
 One AND of such ints narrows every row's agreeing rows at once; the
 solvers' lane walker reads the guard bits (``solvers`` says how).  The
-lanes are built when first asked for, and kept when all the rows fit in
-one int of ``LANE_BITS`` bits (63 rows), so tables that never meet a
-lane search never pay for them; longer tables get their lanes chunk by
-chunk.  Each row's value masks by rank are built on first use too, and
-always kept: they hold one reference per table entry.
+test lanes, which ``is_test`` and the cheapest-test search share, hold
+per column the 1-rows agreeing with each 0-row.  Lanes are built when
+first asked for, and kept when they fit in one int of ``LANE_BITS`` bits
+(the row lanes of 63 rows), so tables that never meet a lane search
+never pay for them; longer tables get their row lanes chunk by chunk,
+their test lanes on each call.
 
 ``_bits_of`` keeps the kernel of the last table asked for in a
 one-table slot, so calls on one table object in a row share a kernel,
 and the slot never keeps more than one table alive (``solvers`` says
-why).  A kernel builds all its views but those two before it enters the
+why).  A kernel builds all its views but the lanes before it enters the
 slot, and the slot and each kept view are set in one assignment, so
 threads sharing a kernel only read fields that are already complete (two
 threads may both build the same view); the subset orders that the
@@ -264,7 +265,7 @@ LANE_BITS = 1 << 12
 
 
 class _TableBits:
-    """Bit views of one table, all built with the kernel but the row lanes.
+    """Bit views of one table, all built with the kernel but the lanes.
 
     Bit i of a row mask stands for row i.  Bit r of a column mask stands
     for the column of rank r, the one with the r-th smallest attribute
@@ -272,8 +273,8 @@ class _TableBits:
     an attribute to its column position, ``masks`` a column position and
     a value to the mask of the rows with that value, ``rank_masks`` holds
     the value masks by rank, and ``ones`` is the mask of the rows labeled 1.
-    ``row_lanes`` gives the row masks of many rows side by side in one
-    int, and ``row_values`` each row's value masks by rank.
+    ``row_lanes`` and ``test_lanes`` give lanes side by side in one int:
+    the rows agreeing with each row, the 1-rows agreeing with each 0-row.
     """
 
     def __init__(self, table: DecisionTable):
@@ -293,7 +294,7 @@ class _TableBits:
         self.ones = ones
         self.rank_masks = [masks[p] for p in self.ranks]
         self._lanes: list[int] | None = None
-        self._row_values: list[list[int]] | None = None
+        self._tests: tuple[int, list[int]] | None = None
 
     def row_lanes(self, first: int, stop: int) -> list[int]:
         """Per column rank, the lanes of rows ``first`` to ``stop - 1``.
@@ -325,29 +326,30 @@ class _TableBits:
         (``values`` holds one value per column position)."""
         return [masks[values[p]] for masks, p in zip(self.rank_masks, self.ranks)]
 
-    def row_values(self) -> list[list[int]]:
-        """``rank_values`` of each row, built on the first call and kept
-        (one assignment, as for the row lanes)."""
-        if self._row_values is None:
-            self._row_values = [self.rank_values(row) for row in self.table.rows]
-        return self._row_values
+    def test_lanes(self) -> tuple[int, list[int]]:
+        """The all-lanes mask and the test lanes by column position: lane z
+        holds the 1-rows that agree with the z-th 0-row there, in n bits
+        above a marker bit that every mask sets, the only bit that the AND
+        over a test leaves.  Kept as the row lanes are."""
+        if self._tests is not None:
+            return self._tests
+        table, ones = self.table, self.ones
+        full, lanes, shift = 1, [1] * table.n_cols, 1
+        for row, d in zip(table.rows, table.decisions):
+            if not d:
+                full |= ones << shift
+                lanes = [w | (m[v] & ones) << shift for w, m, v in zip(lanes, self.masks, row)]
+                shift += table.n_rows
+        if shift <= LANE_BITS:
+            self._tests = full, lanes
+        return full, lanes
 
-    def agreeing(self, i: int, positions: Iterable[int]) -> int:
-        """Mask of the rows equal to row i on the given column positions."""
-        row, masks = self.table.rows[i], self.masks
-        m = self.full
-        for p in positions:
-            m &= masks[p][row[p]]
-        return m
-
-    def is_test(self, positions: Sequence[int]) -> bool:
+    def is_test(self, positions: Iterable[int]) -> bool:
         """Do rows with different decisions differ on the given positions?"""
-        ones = self.ones
-        return not any(
-            self.agreeing(i, positions) & ones
-            for i in range(self.table.n_rows)
-            if not ones >> i & 1
-        )
+        m, lanes = self._tests or self.test_lanes()
+        for p in positions:
+            m &= lanes[p]
+        return m == 1
 
 
 _slot: tuple[DecisionTable | None, _TableBits | None] = (None, None)

@@ -19,13 +19,15 @@ tree is exactly a system of true decision rules covering the 1-rows; the
 root may have many edges and duplicate sibling values.
 
 Every helper and validator below reads one depth-first walk of its tree,
-which collects the complete paths, the attribute set, the shape and
-duplicate-value problems and the node count in a single pass.  Tree
-objects built by hand are walked without trusting their parts: a child
-that is neither a ``Leaf`` nor a ``Node`` of an ``Attribute``, a node
-whose attribute has an unhashable index, a node whose edges are not
-iterable (the subtrees of these three are not walked) and an edge that
-is not a (value, child) pair are shape problems, not Python errors.
+which collects the terminals, the attribute set, the shape and
+duplicate-value problems and the node count in a single pass.  A helper
+gets each terminal's complete path, a validator (walking with the table's
+bit kernel) the row mask of the path's subtable, one AND per edge.  Tree
+objects built by hand are walked without trusting their parts: children
+or edges that are not iterable, a child that is neither a ``Leaf`` nor a
+``Node`` of an ``Attribute``, a node whose attribute has an unhashable
+index (nothing below these is walked) and an edge that is not a (value,
+child) pair are shape problems, not Python errors.
 
 Text format (.tree)::
 
@@ -48,7 +50,6 @@ from .tables import (
     _bits_of,
     _in_alphabet,
     _TableBits,
-    is_constant,
     restrict,
 )
 from .measures import ComplexityMeasure
@@ -103,44 +104,65 @@ class CompletePath:
 class _TreeWalk(NamedTuple):
     """What one depth-first pass over a tree collects, each in walk order."""
 
-    paths: tuple[CompletePath, ...]
+    paths: tuple  # a CompletePath per terminal; with a kernel, (row mask, decision)
     attributes: frozenset[Attribute]
     shape: list[str]  # root problems, then node and edge problems
     duplicates: list[str]  # duplicate sibling edge values
     nodes: int  # the root included
+    roots: int | None  # edges leaving the root; None if the children cannot be read
+    outside: tuple  # with a kernel: (first edge value outside the table's E_k,) or ()
+    positions: set  # with a kernel: the attributes' column positions, None for one outside
 
 
 # The one tree walk.  It keeps pending nodes on an explicit stack instead
 # of recursing through a nested function, which would refer to itself
 # through its closure cell and leave a reference cycle on every call.
 # Children pop in tree order, and a node checks its incoming edge value
-# when it pops, so each edge problem comes just before its subtree's.
+# when it pops, so each edge problem comes just before its subtree's.  A
+# node carries its path's fixings, or its row mask, narrowed on the push
+# when the value is an int below both alphabet sizes, else on the pop.
 
 
-def _walk(tree: DecisionTree) -> _TreeWalk:
+def _walk(tree: DecisionTree, bits: _TableBits | None = None) -> _TreeWalk:
     k = tree.k
     shape: list[str] = []
-    if not tree.children:
+    try:
+        roots = len(children := tuple(tree.children))
+    except TypeError:  # one problem, and no count of root edges
+        children, roots = (), None
+        shape.append(f"children {tree.children!r} of the root are not a sequence of tree nodes")
+    if roots == 0:
         shape.append("the root has no outgoing edges; a tree needs at least two nodes")
     # E_k is defined only for an int k; a tree without one gets no edge-value checks
-    int_k = isinstance(k, int) and not isinstance(k, bool)
+    int_k = type(k) is int or isinstance(k, int) and not isinstance(k, bool)
     if not int_k:
         shape.append(f"alphabet size k must be an int >= 2, got {k!r}")
     elif k < 2:
         shape.append(f"alphabet size k must be >= 2, got {k}")
-    duplicates, paths, attributes, nodes = [], [], set(), 1
-    stack = [(child, (), ()) for child in reversed(tree.children)]
+    top, fast, narrow = (), 0, None  # without a kernel, every edge value is looked at closely
+    if bits is not None:
+        top, table_k, masks, position = bits.full, bits.table.k, bits.masks, bits.position
+        fast = min(k, table_k) if int_k else 0
+    duplicates, paths, attributes, positions, nodes, outside = [], [], set(), set(), 1, ()
+    stack = [(child, top, None) for child in reversed(children)]
     while stack:
-        node, word, fixings = stack.pop()
+        node, path, edge = stack.pop()
         nodes += 1
-        if fixings:
-            attr, value = fixings[-1]
+        if edge is not None:
+            attr, value, narrow = edge
             if int_k and not _in_alphabet(value, k):
                 shape.append(f"edge value {value!r} at {attr.name} is outside E_{k}")
+            if bits is None:
+                path += ((attr, value),)
+            elif _in_alphabet(value, table_k):
+                path &= narrow[value]
+            else:
+                outside = outside or (value,)
         if isinstance(node, Leaf):
-            if not _in_alphabet(node.decision, 2):
-                shape.append(f"terminal decision {node.decision!r} is not 0 or 1")
-            paths.append(CompletePath(word, fixings, node.decision))
+            d = node.decision
+            if not (type(d) is int and 0 <= d < 2 or _in_alphabet(d, 2)):
+                shape.append(f"terminal decision {d!r} is not 0 or 1")
+            paths.append((path, d))
             continue
         if not (isinstance(node, Node) and isinstance(node.attribute, Attribute)):
             shape.append(f"tree node {node!r} is neither a Leaf nor a Node of an Attribute")
@@ -151,27 +173,38 @@ def _walk(tree: DecisionTree) -> _TreeWalk:
         except TypeError:
             shape.append(f"attribute {attr.name} has an unhashable index {attr.index!r}")
             continue
+        if bits is not None:  # masks of an attribute outside the table do not matter: it is a problem
+            p = position.get(attr)
+            positions.add(p)
+            narrow = [0] * table_k if p is None else masks[p]
         try:
-            node_edges = tuple(node.edges)
+            edges = tuple(node.edges)
         except TypeError:
             shape.append(f"edges {node.edges!r} at {attr.name} are not a sequence of (value, child) pairs")
             continue
-        if not node_edges:
+        if not edges:
             shape.append(f"attribute node {attr.name} has no outgoing edges")
-        edges = [e for e in node_edges if isinstance(e, tuple) and len(e) == 2]
-        shape += [f"edge {e!r} at {attr.name} is not a (value, child) pair"
-                  for e in node_edges if e not in edges]
-        values = [v for v, _ in edges]
+        values = []  # of the (value, child) pairs, last first
+        for e in reversed(edges):
+            if isinstance(e, tuple) and len(e) == 2:
+                value, child = e
+                values.append(value)
+                if type(value) is int and 0 <= value < fast:
+                    stack.append((child, path & narrow[value], None))
+                else:
+                    stack.append((child, path, (attr, value, narrow)))
+        if len(values) != len(edges):
+            pairs = [e for e in edges if isinstance(e, tuple) and len(e) == 2]
+            shape += [f"edge {e!r} at {attr.name} is not a (value, child) pair" for e in edges if e not in pairs]
         try:
-            repeated = len(set(values)) != len(values)
+            repeated = len(values) > 1 and len(set(values)) != len(values)
         except TypeError:  # an unhashable value, outside E_k anyway: compare by equality
             repeated = any(v in values[:i] for i, v in enumerate(values))
         if repeated:
-            duplicates.append(f"duplicate edge values {values} at node {attr.name}")
-        word += (attr,)
-        for value, child in reversed(edges):
-            stack.append((child, word, fixings + ((attr, value),)))
-    return _TreeWalk(tuple(paths), frozenset(attributes), shape, duplicates, nodes)
+            duplicates.append(f"duplicate edge values {values[::-1]} at node {attr.name}")
+    if bits is None:
+        paths = [CompletePath(tuple(a for a, _ in fixings), fixings, d) for fixings, d in paths]
+    return _TreeWalk(tuple(paths), frozenset(attributes), shape, duplicates, nodes, roots, outside, positions)
 
 
 def attributes_of(tree: DecisionTree) -> frozenset[Attribute]:
@@ -213,94 +246,63 @@ class ValidationResult:
         return self.ok
 
 
-def _check_attributes(attrs: frozenset[Attribute], table: DecisionTable) -> list[str]:
-    extra = attrs - table.attributes()
-    if extra:
-        names = ",".join(sorted(a.name for a in extra))
-        return [f"tree tests attributes outside the table's columns: {names}"]
-    return []
+_VALID = ValidationResult(True, ())  # frozen and the same for every valid tree
 
 
-def _path_rows(bits: _TableBits, paths) -> tuple[list[int], int]:
-    """The row mask of each path's subtable, one AND per fixing, and
-    their union.
+def _check_attributes(walk: _TreeWalk, bits: _TableBits) -> list[str]:
+    """The problem naming the tree's attributes outside the table, if any."""
+    if None not in walk.positions:
+        return []
+    names = ",".join(sorted(a.name for a in walk.attributes if a not in bits.position))
+    return [f"tree tests attributes outside the table's columns: {names}"]
 
-    A fixing value outside the table's alphabet raises as in ``restrict``.
-    """
-    k = bits.table.k
-    masks, position = bits.masks, bits.position
-    path_rows, reached = [], 0
-    for path in paths:
-        m = bits.full
-        for attr, value in path.fixings:
-            if not _in_alphabet(value, k):
-                raise ValueOutOfRange(f"fixing value {value!r} is outside E_{k}")
-            m &= masks[position[attr]][value]
-        path_rows.append(m)
+
+def _verdict(table: DecisionTable, bits: _TableBits, walk: _TreeWalk, problems: list[str],
+             need: int, lost: str, mixed: str) -> ValidationResult:
+    """The problems so far, or else each row of ``need`` on no path, then
+    each path whose subtable has a row labeled otherwise than its leaf."""
+    if problems:
+        return ValidationResult(False, tuple(problems))
+    if walk.outside:  # as restrict raises for a fixing value outside the table's E_k
+        raise ValueOutOfRange(f"fixing value {walk.outside[0]!r} is outside E_{table.k}")
+    ones, zeros, reached, problems = bits.ones, bits.full & ~bits.ones, 0, []
+    for i, (m, d) in enumerate(walk.paths):
         reached |= m
-    return path_rows, reached
-
-
-def _verdict(problems: list[str], bits: _TableBits, walk: _TreeWalk) -> ValidationResult:
-    if not problems:
-        # any tree valid for the table queries a test of the table
-        tested = [bits.position[a] for a in walk.attributes]
-        assert bits.is_test(tested), "validated tree whose attributes are not a test"
-    return ValidationResult(not problems, tuple(problems))
+        if m & (zeros if d else ones):
+            problems.append(mixed.format(i=i, d=d))
+    need &= ~reached
+    if need:
+        problems[:0] = [lost.format(row) for i, row in enumerate(table.rows) if need >> i & 1]
+    # any tree valid for the table queries a test of the table
+    assert problems or bits.is_test(walk.positions), "validated tree whose attributes are not a test"
+    return ValidationResult(False, tuple(problems)) if problems else _VALID
 
 
 def validate_deterministic(tree: DecisionTree, table: DecisionTable) -> ValidationResult:
     """Check the five deterministic-tree conditions, naming each violation."""
     if table.is_empty:
         raise NotApplicable("deterministic trees are defined for nonempty tables only")
-    walk = _walk(tree)
-    problems = walk.shape
-    if len(tree.children) != 1:
-        problems.append(f"{len(tree.children)} edges leave the root; exactly one is allowed")
-    problems += walk.duplicates
-    problems += _check_attributes(walk.attributes, table)
-    if problems:
-        return ValidationResult(False, tuple(problems))
-
     bits = _bits_of(table)
-    path_rows, reached = _path_rows(bits, walk.paths)
-    for i, row in enumerate(table.rows):
-        if not reached >> i & 1:
-            problems.append(f"row {row} reaches no complete path")
-    for i, (path, m) in enumerate(zip(walk.paths, path_rows)):
-        if m & (~bits.ones if path.decision else bits.ones):
-            problems.append(
-                f"path {i} ends in decision {path.decision} but its subtable "
-                f"has rows labeled otherwise"
-            )
-    return _verdict(problems, bits, walk)
+    walk = _walk(tree, bits)
+    problems = walk.shape
+    if walk.roots not in (1, None):
+        problems.append(f"{walk.roots} edges leave the root; exactly one is allowed")
+    problems += walk.duplicates + _check_attributes(walk, bits)
+    return _verdict(table, bits, walk, problems, bits.full, "row {} reaches no complete path",
+                    "path {i} ends in decision {d} but its subtable has rows labeled otherwise")
 
 
-def validate_strongly_nondeterministic(
-    tree: DecisionTree, table: DecisionTable
-) -> ValidationResult:
+def validate_strongly_nondeterministic(tree: DecisionTree, table: DecisionTable) -> ValidationResult:
     """Check the strongly nondeterministic tree conditions against a table."""
-    if is_constant(table):
-        raise NotApplicable(
-            "strongly nondeterministic trees are defined for non-constant tables only"
-        )
-    walk = _walk(tree)
-    problems = walk.shape
-    problems += _check_attributes(walk.attributes, table)
-    if any(p.decision != 1 for p in walk.paths):
-        problems.append("a terminal node carries decision 0; all must carry 1")
-    if problems:
-        return ValidationResult(False, tuple(problems))
-
     bits = _bits_of(table)
-    path_rows, reached = _path_rows(bits, walk.paths)
-    for i, (row, d) in enumerate(table.entries()):
-        if d == 1 and not reached >> i & 1:
-            problems.append(f"1-row {row} reaches no complete path")
-    for i, m in enumerate(path_rows):
-        if m & ~bits.ones:
-            problems.append(f"path {i} has a subtable with a 0-row")
-    return _verdict(problems, bits, walk)
+    if bits.ones in (0, bits.full):
+        raise NotApplicable("strongly nondeterministic trees are defined for non-constant tables only")
+    walk = _walk(tree, bits)
+    problems = walk.shape + _check_attributes(walk, bits)
+    if any(d != 1 for _, d in walk.paths):
+        problems.append("a terminal node carries decision 0; all must carry 1")
+    return _verdict(table, bits, walk, problems, bits.ones, "1-row {} reaches no complete path",
+                    "path {i} has a subtable with a 0-row")
 
 
 # ---------------------------------------------------------------------------

@@ -34,19 +34,20 @@ def brute_min_subset(measure, table, ok, card_first=False):
     raise AssertionError("no subset satisfied the oracle predicate")
 
 
+def brute_is_test(table, attrs):
+    """Does every 1-row differ from every 0-row somewhere on ``attrs``?"""
+    pos = [table.column_position(a) for a in attrs]
+    for a, da in table.entries():
+        for b, db in table.entries():
+            if da == 0 and db == 1 and all(a[p] == b[p] for p in pos):
+                return False
+    return True
+
+
 def brute_test_cost(measure, table):
     if is_constant(table):
         return 0, ()
-
-    def ok(attrs):
-        pos = [table.column_position(a) for a in attrs]
-        for a, da in table.entries():
-            for b, db in table.entries():
-                if da == 0 and db == 1 and all(a[p] == b[p] for p in pos):
-                    return False
-        return True
-
-    return brute_min_subset(measure, table, ok)
+    return brute_min_subset(measure, table, lambda attrs: brute_is_test(table, attrs))
 
 
 def brute_row_separation(measure, table, row, card_first=False):
@@ -265,14 +266,21 @@ def brute_tree_shape_problems(tree):
     each node's before those of its subtrees, in edge order.  A child that
     is neither a leaf nor a node of an ``Attribute`` is one problem, with
     nothing below it, and so is a node whose attribute index is unhashable
-    or whose edges cannot be iterated; a node's own problems are no
-    edges, then each edge that is no (value, child) pair; a pair's value
-    comes just before its subtree's problems."""
+    or whose edges cannot be iterated, and a root whose children cannot
+    be; a node's own problems are no edges, then each edge that is no
+    (value, child) pair; a pair's value comes just before its subtree's
+    problems."""
     out = []
-    if not tree.children:
-        out.append("the root has no outgoing edges; a tree needs at least two nodes")
+    try:
+        children = list(tree.children)
+    except TypeError:
+        children = []
+        out.append(f"children {tree.children!r} of the root are not a sequence of tree nodes")
+    else:
+        if not children:
+            out.append("the root has no outgoing edges; a tree needs at least two nodes")
     if tree.k < 2:
         out.append(f"alphabet size k must be >= 2, got {tree.k}")
-    for child in tree.children:
+    for child in children:
         out += _shape_below(child, tree.k)
     return out

@@ -1,9 +1,12 @@
 """The bit kernel of the solvers and validators, against slow references.
 
-The validators find each path's rows by AND-ing value masks; the
-reference validators below are the earlier ones that build a
-``restrict``ed subtable per path, and every ``ValidationResult`` (or
-raised error) must match them exactly.  The all-rows separation routine
+The validators find each path's rows by AND-ing value masks as they
+walk the tree; the reference validators below build a ``restrict``ed
+subtable per path of the definition oracles and collect the attribute
+and duplicate-value problems themselves, and every ``ValidationResult``
+(or raised error) must match them exactly, malformed tree objects
+included.  ``is_test`` must match the pairwise definition on every
+column subset.  The all-rows separation routine
 must give each row the value and witness of ``row_separation_cost`` and
 of the brute-force oracle.  Tables are slotted and store nothing: a
 depth report leaves its depth triple in a one-table slot, which a later
@@ -15,9 +18,10 @@ earlier table alive, and gives the answers of a fresh kernel per call.
 import gc
 import weakref
 from dataclasses import fields, replace
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given
 
 from dtlab import solvers
 from dtlab.closure import enumerate_closure
@@ -53,7 +57,6 @@ from dtlab.trees import (
     Node,
     NotApplicable,
     ValidationResult,
-    _check_attributes,
     attributes_of,
     complete_paths,
     structural_problems,
@@ -63,6 +66,8 @@ from dtlab.trees import (
 from dtlab.verify import standard_measures
 
 import oracles
+from conftest import tables_st
+from test_trees import MALFORMED, trees_st
 
 MEASURES = standard_measures()
 SHAPES = [(2, 2, 3), (2, 3, 5), (2, 3, 8), (2, 4, 9), (3, 2, 5), (3, 3, 9), (3, 3, 14)]
@@ -81,47 +86,74 @@ TABLES = list(seeded_tables())
 # reference validators: one restricted subtable per path
 
 
-def _row_on_path(row, table, path):
-    return all(row[table.column_position(a)] == v for a, v in path.fixings)
+def _ref_parts(tree):
+    """The root edge count (None if the children cannot be read), the
+    attributes, the duplicate-value problems and the terminal decisions of
+    the nodes a shape walk can read: leaves and nodes of an ``Attribute``
+    with a hashable index, reached through (value, child) pairs."""
+    try:
+        children = list(tree.children)
+    except TypeError:
+        children = None
+    attrs, duplicates, decisions = set(), [], []
+
+    def visit(node):
+        if isinstance(node, Leaf):
+            decisions.append(node.decision)
+            return
+        if not (isinstance(node, Node) and isinstance(node.attribute, Attribute)):
+            return
+        try:
+            attrs.add(node.attribute)
+            edges = [e for e in node.edges if isinstance(e, tuple) and len(e) == 2]
+        except TypeError:  # an unhashable index, or edges that cannot be iterated
+            return
+        values = [v for v, _ in edges]
+        if any(v in values[:i] for i, v in enumerate(values)):
+            duplicates.append(f"duplicate edge values {values} at node {node.attribute.name}")
+        for _, child in edges:
+            visit(child)
+
+    for child in children or ():
+        visit(child)
+    return None if children is None else len(children), attrs, duplicates, decisions
+
+
+def _ref_foreign(attrs, table):
+    names = sorted(a.name for a in attrs if a not in table.columns)
+    return [f"tree tests attributes outside the table's columns: {','.join(names)}"] if names else []
+
+
+def _row_on_path(row, table, fixings):
+    return all(row[table.column_position(a)] == v for a, v in fixings)
 
 
 def ref_validate_deterministic(tree, table):
     if table.is_empty:
         raise NotApplicable("deterministic trees are defined for nonempty tables only")
+    roots, attrs, duplicates, _ = _ref_parts(tree)
     problems = structural_problems(tree)
-    if len(tree.children) != 1:
-        problems.append(f"{len(tree.children)} edges leave the root; exactly one is allowed")
-
-    def walk(node):
-        if isinstance(node, Leaf):
-            return
-        values = [v for v, _ in node.edges]
-        if len(set(values)) != len(values):
-            problems.append(f"duplicate edge values {values} at node {node.attribute.name}")
-        for _, child in node.edges:
-            walk(child)
-
-    for child in tree.children:
-        walk(child)
-    problems += _check_attributes(attributes_of(tree), table)
+    if roots not in (1, None):
+        problems.append(f"{roots} edges leave the root; exactly one is allowed")
+    problems += duplicates + _ref_foreign(attrs, table)
     if problems:
         return ValidationResult(False, tuple(problems))
-    paths = complete_paths(tree)
+    paths = oracles.brute_tree_paths(tree)
     for row in table.rows:
-        if not any(_row_on_path(row, table, p) for p in paths):
+        if not any(_row_on_path(row, table, fixings) for _, fixings, _ in paths):
             problems.append(f"row {row} reaches no complete path")
-    for i, path in enumerate(paths):
-        sub = restrict(table, path.fixings)
+    for i, (_, fixings, decision) in enumerate(paths):
+        sub = restrict(table, fixings)
         if sub.is_empty:
             continue
-        if any(d != path.decision for d in sub.decisions):
+        if any(d != decision for d in sub.decisions):
             problems.append(
-                f"path {i} ends in decision {path.decision} but its subtable "
+                f"path {i} ends in decision {decision} but its subtable "
                 f"has rows labeled otherwise"
             )
     ok = not problems
     if ok:
-        assert is_test(table, attributes_of(tree))
+        assert oracles.brute_is_test(table, attrs)
     return ValidationResult(ok, tuple(problems))
 
 
@@ -130,26 +162,30 @@ def ref_validate_strongly_nondeterministic(tree, table):
         raise NotApplicable(
             "strongly nondeterministic trees are defined for non-constant tables only"
         )
-    problems = structural_problems(tree)
-    problems += _check_attributes(attributes_of(tree), table)
-    paths = complete_paths(tree)
-    for p in paths:
-        if p.decision != 1:
-            problems.append("a terminal node carries decision 0; all must carry 1")
-            break
+    _, attrs, _, decisions = _ref_parts(tree)
+    problems = structural_problems(tree) + _ref_foreign(attrs, table)
+    if any(d != 1 for d in decisions):
+        problems.append("a terminal node carries decision 0; all must carry 1")
     if problems:
         return ValidationResult(False, tuple(problems))
+    paths = oracles.brute_tree_paths(tree)
     for row, d in table.entries():
-        if d == 1 and not any(_row_on_path(row, table, p) for p in paths):
+        if d == 1 and not any(_row_on_path(row, table, fixings) for _, fixings, _ in paths):
             problems.append(f"1-row {row} reaches no complete path")
-    for i, path in enumerate(paths):
-        sub = restrict(table, path.fixings)
+    for i, (_, fixings, _) in enumerate(paths):
+        sub = restrict(table, fixings)
         if not sub.is_empty and any(d != 1 for d in sub.decisions):
             problems.append(f"path {i} has a subtable with a 0-row")
     ok = not problems
     if ok:
-        assert is_test(table, attributes_of(tree))
+        assert oracles.brute_is_test(table, attrs)
     return ValidationResult(ok, tuple(problems))
+
+
+VALIDATORS = [
+    (validate_deterministic, ref_validate_deterministic),
+    (validate_strongly_nondeterministic, ref_validate_strongly_nondeterministic),
+]
 
 
 def outcome(validator, tree, table):
@@ -304,10 +340,7 @@ def test_validators_match_restrict_reference(table):
     seen = set()
     for source, tree in witness_trees(table):
         for name, variant in variants(tree, table):
-            for fast, ref in [
-                (validate_deterministic, ref_validate_deterministic),
-                (validate_strongly_nondeterministic, ref_validate_strongly_nondeterministic),
-            ]:
+            for fast, ref in VALIDATORS:
                 got = outcome(fast, variant, table)
                 assert got == outcome(ref, variant, table), (source, name, fast.__name__)
                 seen.add((name, fast.__name__, got if isinstance(got, tuple) else got.ok))
@@ -361,6 +394,44 @@ def test_value_beyond_table_raises_like_restrict():
         validate_strongly_nondeterministic(rule, table)
 
 
+def test_first_value_outside_the_table_in_path_order_is_named():
+    table = validate(2, [0, 1], [((0, 0), 0), ((0, 1), 1), ((1, 0), 1)])
+    # path order: f0=0 f1=0, f0=0 f1=3, f0=2; pushed-sibling order would meet 2 first
+    inner = Node(Attribute(1), ((0, Leaf(0)), (3, Leaf(1))))
+    tree = DecisionTree(4, (Node(Attribute(0), ((0, inner), (2, Leaf(1)))),))
+    for validate_tree in (validate_deterministic, ref_validate_deterministic):
+        with pytest.raises(ValueOutOfRange, match="^fixing value 3 is outside E_2$"):
+            validate_tree(tree, table)
+
+
+def test_a_problem_wins_over_a_value_outside_the_table():
+    # the edge value 2 is in the tree's E_3 but not the table's E_2, and
+    # sits below f7, which is no column: the attribute problem is the verdict
+    table = validate(2, [0, 1], [((0, 0), 0), ((0, 1), 1), ((1, 0), 1)])
+    det = DecisionTree(3, (Node(Attribute(7), ((2, Leaf(1)), (0, Leaf(0)))),))
+    rules = DecisionTree(3, (Node(Attribute(7), ((2, Leaf(1)),)), Node(Attribute(0), ((1, Leaf(1)),))))
+    foreign = ("tree tests attributes outside the table's columns: f7",)
+    for fast, ref, tree in [
+        (validate_deterministic, ref_validate_deterministic, det),
+        (validate_strongly_nondeterministic, ref_validate_strongly_nondeterministic, rules),
+    ]:
+        assert fast(tree, table) == ref(tree, table) == ValidationResult(False, foreign)
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_tree_objects_match_reference_validators(name):
+    tree, _ = MALFORMED[name]
+    for _, table in TABLES[::4]:
+        for fast, ref in VALIDATORS:
+            assert outcome(fast, tree, table) == outcome(ref, tree, table), (table, fast.__name__)
+
+
+@given(trees_st(), tables_st(max_k=3, max_cols=5, max_rows=6))
+def test_tree_objects_match_reference_validators(tree, table):
+    for fast, ref in VALIDATORS:
+        assert outcome(fast, tree, table) == outcome(ref, tree, table), fast.__name__
+
+
 def test_uncovered_rows_and_mixed_paths_are_named_in_order():
     table = validate(
         2, [0, 1], [((1, 1), 1), ((0, 1), 0), ((1, 0), 1), ((0, 0), 0)]
@@ -384,6 +455,32 @@ def test_uncovered_rows_and_mixed_paths_are_named_in_order():
 
 # ---------------------------------------------------------------------------
 # the kernel's fields against plain tuple comparisons
+
+
+IS_TEST_TABLES = [
+    *TABLES,
+    ("empty", validate(2, [0, 1], [])),
+    ("all-one", validate(3, [0, 2], [((0, 1), 1), ((2, 2), 1), ((1, 0), 1)])),
+    ("all-zero", validate(2, [1, 0, 2], [((0, 1, 1), 0), ((1, 1, 0), 0)])),
+    ("one-row", validate(2, [4, 3], [((1, 0), 1)])),
+    ("uncached-k3c5r100", random_table(3, 5, 100, seed=7100)),
+]
+
+
+@pytest.mark.parametrize("table", [t for _, t in IS_TEST_TABLES], ids=[tid for tid, _ in IS_TEST_TABLES])
+def test_is_test_matches_the_pairwise_definition(table):
+    cols = table.columns
+    bits = _TableBits(table)
+    for size in range(len(cols) + 1):
+        for positions in combinations(range(len(cols)), size):
+            attrs = [cols[p] for p in positions]
+            want = oracles.brute_is_test(table, attrs)
+            assert bits.is_test(positions) == is_test(table, attrs) == want, positions
+    # the test lanes are kept exactly when they fit one wide mask
+    zeros = table.decisions.count(0)
+    assert (bits.test_lanes() is bits.test_lanes()) == (1 + zeros * table.n_rows <= LANE_BITS)
+    if table.n_rows == 100:
+        assert 1 + zeros * table.n_rows > LANE_BITS
 
 
 @pytest.mark.parametrize("reverse", [False, True])

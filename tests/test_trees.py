@@ -168,7 +168,7 @@ def test_node_count():
 def test_each_helper_and_validator_walks_its_tree_once(monkeypatch, example6):
     walks = []
     walk = trees._walk
-    monkeypatch.setattr(trees, "_walk", lambda tree: walks.append(tree) or walk(tree))
+    monkeypatch.setattr(trees, "_walk", lambda tree, *args: walks.append(tree) or walk(tree, *args))
     det, snd = det_example_tree(), snd_example_tree()
     calls = [
         attributes_of,
@@ -219,7 +219,7 @@ def trees_st():
     leaf decisions that only look like 0 or 1, a missing alphabet, children
     that are no node (``None``), edges that are no (value, child) pair,
     nodes whose attribute is no ``Attribute`` or has an unhashable index,
-    and nodes whose edges are ``None``."""
+    and nodes whose edges, or a root whose children, are ``None``."""
     values = st.one_of(
         st.integers(-2, 4), st.none(), st.booleans(), st.floats(-1, 3), st.just("1"), st.just([0])
     )
@@ -240,7 +240,7 @@ def trees_st():
         max_leaves=8,
     )
     alphabets = st.one_of(st.integers(1, 3), st.none())
-    return st.builds(DecisionTree, alphabets, st.lists(nodes, max_size=3).map(tuple))
+    return st.builds(DecisionTree, alphabets, st.one_of(st.lists(nodes, max_size=3).map(tuple), st.none()))
 
 
 def returns_or_raises_dterror(fn, *args):
@@ -279,6 +279,14 @@ MALFORMED = {
         DecisionTree(2, (Node(Attribute([1]), ((0, Leaf(1)),)),)),
         ["attribute f[1] has an unhashable index [1]"],
     ),
+    "children-none": (
+        DecisionTree(2, None),
+        ["children None of the root are not a sequence of tree nodes"],
+    ),
+    "children-not-reversible": (
+        DecisionTree(2, frozenset([Node(Attribute(4), ((0, Leaf(1)), (3, Leaf(1))))])),
+        ["edge value 3 at f4 is outside E_2"],
+    ),
     "mixed": (
         DecisionTree(2, (Node(Attribute(4), ((0, None), (7, Leaf(1)), (1,), (1, Node(5, ())))),)),
         [
@@ -298,6 +306,12 @@ def test_malformed_tree_objects_are_shape_problems(example6, name):
     for validator in (validate_deterministic, validate_strongly_nondeterministic):
         assert validator(tree, example6).diagnostics == tuple(problems)
     returns_or_raises_dterror(tree_cost, depth(), tree)
+
+
+def test_root_children_are_read_once(example6):
+    # an iterator of children is walked once, and the root edge count comes from that walk
+    tree = DecisionTree(2, iter(det_example_tree().children))
+    assert validate_deterministic(tree, example6).ok
 
 
 def well_shaped_trees_st():
