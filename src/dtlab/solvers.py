@@ -139,29 +139,30 @@ Every solver and validator reads its table through one bit kernel,
 ``tables._TableBits``: rank order, value masks and the ones mask, all
 built with the kernel, and the row and test lanes, built when first
 asked for.  It takes the kernel from ``tables._bits_of``, a slot
-holding the kernel of the last table asked for, so calls on one
-table object in a row share one kernel, and ``parameter_report``, which
-calls the public solvers and validators one after another on its
-table, builds the value masks once; the reports of several measures on
-one table share them too.  The slot holds one table and no kernel is
-stored on a table: a closure keeps tens of thousands of member tables
-alive, and a variant that kept bits on its tables took FTheta growth
-over the 28,341-member closure of ``random_table(2, 5, 14, seed=3)``
-from 9.1 s to 12.9 s and its peak RSS from 28 MB to 186 MB (2-vCPU VM,
-Python 3.11.7).
+holding the kernels of the last two tables asked for, so calls on one
+table object share one kernel, and ``parameter_report``, which calls
+the public solvers and validators one after another on its table,
+builds the value masks once; the reports of several measures on one
+table share them too, even when ``verify.transfer_findings`` solves the
+collapsed table between two of them.  The slot holds two tables and no
+kernel is stored on a table: a closure keeps tens of thousands of
+member tables alive, and a variant that kept bits on its tables took
+FTheta growth over the 28,341-member closure of
+``random_table(2, 5, 14, seed=3)`` from 9.1 s to 12.9 s and its peak
+RSS from 28 MB to 186 MB (2-vCPU VM, Python 3.11.7).
+
+Witnesses name the table's own column objects, which the kernel maps
+from column ranks, never the subset order's: an order is shared by
+every table with the same column set under one measure instance, so
+its attributes are the first such table's.
 
 A non-depth report re-checks three depth-only inequalities, which need
 the depth triple (min test, det and separation cost under depth).  A
-depth report leaves its triple in a second one-table slot,
-``_depth_slot``, and a later report reads it only when the slot holds
-that very table object; otherwise it solves the triple.  Tables are
-slotted, so the triple cannot be stored on them.  Nor can it live in the
-kernel slot: ``verify.transfer_findings`` solves ``det_tree_cost`` on
-the collapsed table between the depth report of a table and the next
-measure's report, which replaces the kernel slot, so a triple kept there
-would be gone when that report looks for it.  Re-solving the triple in
+depth report leaves its triple on its table's kernel, and a later
+report of that very table object reads it there while the kernel is in
+the slot; otherwise it solves the triple.  Re-solving the triple in
 every non-depth report made a ``verify`` pass 25-45% slower.  Only depth
-reports write the depth slot.
+reports write the triple.
 
 The deterministic-tree search is a branch and bound in the manner of
 DL8.5 (Aglin, Nijssen, Schaus, AAAI 2020) and MurTree (Demirovic et al.,
@@ -222,8 +223,6 @@ BRUTEFORCE_LIMITS = (
     f"brute-force tree search allows at most {BRUTEFORCE_MAX_COLUMNS} columns "
     f"and k <= {BRUTEFORCE_MAX_K}"
 )
-# the last depth report's table and its (min test, det, separation) costs
-_depth_slot: tuple[DecisionTable | None, tuple[int, int, int] | None] = (None, None)
 _NO_SUBSET = "no subset satisfied the predicate; full column set should"
 # fewer than MIN_LANES row questions get the scalar walk each; a lane walk
 # hands its open lanes to the scalar walk once its stored masks pass WALK_BYTES
@@ -302,9 +301,6 @@ class _SubsetOrder:
                 self.grow()
             yield i
             i += 1
-
-    def attributes(self, mask: int) -> tuple[Attribute, ...]:
-        return tuple(a for r, a in enumerate(self.attrs) if mask >> r & 1)
 
 
 def _subset_order(
@@ -453,12 +449,12 @@ def _set_lanes(guards: int, width: int) -> Iterator[int]:
 
 
 def _fixings_of(
-    order: _SubsetOrder, bits: _TableBits, values: tuple[int, ...], mask: int
+    bits: _TableBits, values: tuple[int, ...], mask: int
 ) -> tuple[tuple[Attribute, int], ...]:
     """The fixings from ``values`` (one per column position) on the
-    columns of a column-rank mask."""
-    chosen = zip(order.attrs, bits.ranks)
-    return tuple((a, values[p]) for r, (a, p) in enumerate(chosen) if mask >> r & 1)
+    table's columns in a column-rank mask."""
+    cols = bits.table.columns
+    return tuple((cols[p], values[p]) for r, p in enumerate(bits.ranks) if mask >> r & 1)
 
 
 def _fixings(
@@ -467,7 +463,7 @@ def _fixings(
     """Cheapest fixings from ``values`` (one per column position) that
     leave rows of a single decision, as (cost, fixings)."""
     cost, mask = _first_constant(order, bits.full, bits.rank_values(values), bits.ones)
-    return cost, _fixings_of(order, bits, values, mask)
+    return cost, _fixings_of(bits, values, mask)
 
 
 def _row_walks(
@@ -542,11 +538,11 @@ def min_cost_subset(
     shared (cost, [cardinality,] index-tuple) order is optimal.
     """
     order = _subset_order(measure, table.columns, card_first)
-    ranks = _bits_of(table).ranks
+    bits = _bits_of(table)
     for i in order.walk():
         mask = order.masks[i]
-        if predicate(tuple(sorted(p for r, p in enumerate(ranks) if mask >> r & 1))):
-            return order.costs[i], order.attributes(mask)
+        if predicate(tuple(sorted(p for r, p in enumerate(bits.ranks) if mask >> r & 1))):
+            return order.costs[i], bits.columns_of(mask)
     raise AssertionError(_NO_SUBSET)
 
 
@@ -565,7 +561,7 @@ def min_test_cost(
     full, lanes = bits.test_lanes()
     order = _subset_order(measure, table.columns)
     cost, mask = _first_constant(order, full, [lanes[p] for p in bits.ranks], 1)
-    return cost, order.attributes(mask)
+    return cost, bits.columns_of(mask)
 
 
 def _row_index(table: DecisionTable, row: tuple) -> int:
@@ -590,7 +586,7 @@ def row_separation_cost(
     order = _subset_order(measure, table.columns, card_first)
     bits = _bits_of(table)
     cost, mask = _first_constant(order, bits.full, bits.rank_values(row), 1 << i)
-    return cost, order.attributes(mask)
+    return cost, bits.columns_of(mask)
 
 
 def _row_separations(
@@ -602,7 +598,7 @@ def _row_separations(
     order = _subset_order(measure, table.columns)
     bits = _bits_of(table)
     seps = _row_walks(order, bits, bits.full, [1 << j for j in range(len(table.rows))])
-    return [(cost, order.attributes(mask)) for cost, mask in seps]
+    return [(cost, bits.columns_of(mask)) for cost, mask in seps]
 
 
 def table_separation_cost(measure: ComplexityMeasure, table: DecisionTable) -> int:
@@ -964,7 +960,7 @@ def snd_tree_cost(
         if answer is None:
             continue
         cost, mask = answer
-        fixings = _fixings_of(order, bits, row, mask)
+        fixings = _fixings_of(bits, row, mask)
         assert fixings, "a non-constant table cannot have an empty rule"
         value = max(value, cost)
         rules.append(fixings)
@@ -1037,8 +1033,8 @@ def inequality_findings(measure: ComplexityMeasure, table: DecisionTable, vals: 
     exponentiation so boundary cases stay exact.  Depth-specific checks
     need the depth triple (min test, det and separation cost under
     depth).  When the report's measure is something else, they read the
-    triple that the last depth report left in the depth slot if it was a
-    report of this very table object, or solve it.
+    triple that a depth report of this very table object left on its
+    kernel, or solve it when the kernel holds none.
     """
     checks: list[str] = []
     failed: list[str] = []
@@ -1057,8 +1053,8 @@ def inequality_findings(measure: ComplexityMeasure, table: DecisionTable, vals: 
     if measure.kind == "depth":
         theta_h, det_h, sep_h = vals["min_test_cost"], vals["det_cost"], vals["separation_cost"]
     else:
-        held, triple = _depth_slot
-        if held is not table:
+        triple = _bits_of(table).depth
+        if triple is None:
             h = depth()
             triple = (
                 min_test_cost(h, table)[0],
@@ -1091,10 +1087,10 @@ def parameter_report(measure: ComplexityMeasure, table: DecisionTable) -> Parame
     each row separator must separate, the tree witnesses must validate
     against the table, and the worst tuple must reproduce the fixing
     cost.  Failures land in ``failed_checks``.  Every solver and
-    validator it calls reads the table's kernel from one slot.  A depth
-    report leaves its depth triple in the depth slot for later reports.
+    validator it calls reads the table's kernel from the kernel slot.  A
+    depth report leaves its depth triple on that kernel for the later
+    reports of the same table object.
     """
-    global _depth_slot
     attr_set_cost, max_attr_cost = table_costs(measure, table)
     theta, test_witness = min_test_cost(measure, table)
     seps = tuple((row, *sep) for row, sep in zip(table.rows, _row_separations(measure, table)))
@@ -1106,8 +1102,9 @@ def parameter_report(measure: ComplexityMeasure, table: DecisionTable) -> Parame
     else:
         det, det_tree = det_tree_cost_bruteforce(measure, table), None
     snd, snd_tree = snd_tree_cost(measure, table)
+    bits = _bits_of(table)
     if measure.kind == "depth":
-        _depth_slot = (table, (theta, det, separation))
+        bits.depth = (theta, det, separation)
 
     vals = {
         "rows": table.n_rows,
@@ -1129,7 +1126,6 @@ def parameter_report(measure: ComplexityMeasure, table: DecisionTable) -> Parame
         if not holds:
             failed.append(name)
 
-    bits = _bits_of(table)
     position, masks = bits.position, bits.masks
     check("test-witness-is-test", bits.is_test({position[a] for a in test_witness}))
     for i, (row, _, attrs) in enumerate(seps):

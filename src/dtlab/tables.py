@@ -31,13 +31,19 @@ first asked for, and kept when they fit in one int of ``LANE_BITS`` bits
 never pay for them; longer tables get their row lanes chunk by chunk,
 their test lanes on each call.
 
-``_bits_of`` keeps the kernel of the last table asked for in a
-one-table slot, so calls on one table object in a row share a kernel,
-and the slot never keeps more than one table alive (``solvers`` says
-why).  A kernel builds all its views but the lanes before it enters the
-slot, and the slot and each kept view are set in one assignment, so
-threads sharing a kernel only read fields that are already complete (two
-threads may both build the same view); the subset orders that the
+``_bits_of`` keeps the kernels of the last two distinct table objects
+asked for in one slot, newest first, so calls on one table object share
+a kernel, and so do calls that alternate between a table and one other,
+such as a report's table and the collapsed table that ``verify`` solves
+beside it.  A hit on the older kernel moves it to the front, and a third
+table evicts the oldest, so the slot never keeps more than two tables
+alive (``solvers`` says why).  The kernel is the one place that holds
+facts about its table: besides its views, it carries the depth triple
+that a depth report leaves for the later reports of that table object.
+A kernel builds all its views but the lanes before it enters the slot,
+and the slot, the triple and each kept view are set in one assignment,
+so threads sharing a kernel only read fields that are already complete
+(two threads may both build the same view); the subset orders that the
 solvers memoize on a measure still need one measure instance per thread.
 
 File format (.dt, UTF-8, line oriented)::
@@ -180,9 +186,6 @@ class DecisionTable(_WeakReferable):
     def is_empty(self) -> bool:
         return not self.rows
 
-    def attributes(self) -> frozenset[Attribute]:
-        return frozenset(self.columns)
-
     def column_position(self, attr) -> int:
         attr = as_attribute(attr)
         for pos, c in enumerate(self.columns):
@@ -275,6 +278,8 @@ class _TableBits:
     the value masks by rank, and ``ones`` is the mask of the rows labeled 1.
     ``row_lanes`` and ``test_lanes`` give lanes side by side in one int:
     the rows agreeing with each row, the 1-rows agreeing with each 0-row.
+    ``depth`` is the table's (min test, det, separation) cost under
+    depth once a depth report has set it, else None.
     """
 
     def __init__(self, table: DecisionTable):
@@ -295,6 +300,7 @@ class _TableBits:
         self.rank_masks = [masks[p] for p in self.ranks]
         self._lanes: list[int] | None = None
         self._tests: tuple[int, list[int]] | None = None
+        self.depth: tuple[int, int, int] | None = None
 
     def row_lanes(self, first: int, stop: int) -> list[int]:
         """Per column rank, the lanes of rows ``first`` to ``stop - 1``.
@@ -344,6 +350,11 @@ class _TableBits:
             self._tests = full, lanes
         return full, lanes
 
+    def columns_of(self, mask: int) -> tuple[Attribute, ...]:
+        """The table's own column objects in a column-rank mask, by rank."""
+        cols = self.table.columns
+        return tuple(cols[p] for r, p in enumerate(self.ranks) if mask >> r & 1)
+
     def is_test(self, positions: Iterable[int]) -> bool:
         """Do rows with different decisions differ on the given positions?"""
         m, lanes = self._tests or self.test_lanes()
@@ -352,17 +363,18 @@ class _TableBits:
         return m == 1
 
 
-_slot: tuple[DecisionTable | None, _TableBits | None] = (None, None)
+_slot: tuple[_TableBits, ...] = ()  # the kernels of the last two tables, newest first
 
 
 def _bits_of(table: DecisionTable) -> _TableBits:
     """The kernel of ``table``: the slot's when it holds this very object,
-    else a new one that replaces it."""
+    else a new one; either way it ends up first in the slot."""
     global _slot
-    held, bits = _slot
-    if held is not table:
-        bits = _TableBits(table)
-        _slot = (table, bits)
+    slot = _slot
+    if slot and slot[0].table is table:
+        return slot[0]
+    bits = slot[1] if len(slot) > 1 and slot[1].table is table else _TableBits(table)
+    _slot = (bits, *slot[:1])
     return bits
 
 

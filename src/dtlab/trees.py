@@ -310,7 +310,21 @@ def validate_strongly_nondeterministic(tree: DecisionTree, table: DecisionTable)
 
 
 def format_tree(tree: DecisionTree) -> str:
-    return "(root " + " ".join(_format_node(c) for c in tree.children) + ")"
+    """The text of a tree, which ``parse_tree`` reads back.
+
+    A shape problem that the text carries, such as an int edge value
+    outside E_k, is written as it is.  A tree that cannot be written, or
+    whose text does not read back, raises :class:`TreeFormatError` naming
+    its first shape problem, or the parse error when it has none.
+    """
+    try:
+        tree = DecisionTree(tree.k, tuple(tree.children))  # read once, so the walk below sees them too
+        text = "(root " + " ".join(_format_node(c) for c in tree.children) + ")"
+        parse_tree(text)
+    except (DtError, AttributeError, TypeError, ValueError) as exc:  # a malformed part, or unreadable text
+        problems = structural_problems(tree)
+        raise TreeFormatError(problems[0] if problems else str(exc)) from None
+    return text
 
 
 def _format_node(node: TreeNode) -> str:
@@ -392,5 +406,6 @@ def load_tree(path, k: int = 2) -> DecisionTree:
 
 
 def save_tree(tree: DecisionTree, path) -> None:
+    text = format_tree(tree)  # before the file is opened, so a tree that cannot be written leaves no file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_tree(tree) + "\n")
+        fh.write(text + "\n")

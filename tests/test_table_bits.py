@@ -9,10 +9,11 @@ included.  ``is_test`` must match the pairwise definition on every
 column subset.  The all-rows separation routine
 must give each row the value and witness of ``row_separation_cost`` and
 of the brute-force oracle.  Tables are slotted and store nothing: a
-depth report leaves its depth triple in a one-table slot, which a later
-report reads only for that very table object.  The
-kernel slot serves calls on one table object from one kernel, keeps no
-earlier table alive, and gives the answers of a fresh kernel per call.
+depth report leaves its depth triple on its table's kernel, which a
+later report reads only for that very table object.  The kernel slot
+serves calls on one table object from one kernel, keeps at most two
+tables alive, and gives the answers of a fresh kernel per call; report
+witnesses name the table's own column objects.
 """
 
 import gc
@@ -23,7 +24,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given
 
-from dtlab import solvers
+from dtlab import solvers, tables, verify
 from dtlab.closure import enumerate_closure
 from dtlab.explorer import GROWTH_FUNCTIONS, growth
 from dtlab.measures import additive, depth
@@ -34,7 +35,10 @@ from dtlab.solvers import (
     det_tree_cost,
     det_tree_cost_bruteforce,
     fixing_cost,
+    fixing_cost_for_tuple,
+    min_cost_subset,
     min_test_cost,
+    minimal_rule,
     parameter_report,
     row_separation_cost,
     snd_tree_cost,
@@ -63,7 +67,7 @@ from dtlab.trees import (
     validate_deterministic,
     validate_strongly_nondeterministic,
 )
-from dtlab.verify import standard_measures
+from dtlab.verify import lemma_findings, standard_measures
 
 import oracles
 from conftest import tables_st
@@ -536,35 +540,25 @@ def test_all_rows_separation_matches_per_row_and_oracle(table):
 
 
 # ---------------------------------------------------------------------------
-# the depth slot, and tables that store nothing
+# the depth triple on the kernel, and tables that store nothing
 
 
-def test_depth_report_fills_the_one_table_depth_slot():
+def test_only_depth_reports_write_the_triple_on_the_kernel():
     table = random_table(3, 3, 9, seed=11)
+    for _, measure in MEASURES[1:]:
+        parameter_report(measure, table)
+    assert _bits_of(table).depth is None
     depth_report = parameter_report(depth(), table)
     want = (depth_report.min_test_cost, depth_report.det_cost, depth_report.separation_cost)
-    assert solvers._depth_slot == (table, want)
-    # only a depth report writes the slot
+    assert _bits_of(table).depth == want
+    # non-depth reports leave it, and so do solves on one other table
     for _, measure in MEASURES[1:]:
         parameter_report(measure, table)
         det_tree_cost(depth(), random_table(2, 3, 5, seed=12))
-    assert solvers._depth_slot == (table, want)
-    # the slot holds at most one table: the next depth report replaces it
-    other = random_table(2, 3, 5, seed=13)
-    gone = weakref.ref(table)
-    parameter_report(depth(), other)
-    held, _ = solvers._depth_slot
-    assert held is other
-    gc.collect()
-    gc.disable()
-    try:
-        del table, held
-        assert gone() is None
-    finally:
-        gc.enable()
+    assert _bits_of(table).depth == want
 
 
-def test_non_depth_report_reads_the_depth_slot_of_its_own_table(monkeypatch):
+def test_non_depth_report_reads_the_triple_of_its_own_table_object():
     measure = additive({0: 2, 1: 1, 2: 3, 3: 1})
     small = validate(2, [0, 1], [((0, 0), 0), ((1, 1), 1)])
     fresh = parameter_report(measure, small)
@@ -575,16 +569,17 @@ def test_non_depth_report_reads_the_depth_slot_of_its_own_table(monkeypatch):
     assert parameter_report(depth(), parity).min_test_cost == 4
     assert parameter_report(measure, small) == fresh
     # nor may a triple left for an equal table that is another object
-    monkeypatch.setattr(solvers, "_depth_slot", (replace(small), (0, 0, 0)))
+    twin = replace(small)
+    _bits_of(twin).depth = (0, 0, 0)
     assert parameter_report(measure, small) == fresh
-    # small's own triple is read: a wrong one planted for it fails the checks
-    monkeypatch.setattr(solvers, "_depth_slot", (small, (0, 0, 0)))
+    # small's own triple is read: a wrong one planted on its kernel fails the checks
+    _bits_of(small).depth = (0, 0, 0)
     assert not parameter_report(measure, small).consistent
     parameter_report(depth(), small)
     assert parameter_report(measure, small) == fresh
 
 
-def test_non_depth_report_solves_depth_only_without_the_slot(monkeypatch):
+def test_non_depth_report_solves_the_triple_once_two_other_tables_were_used(monkeypatch):
     depth_solves = []
 
     def counting(measure, table):
@@ -594,15 +589,52 @@ def test_non_depth_report_solves_depth_only_without_the_slot(monkeypatch):
 
     monkeypatch.setattr(solvers, "det_tree_cost", counting)
     measure = MEASURES[1][1]
-    table, other = random_table(2, 4, 9, seed=14), random_table(2, 4, 9, seed=15)
+    table = random_table(2, 4, 9, seed=14)
+    other, third = random_table(2, 4, 9, seed=15), random_table(2, 4, 9, seed=16)
     parameter_report(depth(), table)
     depth_solves.clear()
     report = parameter_report(measure, table)
     assert depth_solves == []
+    # one other table leaves table's kernel, and its triple, in the slot
     parameter_report(depth(), other)
     depth_solves.clear()
     assert parameter_report(measure, table) == report
+    assert depth_solves == []
+    # two other tables evict it, so the triple is solved again
+    parameter_report(depth(), other)
+    parameter_report(depth(), third)
+    depth_solves.clear()
+    assert parameter_report(measure, table) == report
     assert depth_solves == [table]
+
+
+def test_report_witnesses_name_the_tables_own_column_objects():
+    def tree_attributes(tree):
+        pending, found = list(tree.children), []
+        while pending:
+            node = pending.pop()
+            if isinstance(node, Node):
+                found.append(node.attribute)
+                pending += [child for _, child in node.edges]
+        return found
+
+    measures = standard_measures()  # instances shared by both tables, with their subset orders
+    first = random_table(2, 4, 9, seed=31)
+    for base in (first, random_table(2, 4, 9, seed=32)):
+        # the same column set as first, in new column objects
+        table = DecisionTable(base.k, tuple(Attribute(a.index) for a in base.columns), base.rows, base.decisions)
+        assert not {id(a) for a in table.columns} & {id(a) for a in first.columns}
+        for _, measure in measures:
+            parameter_report(measure, first)
+            report = parameter_report(measure, table)
+            named = [*report.test_witness, *tree_attributes(report.det_tree), *tree_attributes(report.snd_tree)]
+            named += [a for _, _, attrs in report.row_separators for a in attrs]
+            one = next(r for r, d in zip(table.rows, table.decisions) if d)
+            for fixings in (minimal_rule(measure, table, one)[1], fixing_cost_for_tuple(measure, table, one)[1]):
+                named += [a for a, _ in fixings]
+            named += min_cost_subset(measure, table, lambda ps: len(ps) == table.n_cols)[1]
+            named += min_cost_subset(measure, table, lambda ps: len(ps) == table.n_cols, card_first=True)[1]
+            assert named and all(any(a is c for c in table.columns) for a in named)
 
 
 def test_growth_leaves_member_tables_slotted_and_equal_to_their_twins():
@@ -618,7 +650,7 @@ def test_growth_leaves_member_tables_slotted_and_equal_to_their_twins():
 
 
 # ---------------------------------------------------------------------------
-# the one-table kernel slot
+# the two-table kernel slot
 
 
 def test_calls_on_one_table_share_one_kernel():
@@ -634,7 +666,7 @@ def test_calls_on_one_table_share_one_kernel():
     assert twin == table and _bits_of(twin) is not bits
 
 
-def test_slot_keeps_at_most_one_table_alive():
+def test_slot_keeps_at_most_two_tables_alive():
     first = random_table(2, 4, 9, seed=22)
     det_tree_cost(depth(), first)
     first_bits = weakref.ref(_bits_of(first))
@@ -643,11 +675,18 @@ def test_slot_keeps_at_most_one_table_alive():
     gc.disable()
     try:
         del first
-        assert gone() is not None  # the slot holds the last table
         det_tree_cost(depth(), random_table(3, 3, 9, seed=23))
-        assert gone() is None and first_bits() is None
+        assert gone() is not None and first_bits() is not None  # the slot holds the last two tables
+        det_tree_cost(depth(), random_table(2, 3, 5, seed=26))
+        assert gone() is None and first_bits() is None  # a third table evicts the oldest
     finally:
         gc.enable()
+    # a hit on the older kernel moves it to the front, so the third table evicts the other one
+    a, b, c = (random_table(2, 3, 5, seed=s) for s in (27, 28, 29))
+    kernels = [_bits_of(t) for t in (a, b, a)]
+    assert kernels[0] is kernels[2]
+    _bits_of(c)
+    assert [bits.table for bits in tables._slot] == [c, a]
 
 
 SLOT_CALLS = [
@@ -665,12 +704,43 @@ SLOT_CALLS = [
 def test_interleaved_tables_match_a_fresh_kernel_per_call():
     a = random_table(2, 4, 9, seed=24)
     b = random_table(3, 3, 12, seed=25)
-    trees = [tree for source in (a, b) for _, tree in witness_trees(source)]
+    c = random_table(2, 3, 7, seed=30)
+    calls = (a, b, c, a, b)  # c evicts a, and a then evicts b
+    trees = [tree for source in (a, b, c) for _, tree in witness_trees(source)]
     for _, measure in MEASURES:
         for name, call in SLOT_CALLS:
-            got = [call(measure, t) for t in (a, b, a)]
-            assert got == [call(measure, replace(t)) for t in (a, b, a)], name
+            got = [call(measure, t) for t in calls]
+            assert got == [call(measure, replace(t)) for t in calls], name
     for tree in trees:
         for validator in (validate_deterministic, validate_strongly_nondeterministic):
-            got = [outcome(validator, tree, t) for t in (a, b, a)]
-            assert got == [outcome(validator, tree, replace(t)) for t in (a, b, a)]
+            got = [outcome(validator, tree, t) for t in calls]
+            assert got == [outcome(validator, tree, replace(t)) for t in calls]
+
+
+def test_lemma_findings_build_one_kernel_per_table(monkeypatch):
+    built, depth_solves = [], []
+    init = _TableBits.__init__
+
+    def counting_init(bits, table):
+        built.append(table)
+        init(bits, table)
+
+    def counting_det(measure, table):
+        if measure.kind == "depth":
+            depth_solves.append(table)
+        return det_tree_cost(measure, table)
+
+    table = random_table(2, 5, 8, seed=0)
+    twin = replace(table)  # another object, so the table's own kernel is not built yet
+    # each measure's min test drops a column, so each transfer solves a collapsed table
+    assert all(len(min_test_cost(m, twin)[1]) < twin.n_cols for _, m in MEASURES)
+    monkeypatch.setattr(_TableBits, "__init__", counting_init)
+    monkeypatch.setattr(solvers, "det_tree_cost", counting_det)
+    monkeypatch.setattr(verify, "det_tree_cost", counting_det)
+    for _, measure in MEASURES:  # depth first
+        assert lemma_findings(measure, table) == []
+    # one kernel for the table, kept through the transfers, and one per collapsed table
+    assert built[0] is table and len(built) == 1 + len(MEASURES)
+    assert all(t is not table and t.n_cols < table.n_cols for t in built[1:])
+    # under depth, only the depth report and its own transfer solve a tree
+    assert depth_solves == [table, built[1]]

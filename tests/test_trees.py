@@ -19,6 +19,7 @@ from dtlab.trees import (
     format_tree,
     parse_tree,
     path_subtable,
+    save_tree,
     structural_problems,
     tree_cost,
     validate_deterministic,
@@ -308,10 +309,37 @@ def test_malformed_tree_objects_are_shape_problems(example6, name):
     returns_or_raises_dterror(tree_cost, depth(), tree)
 
 
+@pytest.mark.parametrize("name", MALFORMED)
+def test_format_tree_names_the_first_shape_problem_of_a_tree_it_cannot_write(tmp_path, name):
+    tree, problems = MALFORMED[name]
+    path = tmp_path / "out.tree"
+    if name == "children-not-reversible":
+        # its one problem, an int edge value outside E_2, is written and read back
+        assert parse_tree(format_tree(tree)) == DecisionTree(2, tuple(tree.children))
+        return
+    for write in (format_tree, lambda t: save_tree(t, path)):
+        with pytest.raises(TreeFormatError) as err:
+            write(tree)
+        assert str(err.value) == problems[0]
+    assert not path.exists()
+
+
+def test_format_tree_rejects_text_that_does_not_read_back():
+    # no shape problem names a negative attribute index, but f-1 is no attribute name
+    tree = DecisionTree(2, (Node(Attribute(-1), ((0, Leaf(1)),)),))
+    assert structural_problems(tree) == []
+    with pytest.raises(TreeFormatError, match="attribute names must look like f3"):
+        format_tree(tree)
+
+
 def test_root_children_are_read_once(example6):
     # an iterator of children is walked once, and the root edge count comes from that walk
     tree = DecisionTree(2, iter(det_example_tree().children))
     assert validate_deterministic(tree, example6).ok
+    # and so does format_tree, whose error names the problem of the children it read
+    assert format_tree(DecisionTree(2, iter(det_example_tree().children))) == format_tree(det_example_tree())
+    with pytest.raises(TreeFormatError, match="^tree node None is neither"):
+        format_tree(DecisionTree(2, iter([None])))
 
 
 def well_shaped_trees_st():
