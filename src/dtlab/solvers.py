@@ -60,12 +60,17 @@ walk's answer, so every value, witness and tie-break is that of one
 Row separations (label: the row alone), the 1-rows' minimal rules
 (label: the 1-rows; the 0-rows' lanes start done) and closure separation
 (label: the row's class on the kept column set; merged rows start done)
-walk the kernel's row lanes, in chunks of as many rows as fit one wide
-mask.  The fixing sweep first walks the tuple (0, ..., 0) alone, then
-the value tuples in blocks of k^d tuples in product order, one lane
-each.  A block's masks are value masks times repeated-lane constants,
-with no Python loop over tuples; only its worst tuple, the lowest lane
-of the block's maximum cost, is decoded.  A walk given a cap (the min
+walk the kernel's row lanes, in chunks of as many questions as fit one
+wide mask.  Separations and rules read the same agreeing rows along the
+same order, so ``parameter_report`` asks both in one walk: question q
+asks of row q mod n, the first n questions are the separations and
+question n + j is 1-row j's rule, so the 2n lanes are the row lanes
+twice over.  ``_snd_tree`` glues the rules into the snd tree there and
+in ``snd_tree_cost``.  The fixing sweep first walks the tuple
+(0, ..., 0) alone, then the value tuples in blocks of k^d tuples in
+product order, one lane each.  A block's masks are value masks times
+repeated-lane constants, with no Python loop over tuples; only its
+worst tuple, the lowest lane of the block's maximum cost, is decoded.  A walk given a cap (the min
 test cost for the sweep, cost(C) for a kept column set C) stops at the
 first answer that reaches it: no lane can cost more, so the lanes
 still open then cost exactly the cap, and the sweep stops after the
@@ -133,7 +138,16 @@ would build, because a key depends only on the attribute set.  C itself
 separates every projected row, so the projection keeping C costs at
 most cost(C).  The sweep therefore takes the kept column sets from the
 dearest down and stops at the first one no dearer than the best value
-so far: no later set can raise it.
+so far: no later set can raise it.  The projection keeping every column
+is the table itself, so ``parameter_report`` starts the sweep at the
+separation cost it has just solved and never walks the full set,
+wherever it sits among the sets that tie at the top cost under max
+weights.  On the 96 ``params`` reports of the 16 variants the value is
+the separation cost in 84, and the sweeps walk 12 kept column sets
+instead of 108; on a ``verify`` pass (seed 3), 678 instead of 1,802.
+``closure_separation_cost`` on its own walks the full set first, under
+its cost as the cap, which usually stops at the first row that needs
+every column rather than solving every row's separation.
 
 Every solver and validator reads its table through one bit kernel,
 ``tables._TableBits``: rank order, value masks and the ones mask, all
@@ -141,8 +155,8 @@ built with the kernel, and the row and test lanes, built when first
 asked for.  It takes the kernel from ``tables._bits_of``, a slot
 holding the kernels of the last two tables asked for, so calls on one
 table object share one kernel, and ``parameter_report``, which calls
-the public solvers and validators one after another on its table,
-builds the value masks once; the reports of several measures on one
+the solvers and validators one after another on its table, builds the
+value masks once; the reports of several measures on one
 table share them too, even when ``verify.transfer_findings`` solves the
 collapsed table between two of them.  The slot holds two tables and no
 kernel is stored on a table: a closure keeps tens of thousands of
@@ -177,6 +191,17 @@ is the one the unbounded search it replaced returns, which
 ``tests/test_det_search.py`` keeps as the reference.  Under depth, on
 the ``random_table(2, 6, 32)`` of the ``params`` benchmark's variant 3,
 the bounded search calls ``extend`` 42 times and the unbounded one 582.
+``parameter_report`` hands the search two bounds that it re-checks,
+fixing <= det <= min test: the root starts at bound theta + 1, theta
+the min test cost, instead of u + 1, and stops trying columns once one
+reaches the fixing cost.  det equals the fixing cost in 69 of the 96
+``params`` reports, and ``solve`` runs 11,129 times over them instead
+of 14,121, with every tree unchanged.  A root that does not come in
+under theta + 1 is solved again under u + 1, so a broken det <= test
+fails its check instead of the search.  ``det_tree_cost`` keeps the
+unbounded root, and so does ``verify``'s transfer search: bounding it
+by det(T) would assume the property it checks.
+
 Its recursive helpers refer to themselves through closure cells, which
 are cleared before the search returns: a call leaves no reference cycle,
 so its memo and trees are freed by reference counting, not by the cyclic
@@ -475,31 +500,38 @@ def _row_walks(
     cap: float = math.inf,
     chunk_lanes: dict[int, list[int]] | None = None,
 ) -> list[tuple[int, int] | None]:
-    """Per row, the first subset answering the row's question, as
-    ``_lane_walk`` gives it.
+    """Per question, the first subset answering it, as ``_lane_walk``
+    gives it.
 
-    Row j asks, when bit j of the row mask ``asking`` is set, whether
-    its agreeing rows all lie in ``labels[j]``, a mask holding row j.
-    Fewer than ``MIN_LANES`` questions get the scalar walk each; more are
-    walked in chunks of as many rows as fit one wide mask of
-    ``LANE_BITS``.  ``within`` and ``cap`` apply to every walk, and no
-    question is asked after an answer reaches ``cap``.  A caller that
-    walks one table's rows many times passes a dict as ``chunk_lanes``,
-    which keeps each chunk's row lanes, by first row, between the calls.
+    Question q is the pair (row q mod n, ``labels[q]``), n the row count:
+    when bit q of the mask ``asking`` is set, it asks whether the rows
+    agreeing with that row all lie in ``labels[q]``, a mask holding the
+    row.  So n labels ask one question of each row, and 2n labels ask two
+    in one walk.  Fewer than ``MIN_LANES`` questions get the scalar walk
+    each; more are walked in chunks of as many questions as fit one wide
+    mask of ``LANE_BITS``.  ``within`` and ``cap`` apply to every walk,
+    and no question is asked after an answer reaches ``cap``.  A caller
+    that walks one table's rows many times passes a dict as
+    ``chunk_lanes``, which keeps each chunk's lanes, by first question,
+    between the calls.
     """
     full, rows = bits.full, bits.table.rows
-    n = len(rows)
-    answers: list[tuple[int, int] | None] = [None] * n
+    n, count = len(rows), len(labels)
+    answers: list[tuple[int, int] | None] = [None] * count
+
+    def scalar_walk(q: int) -> tuple[int, int]:
+        return _first_constant(order, full, bits.rank_values(rows[q % n]), labels[q], within)
+
     if asking.bit_count() < MIN_LANES:
-        for j in _set_lanes(asking, 1):
-            answers[j] = _first_constant(order, full, bits.rank_values(rows[j]), labels[j], within)
-            if answers[j][0] >= cap:
+        for q in _set_lanes(asking, 1):
+            answers[q] = scalar_walk(q)
+            if answers[q][0] >= cap:
                 break
         return answers
     width = n + 1
     size = max(1, LANE_BITS // width)
-    for first in range(0, n, size):
-        stop = min(n, first + size)
+    for first in range(0, count, size):
+        stop = min(count, first + size)
         chunk = asking >> first & (1 << stop - first) - 1
         if not chunk:
             continue
@@ -507,17 +539,15 @@ def _row_walks(
         # a lane keeps the agreeing rows outside its labels, so it empties when constant
         start = low ^ sum(m << j * width for j, m in enumerate(labels[first:stop]))
         open_ = sum(1 << j * width + n for j in _set_lanes(chunk, 1))  # the asking lanes' guard bits
-
-        def scalar(j: int, first=first) -> tuple[int, int]:
-            row = first + j
-            return _first_constant(order, full, bits.rank_values(rows[row]), labels[row], within)
-
         wide = None if chunk_lanes is None else chunk_lanes.get(first)
         if wide is None:
             wide = bits.row_lanes(first, stop)
             if chunk_lanes is not None:
                 chunk_lanes[first] = wide
-        walked = _lane_walk(order, stop - first, width, 0, start, wide, low, open_, scalar, within, cap)
+        walked = _lane_walk(
+            order, stop - first, width, 0, start, wide, low, open_,
+            lambda j, first=first: scalar_walk(first + j), within, cap,
+        )
         answers[first:stop] = walked
         if any(a is not None and a[0] >= cap for a in walked):
             break
@@ -616,6 +646,14 @@ def closure_separation_cost(measure: ComplexityMeasure, table: DecisionTable) ->
     merge into one projected row, whose separators are the subsets of C
     on which it agrees with no row outside that class.
     """
+    return _closure_sweep(measure, table, None)
+
+
+def _closure_sweep(measure: ComplexityMeasure, table: DecisionTable, separation: int | None) -> int:
+    """``closure_separation_cost``, given the table's separation cost, or
+    None to solve it as the projection keeping every column.  That
+    projection is the table itself, so a sweep given the separation cost
+    starts from it and never walks the full column set."""
     if table.is_empty:
         return 0
     if table.n_cols > MAX_SUBSET_COLUMNS:
@@ -624,12 +662,16 @@ def closure_separation_cost(measure: ComplexityMeasure, table: DecisionTable) ->
     order.complete()
     bits = _bits_of(table)
     full = bits.full
-    row_values = [bits.rank_values(row) for row in table.rows]
-    best = 0
+    best, seeded = (0, -1) if separation is None else (separation, (1 << table.n_cols) - 1)
+    row_values: list[list[int]] = []  # built at the first set walked: most seeded sweeps walk none
     chunk_lanes: dict[int, list[int]] = {}  # a tall table's row lanes, built once for every C
     for cost_c, c in zip(reversed(order.costs), reversed(order.masks)):
         if cost_c <= best:
             break  # C separates every projected row, so no set from here on can raise best
+        if c == seeded:
+            continue  # under tied costs the full set need not come first
+        if not row_values:
+            row_values = [bits.rank_values(row) for row in table.rows]
         kept = [r for r in range(len(order.attrs)) if c >> r & 1]
         merged = lowest = 0
         classes = [0] * len(row_values)  # each projected row's class, at its lowest row
@@ -779,7 +821,8 @@ def det_tree_cost(
     its step and the floor, so ``extend`` and ``value`` run once per
     (state, column).  A path never tests a column twice, so the cost is
     at most u, the value with every column folded in; the root starts at
-    bound u + 1 and must come in under it.
+    bound u + 1 and must come in under it.  ``parameter_report`` starts
+    it lower and stops it sooner, by ``_det_tree``.
 
     The witness cannot differ from the unbounded search's.  A column is
     taken only when its worst case is strictly below the bound, and
@@ -788,6 +831,22 @@ def det_tree_cost(
     children all came back below the bound, so they are exact and in
     ``memo`` for ``rebuild``.  The empty table has cost 0 and no tree by
     fiat.
+    """
+    return _det_tree(measure, table)
+
+
+def _det_tree(
+    measure: ComplexityMeasure, table: DecisionTable, least: int = 0, most: int | None = None
+) -> tuple[int, DecisionTree | None]:
+    """``det_tree_cost``, given bounds on the cost that the caller has
+    proved: at least ``least`` and at most ``most`` (u when None).
+
+    The root starts at bound ``most`` + 1 and stops trying columns once
+    one reaches ``least``.  The column it takes is still the first in
+    rank order of least worst case: one whose worst case is ``least``
+    ties every later column at best.  A root that does not come in under
+    ``most`` + 1 is solved again under u + 1, so a wrong ``most`` yields
+    the true cost, not a wrong tree.
     """
     if table.is_empty:
         return 0, None
@@ -815,7 +874,7 @@ def det_tree_cost(
         row = moves[state] = (after, steps, min(steps))
         return row
 
-    def solve(mask: int, state, bound: int) -> int:
+    def solve(mask: int, state, bound: int, enough: int = -1) -> int:
         key = (mask, state)
         hit = memo.get(key)
         if hit is not None:
@@ -848,6 +907,8 @@ def det_tree_cost(
                         break
             if worst < bound:
                 bound, best_p = worst, p
+                if bound <= enough:
+                    break  # no later column can do better
         if best_p < 0:
             floors[key] = bound
             return bound
@@ -872,9 +933,12 @@ def det_tree_cost(
     for i in indices:
         u = extend(u, i)
     u = value(u)
+    top = u if most is None else min(most, u)
     try:
         add_moves(s0)
-        total = solve(full, s0, u + 1)
+        total = solve(full, s0, top + 1, least)
+        if total > top:
+            total = solve(full, s0, u + 1, least)
         assert total <= u, "no tree within the cost of testing every column"
         tree = DecisionTree(k, (rebuild(full, s0),))
     finally:
@@ -950,13 +1014,21 @@ def snd_tree_cost(
     """
     if is_constant(table):
         return 0, None
-    rules: list[tuple[tuple[Attribute, int], ...]] = []
-    value = 0
     order = _subset_order(measure, table.columns)
     bits = _bits_of(table)
     ones = bits.ones
     # a 1-row's lane is constant once no 0-row agrees: the row's minimal_rule
-    for row, answer in zip(table.rows, _row_walks(order, bits, ones, [ones] * len(table.rows))):
+    return _snd_tree(bits, _row_walks(order, bits, ones, [ones] * table.n_rows))
+
+
+def _snd_tree(bits: _TableBits, answers: list[tuple[int, int] | None]) -> tuple[int, DecisionTree]:
+    """The 1-rows' minimal rules glued under one root, as (cost, tree),
+    given each row's rule answer, (cost, column-rank mask) or None for a
+    0-row, in row order."""
+    table = bits.table
+    rules: list[tuple[tuple[Attribute, int], ...]] = []
+    value = 0
+    for row, answer in zip(table.rows, answers):
         if answer is None:
             continue
         cost, mask = answer
@@ -1046,8 +1118,9 @@ def inequality_findings(measure: ComplexityMeasure, table: DecisionTable, vals: 
 
     n = vals["rows"]
     w = vals["columns"]
-    if n == 0:
-        check("empty-table-all-zero", all(v == 0 for v in vals.values()))
+    if n == 0:  # every solved parameter is 0, whatever the columns cost
+        solved = ("min_test_cost", "separation_cost", "closure_separation_cost", "fixing_cost", "det_cost", "snd_cost")
+        check("empty-table-all-zero", all(vals[name] == 0 for name in solved))
         return tuple(checks), tuple(failed)
 
     if measure.kind == "depth":
@@ -1093,16 +1166,21 @@ def parameter_report(measure: ComplexityMeasure, table: DecisionTable) -> Parame
     """
     attr_set_cost, max_attr_cost = table_costs(measure, table)
     theta, test_witness = min_test_cost(measure, table)
-    seps = tuple((row, *sep) for row, sep in zip(table.rows, _row_separations(measure, table)))
+    order = _subset_order(measure, table.columns)
+    bits = _bits_of(table)
+    n, constant = table.n_rows, is_constant(table)
+    # one walk: question j is row j's separation, question n + j 1-row j's rule
+    asking = bits.full if constant else bits.full | bits.ones << n
+    walked = _row_walks(order, bits, asking, [1 << j for j in range(n)] + [bits.ones] * n)
+    seps = tuple((row, cost, bits.columns_of(mask)) for row, (cost, mask) in zip(table.rows, walked))
     separation = max((c for _, c, _ in seps), default=0)
-    closure_sep = closure_separation_cost(measure, table)
+    closure_sep = _closure_sweep(measure, table, separation)
     fix, worst = _fixing_sweep(measure, table, theta)
     if measure.decomposable:
-        det, det_tree = det_tree_cost(measure, table)
+        det, det_tree = _det_tree(measure, table, fix, theta)  # fixing <= det <= test
     else:
         det, det_tree = det_tree_cost_bruteforce(measure, table), None
-    snd, snd_tree = snd_tree_cost(measure, table)
-    bits = _bits_of(table)
+    snd, snd_tree = (0, None) if constant else _snd_tree(bits, walked[n:])
     if measure.kind == "depth":
         bits.depth = (theta, det, separation)
 

@@ -39,12 +39,15 @@ beside it.  A hit on the older kernel moves it to the front, and a third
 table evicts the oldest, so the slot never keeps more than two tables
 alive (``solvers`` says why).  The kernel is the one place that holds
 facts about its table: besides its views, it carries the depth triple
-that a depth report leaves for the later reports of that table object.
+that a depth report leaves for the later reports of that table object,
+and the test-collapsed tables that ``verify`` builds from it, so the
+transfers of every measure share one collapsed table and its kernel.
 A kernel builds all its views but the lanes before it enters the slot,
-and the slot, the triple and each kept view are set in one assignment,
-so threads sharing a kernel only read fields that are already complete
-(two threads may both build the same view); the subset orders that the
-solvers memoize on a measure still need one measure instance per thread.
+and the slot, the triple and each kept view or table are set in one
+assignment, so threads sharing a kernel only read fields that are
+already complete (two threads may both build the same view); the subset
+orders that the solvers memoize on a measure still need one measure
+instance per thread.
 
 File format (.dt, UTF-8, line oriented)::
 
@@ -265,6 +268,8 @@ def canonical_key(table: DecisionTable) -> CanonicalKey:
 
 # the width bound of a wide mask: lanes side by side in one int hold at most this many bits
 LANE_BITS = 1 << 12
+# the kernel keeps a row mask per column and value, so it takes alphabets up to this size
+MAX_ALPHABET = 1 << 16
 
 
 class _TableBits:
@@ -279,10 +284,17 @@ class _TableBits:
     ``row_lanes`` and ``test_lanes`` give lanes side by side in one int:
     the rows agreeing with each row, the 1-rows agreeing with each 0-row.
     ``depth`` is the table's (min test, det, separation) cost under
-    depth once a depth report has set it, else None.
+    depth once a depth report has set it, else None, and ``collapsed``
+    maps a tuple of removed columns to the table without them, once
+    ``verify`` has built it.  An alphabet past ``MAX_ALPHABET`` raises
+    ``TooLarge`` before anything of its size is allocated.
     """
 
     def __init__(self, table: DecisionTable):
+        if table.k > MAX_ALPHABET:
+            raise TooLarge(
+                f"alphabet size {table.k} exceeds the {MAX_ALPHABET}-value guard rail of the table kernel"
+            )
         self.table = table
         self.full = (1 << table.n_rows) - 1
         cols = table.columns
@@ -301,29 +313,34 @@ class _TableBits:
         self._lanes: list[int] | None = None
         self._tests: tuple[int, list[int]] | None = None
         self.depth: tuple[int, int, int] | None = None
+        self.collapsed: dict[tuple[Attribute, ...], DecisionTable] = {}
 
     def row_lanes(self, first: int, stop: int) -> list[int]:
-        """Per column rank, the lanes of rows ``first`` to ``stop - 1``.
+        """Per column rank, the lanes of questions ``first`` to ``stop - 1``,
+        where question q asks of row q mod n, n the row count.
 
-        Lane j is the n + 1 bits from bit j * (n + 1) on, n the row count:
-        the mask of the rows that agree with row ``first + j`` at that
-        rank, below a guard bit left 0.  The lanes of all the rows are
-        built on the first call that asks for them and kept, when they fit
-        in ``LANE_BITS``; a longer table gets its lanes chunk by chunk,
-        built on each call, so the kernel never holds more than
-        ``LANE_BITS`` bits of lanes per rank.
+        Lane j is the n + 1 bits from bit j * (n + 1) on: the mask of the
+        rows that agree with row (``first`` + j) mod n at that rank, below
+        a guard bit left 0.  The lanes of all the rows are built on the
+        first call that asks for them and kept, when they fit in
+        ``LANE_BITS``; those of all the rows twice over, a report's
+        separations and rules, repeat them.  A longer table gets its lanes
+        chunk by chunk, built on each call, so the kernel never holds more
+        than ``LANE_BITS`` bits of lanes per rank.
         """
         rows = self.table.rows
-        whole = first == 0 and stop == len(rows)
+        n = len(rows)
+        if first == 0 and stop == 2 * n > 0:
+            return [lane | lane << n * (n + 1) for lane in self.row_lanes(0, n)]
+        whole = first == 0 and stop == n
         if whole and self._lanes is not None:
             return self._lanes
-        width = len(rows) + 1
-        rows = rows[first:stop]
+        width = n + 1
         lanes = [
-            sum(masks[row[p]] << j * width for j, row in enumerate(rows))
+            sum(masks[rows[q % n][p]] << (q - first) * width for q in range(first, stop))
             for masks, p in zip(self.rank_masks, self.ranks)
         ]
-        if whole and len(rows) * width <= LANE_BITS:
+        if whole and n * width <= LANE_BITS:
             self._lanes = lanes  # one assignment: a thread sees no lanes or all of them
         return lanes
 
@@ -353,7 +370,7 @@ class _TableBits:
     def columns_of(self, mask: int) -> tuple[Attribute, ...]:
         """The table's own column objects in a column-rank mask, by rank."""
         cols = self.table.columns
-        return tuple(cols[p] for r, p in enumerate(self.ranks) if mask >> r & 1)
+        return tuple([cols[p] for r, p in enumerate(self.ranks) if mask >> r & 1])
 
     def is_test(self, positions: Iterable[int]) -> bool:
         """Do rows with different decisions differ on the given positions?"""

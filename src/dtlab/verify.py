@@ -60,7 +60,7 @@ from .solvers import (
     table_separation_cost,
     closure_separation_cost,
 )
-from .tables import DecisionTable, DtError, format_table
+from .tables import DecisionTable, DtError, _bits_of, format_table
 from .trees import validate_deterministic
 
 SUITES = ("lemmas", "dp-oracle", "constructions", "growth")
@@ -235,7 +235,10 @@ def transfer_findings(
     ``det-witness-validates`` check has already validated it against the
     table; only a failed check is validated again, for its diagnostics.
     A measure with an opaque part has no report tree, and the tree search
-    raises ``NotDecomposable`` as it does without a report.
+    raises ``NotDecomposable`` as it does without a report.  The collapsed
+    table depends only on the table and the removed columns, so it is
+    built once and kept on the table's kernel, where the transfers under
+    the other measures find it, and with it its own kernel in the slot.
     """
     if table.is_empty or table.n_cols == 0:
         return []
@@ -245,7 +248,11 @@ def transfer_findings(
     keep = set(test)
     removed = tuple(a for a in table.columns if a not in keep)
     if removed or report is None or report.det_tree is None:
-        _, tree = det_tree_cost(measure, remove_columns(removed, table))
+        kept = _bits_of(table).collapsed
+        collapsed = kept.get(removed)
+        if collapsed is None:
+            collapsed = kept[removed] = remove_columns(removed, table)
+        _, tree = det_tree_cost(measure, collapsed)
     else:
         check = "det-witness-validates"
         if check in report.checks and check not in report.failed_checks:

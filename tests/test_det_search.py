@@ -11,9 +11,10 @@ import sys
 
 import pytest
 
+from dtlab import solvers
 from dtlab.measures import ComplexityMeasure, additive, depth, max_of, max_weight, sum_of
 from dtlab.randgen import SplitMix64, random_table
-from dtlab.solvers import det_tree_cost
+from dtlab.solvers import det_tree_cost, fixing_cost, min_test_cost
 from dtlab.tables import _bits_of, empty_table
 from dtlab.trees import DecisionTree, Leaf, Node, format_tree
 from dtlab.verify import standard_measures
@@ -159,10 +160,12 @@ def test_bounded_search_makes_at_most_half_the_extend_calls(monkeypatch, variant
             assert 2 * counts[0] <= counts[1], (table.k, name, counts)
 
 
-def solve_calls(measure, table):
-    """Every call of ``det_tree_cost``'s inner ``solve`` as
-    [mask, state, bound, returned value, nested solve calls], in call order."""
-    code = det_tree_cost.__code__.co_consts
+def solve_calls(measure, table, search=det_tree_cost):
+    """Every call of the inner ``solve`` of the tree search, which
+    ``det_tree_cost`` and ``parameter_report`` reach through
+    ``solvers._det_tree``, as [mask, state, bound, returned value, nested
+    solve calls], in call order, while ``search(measure, table)`` runs."""
+    code = solvers._det_tree.__code__.co_consts
     solve_code = next(c for c in code if getattr(c, "co_name", None) == "solve")
     calls, stack = [], []
 
@@ -180,7 +183,7 @@ def solve_calls(measure, table):
 
     sys.setprofile(profile)
     try:
-        det_tree_cost(measure, table)
+        search(measure, table)
     finally:
         sys.setprofile(None)
     return calls
@@ -208,16 +211,40 @@ def exact_costs(measure, table):
     return cost
 
 
+def report_search(measure, table):
+    """The search as ``parameter_report`` runs it, between the fixing cost and the min test cost."""
+    return solvers._det_tree(measure, table, fixing_cost(measure, table)[0], min_test_cost(measure, table)[0])
+
+
 @pytest.mark.parametrize("name,measure", measure_bundle(), ids=[n for n, _ in measure_bundle()])
 def test_every_solve_call_keeps_its_contract_and_its_prunes(name, measure):
     """Each call answers exactly below its bound and with a true lower
     bound otherwise; no call is made on a constant subtable or below a
     state whose floor reaches the bound; and a subproblem already known
     exactly, or known to cost at least the bound, is not searched again."""
+    check_solve_contract(measure, det_tree_cost)
+
+
+@pytest.mark.parametrize("name,measure", measure_bundle(), ids=[n for n, _ in measure_bundle()])
+def test_report_bounds_keep_the_solve_contract(name, measure):
+    """The same contract with the root bounded by the min test cost and
+    stopped at the fixing cost, as ``parameter_report`` runs the search;
+    its cost and tree are the public search's."""
+    check_solve_contract(measure, report_search)
+    for table in seeded_tables(20261021, 25) + params_tables(0):
+        cost, tree = report_search(measure, table)
+        want, want_tree = det_tree_cost(measure, table)
+        assert cost == want
+        assert (tree is None) == (want_tree is None)
+        if tree is not None:
+            assert format_tree(tree) == format_tree(want_tree)
+
+
+def check_solve_contract(measure, search):
     for table in seeded_tables(20261020, 25) + params_tables(0):
         cost = exact_costs(measure, table)
         known = {}  # (mask, state) -> (value, exact?)
-        for mask, state, bound, got, nested in solve_calls(measure, table):
+        for mask, state, bound, got, nested in solve_calls(measure, table, search):
             x = mask & _bits_of(table).ones
             assert x not in (0, mask), "solve called on a constant subtable"
             floor = min(measure.value(measure.extend(state, a.index)) for a in table.columns)

@@ -170,19 +170,32 @@ def test_closure_separation_stops_at_the_dearest_set(monkeypatch, m):
         assert (len(lane_walks), len(scalar_walks)) == (1, 1)
 
 
-def test_report_calls_public_closure_separation(monkeypatch, example6, weighted):
-    calls = []
-    public = solvers.closure_separation_cost
+def test_report_closure_sweep_walks_no_full_column_set(monkeypatch, example6, weighted):
+    """The report's closure separation is the public function's value,
+    and its sweep, seeded with the report's row separations, walks no
+    kept column set that is the full one, even where max weights tie
+    the full set with others at the top cost."""
+    walked = []
+    real = solvers._row_walks
 
-    def counted(measure, table):
-        calls.append(table)
-        return public(measure, table)
+    def recorded(order, bits, asking, labels, within=-1, *rest, **kwargs):
+        walked.append(within)
+        return real(order, bits, asking, labels, within, *rest, **kwargs)
 
-    monkeypatch.setattr(solvers, "closure_separation_cost", counted)
-    for measure in (depth(), weighted):
-        report = parameter_report(measure, example6)
-        assert report.closure_separation_cost == public(measure, example6)
-    assert calls == [example6, example6]
+    tables = [example6, random_table(2, 6, 6, seed=0), random_table(2, 6, 32, seed=3), identity_table(5)]
+    measures = [depth(), weighted, max_weight({0: 3, 1: 1}, 2), max_of(max_weight({2: 3}), depth())]
+    swept = 0
+    for table in tables:
+        every = (1 << table.n_cols) - 1
+        for measure in measures:
+            monkeypatch.setattr(solvers, "_row_walks", recorded)
+            walked.clear()
+            report = parameter_report(measure, table)
+            assert every not in walked
+            swept += sum(w != -1 for w in walked)
+            monkeypatch.setattr(solvers, "_row_walks", real)
+            assert report.closure_separation_cost == closure_separation_cost(measure, table)
+    assert swept  # some report's sweep walked a kept column set
 
 
 # ---------------------------------------------------------------------------

@@ -581,13 +581,14 @@ def test_non_depth_report_reads_the_triple_of_its_own_table_object():
 
 def test_non_depth_report_solves_the_triple_once_two_other_tables_were_used(monkeypatch):
     depth_solves = []
+    search = solvers._det_tree  # what reports, their depth triples and det_tree_cost all call
 
-    def counting(measure, table):
+    def counting(measure, table, *bounds):
         if measure.kind == "depth":
             depth_solves.append(table)
-        return det_tree_cost(measure, table)
+        return search(measure, table, *bounds)
 
-    monkeypatch.setattr(solvers, "det_tree_cost", counting)
+    monkeypatch.setattr(solvers, "_det_tree", counting)
     measure = MEASURES[1][1]
     table = random_table(2, 4, 9, seed=14)
     other, third = random_table(2, 4, 9, seed=15), random_table(2, 4, 9, seed=16)
@@ -720,27 +721,29 @@ def test_interleaved_tables_match_a_fresh_kernel_per_call():
 def test_lemma_findings_build_one_kernel_per_table(monkeypatch):
     built, depth_solves = [], []
     init = _TableBits.__init__
+    search = solvers._det_tree  # what reports and det_tree_cost both call
 
     def counting_init(bits, table):
         built.append(table)
         init(bits, table)
 
-    def counting_det(measure, table):
+    def counting_det(measure, table, *bounds):
         if measure.kind == "depth":
             depth_solves.append(table)
-        return det_tree_cost(measure, table)
+        return search(measure, table, *bounds)
 
     table = random_table(2, 5, 8, seed=0)
     twin = replace(table)  # another object, so the table's own kernel is not built yet
-    # each measure's min test drops a column, so each transfer solves a collapsed table
-    assert all(len(min_test_cost(m, twin)[1]) < twin.n_cols for _, m in MEASURES)
+    # each measure's min test drops a column, f4 under all three, so each
+    # transfer needs a collapsed table, and all three need the same one
+    removed = {tuple(a for a in twin.columns if a not in min_test_cost(m, twin)[1]) for _, m in MEASURES}
+    assert removed == {(Attribute(4),)}
     monkeypatch.setattr(_TableBits, "__init__", counting_init)
-    monkeypatch.setattr(solvers, "det_tree_cost", counting_det)
-    monkeypatch.setattr(verify, "det_tree_cost", counting_det)
+    monkeypatch.setattr(solvers, "_det_tree", counting_det)
     for _, measure in MEASURES:  # depth first
         assert lemma_findings(measure, table) == []
-    # one kernel for the table, kept through the transfers, and one per collapsed table
-    assert built[0] is table and len(built) == 1 + len(MEASURES)
-    assert all(t is not table and t.n_cols < table.n_cols for t in built[1:])
+    # one kernel for the table and one per distinct collapsed table, both kept through the transfers
+    assert built[0] is table and len(built) == 1 + len(removed) == 2
+    assert built[1] is not table and built[1].columns == tuple(a for a in table.columns if a != Attribute(4))
     # under depth, only the depth report and its own transfer solve a tree
     assert depth_solves == [table, built[1]]
