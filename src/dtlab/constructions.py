@@ -44,6 +44,7 @@ from .tables import (
     Attribute,
     DecisionTable,
     DtError,
+    _check_count,
     validate,
 )
 
@@ -310,8 +311,7 @@ def unit_rows_family(phi: Sequence[int], n: int) -> UnitRowsFamily:
 
 def identity_table(m: int, k: int = 2) -> DecisionTable:
     """The m-column staircase table over f0..f(m-1): zero row 0, units 1."""
-    if m < 1:
-        raise DtError("identity tables need at least one column")
+    _check_count("m", m, 1)
     rows = [((0,) * m, 0)]
     for j in range(m):
         rows.append((tuple(1 if q == j else 0 for q in range(m)), 1))

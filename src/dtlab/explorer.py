@@ -77,7 +77,7 @@ from .solvers import (
     snd_tree_cost,
     table_separation_cost,
 )
-from .tables import DecisionTable, DtError
+from .tables import DecisionTable, DtError, _check_count
 
 GROWTH_FUNCTIONS = ("FW", "FTheta", "F", "G")
 
@@ -159,9 +159,11 @@ class GrowthReport:
         return [p.value for p in self.points]
 
 
-def _check_count(name: str, value) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise DtError(f"{name} must be a nonnegative integer, got {value!r}")
+def _check_measure(measure, needs: str) -> None:
+    if not isinstance(measure, ComplexityMeasure):
+        raise DtError(f"measure must be a ComplexityMeasure, got {measure!r}")
+    if not measure.is_bounded:
+        raise UnboundedMeasure(f"{needs} need a bounded measure (cost must dominate word length)")
 
 
 def growth(
@@ -181,10 +183,7 @@ def growth(
     if fn not in GROWTH_FUNCTIONS:
         raise DtError(f"unknown growth function {fn!r}; pick one of {GROWTH_FUNCTIONS}")
     _check_count("max_n", max_n)
-    if not measure.is_bounded:
-        raise UnboundedMeasure(
-            "growth functions need a bounded measure (cost must dominate word length)"
-        )
+    _check_measure(measure, "growth functions")
     enum = enumeration if enumeration is not None else enumerate_closure(generators, limits)
     objective = snd_tree_cost if fn == "G" else det_tree_cost
     prune = measure.decomposable  # no opaque part, so the bounds hold
@@ -292,10 +291,7 @@ def class_stats(
 ) -> ClassStats:
     """Count and bound the closure members with cheap single attributes."""
     _check_count("n", n)
-    if not measure.is_bounded:
-        raise UnboundedMeasure(
-            "class statistics need a bounded measure (cost must dominate word length)"
-        )
+    _check_measure(measure, "class statistics")
     enum = enumeration if enumeration is not None else enumerate_closure(generators, limits)
     h = depth()
     members = 0

@@ -394,7 +394,10 @@ def _load_spec(spec: str, levels: int) -> ComplexityMeasure:
                 raise MeasureError(
                     f"measure spec nests combinators too deeply (more than {MAX_SPEC_NESTING} levels)"
                 )
-            return combine(*(_load_spec(p, levels - 1) for p in spec[len(tag):].split(",")))
+            parts = spec[len(tag):].split(",")
+            if "" in parts:
+                raise MeasureError(f"measure spec {spec!r} has an empty part")
+            return combine(*(_load_spec(p, levels - 1) for p in parts))
     try:
         return load_measure(spec)
     except (OSError, ValueError) as exc:  # missing file, bad path, not UTF-8

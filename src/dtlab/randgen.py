@@ -15,7 +15,7 @@ from itertools import combinations, product
 from math import comb
 from typing import Iterator
 
-from .tables import Attribute, DecisionTable, DtError, TooLarge, empty_table, validate
+from .tables import Attribute, DecisionTable, DtError, TooLarge, _check_count, empty_table, validate
 
 _MASK64 = (1 << 64) - 1
 
@@ -69,13 +69,18 @@ def random_table(
     whole tuples) until ``rows`` distinct ones exist; each accepted row
     immediately draws its Bernoulli(p1) decision.  Columns are f0..f(cols-1)
     and rows keep sampling order.  Passing a SplitMix64 continues that
-    stream in place.
+    stream in place.  Every argument is checked before the first draw.
     """
-    p1 = Fraction(p1)
-    if not 0 <= p1 <= 1:
-        raise DtError("p1 must lie in [0, 1]")
-    if cols < 0 or rows < 0:
-        raise DtError("cols and rows must be nonnegative")
+    for name, value, least in (("k", k, 2), ("cols", cols, 0), ("rows", rows, 0)):
+        _check_count(name, value, least)
+    try:
+        rate = Fraction(p1)
+    except (TypeError, ValueError, OverflowError):
+        rate = Fraction(-1)
+    if isinstance(p1, bool) or not 0 <= rate <= 1:
+        raise DtError(f"p1 must be a rational in [0, 1], got {p1!r}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, SplitMix64)):
+        raise DtError(f"seed must be an integer or a SplitMix64, got {seed!r}")
     if rows > k**cols or (cols == 0 and rows > 0):
         raise TooManyRows(f"{rows} distinct rows do not exist over {cols} columns")
     if cols == 0:
@@ -88,11 +93,14 @@ def random_table(
         if tup in seen:
             continue
         seen.add(tup)
-        out.append((tup, rng.bernoulli(p1)))
+        out.append((tup, rng.bernoulli(rate)))
     return validate(k, range(cols), out)
 
 
 def count_small_tables(k: int, max_cols: int, max_rows: int, include_empty: bool = True) -> int:
+    # a shape below one column or row asks for no table but the empty one
+    for name, value, least in (("k", k, 2), ("max_cols", max_cols, None), ("max_rows", max_rows, None)):
+        _check_count(name, value, least)
     total = 1 if include_empty else 0
     for c in range(1, max_cols + 1):
         space = k**c

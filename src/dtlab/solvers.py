@@ -72,9 +72,10 @@ product order, one lane each.  A block's masks are value masks times
 repeated-lane constants, with no Python loop over tuples; only its
 worst tuple, the lowest lane of the block's maximum cost, is decoded.  A walk given a cap (the min
 test cost for the sweep, cost(C) for a kept column set C) stops at the
-first answer that reaches it: no lane can cost more, so the lanes
-still open then cost exactly the cap, and the sweep stops after the
-first block that reaches it.
+first answer that reaches it: no lane can cost more, so the maximum is
+the cap, and the first lane that costs it is the lowest one answered
+at the cap or left unanswered.  The sweep stops after the first block
+that reaches it.
 
 The walker's bounds are constants, timed interleaved in one process
 (2-vCPU VM, Python 3.11.7).  A wide mask holds at most
@@ -95,24 +96,19 @@ so does the first tuple of the sweep, which settles it on 314 of the
 540 non-constant reports of the ``verify`` benchmark's sampled tables
 (at most 8 rows); there, scalar walks below 8 questions instead of 2
 made the 900 reports 141.5 ms instead of 155.7 ms (fastest of 10), with
-``params`` unchanged, and 16 and 32 measured within the noise of 8.  A
-walk hands its open lanes to ``_first_constant`` once its stored masks
-pass ``WALK_BYTES`` = 2 MiB.  A handed-off lane is walked again from
-the start, so a walk does not hand off its last few lanes: handing them
-off once at most 1/4, 1/16 or 1/64 of them were open, or never, took a
-``params`` pass 10.4, 9.4, 9.1 and 9.7 ms, the six sweeps 16.3, 9.3,
-7.8 and 8.0 ms and the three separations 1.21, 0.54, 0.32 and 0.34 s.
-One lane left open alone is handed off, though, when less than half of
-the order's 2^w entries has been walked: the scalar walk then redoes
-fewer entries than may be left.  The zero row of ``identity_table(14)`` is
-left open after 15 entries and needs all 16,384: its row separations
-took 5.0 ms so against 9.5 ms walking on in the wide masks, while a
-``params`` pass took 18.7 ms either way, the fixing sweeps 15.3 and
-15.7 ms, and the row separations, closure separations and rules of
-``random_table(2, 9, 300)``, ``(3, 7, 150)`` and ``(3, 6, 200)`` 62.2
-and 60.2 ms (median of 12, on a busier host than the runs above).
-Handing off the last lane wherever it is left made that ``params`` pass
-29% and those separations 23% slower than walking on.
+``params`` unchanged, and 16 and 32 measured within the noise of 8.
+
+The walker has one hand-off rule, and it hands work back only to
+itself.  A walk of several lanes hands each lane still open, cut out of
+the wide masks, to a walk of that lane alone from the start of the
+order, once its stored masks pass ``WALK_BYTES`` = 2 MiB, and at once
+when it starts with one lane open.  A walk of one lane stores one
+narrow int per entry, as ``_first_constant`` does, and has no budget.
+A handed-off lane is walked again from the start, so a walk does not
+hand off its last few lanes: handing them off once at most 1/4, 1/16 or
+1/64 of them were open, or never, took a ``params`` pass 10.4, 9.4, 9.1
+and 9.7 ms, the six sweeps 16.3, 9.3, 7.8 and 8.0 ms and the three
+separations 1.21, 0.54, 0.32 and 0.34 s.
 
 A walk inside a column set C stores no masks for the entries outside
 C, since every entry below one of them in the order lies outside too,
@@ -123,10 +119,13 @@ kept column sets, took 0.92 s counting every entry against the budget,
 (median of 3, busier host).  The budget bounds memory, not time: on the
 14-column table of the zero row, the all-ones row, the unit rows and
 their complements, whose first two rows stay open through all 16,384
-entries, row separations took 11.6 ms under 1 MiB, 15.8 ms under 2 MiB
-(cut after about 13,800 entries, both lanes then walked again), 9.8 ms
-under 4 MiB or no bound and 9.0 ms as scalar walks, with tracemalloc
-peaks of 1.08, 2.17, 2.56 and 0.66 MB (median of 10).
+entries, row separations took 8.7 ms under 1 MiB, 10.7 ms under 2 MiB
+(cut after about 13,800 entries, both lanes then walked again alone),
+4.9 ms under 4 MiB or no bound and 3.9 ms as scalar walks, with
+tracemalloc peaks of 1.08, 2.17, 2.56 and 0.66 MB (median of 10, 2-vCPU
+VM, Python 3.11.7).  Handing the two lanes to ``_first_constant``
+instead took 5.2 and 7.6 ms: a walk of one lane tests its guard bit and
+its budget at every entry, but no benchmark workload hands a lane off.
 
 Closure separation never builds a projection.  For a kept column
 set C, the rows agreeing with a row on C form one projected row, stood
@@ -145,9 +144,8 @@ wherever it sits among the sets that tie at the top cost under max
 weights.  On the 96 ``params`` reports of the 16 variants the value is
 the separation cost in 84, and the sweeps walk 12 kept column sets
 instead of 108; on a ``verify`` pass (seed 3), 678 instead of 1,802.
-``closure_separation_cost`` on its own walks the full set first, under
-its cost as the cap, which usually stops at the first row that needs
-every column rather than solving every row's separation.
+``closure_separation_cost`` on its own seeds the sweep the same way: it
+solves the table's row separations first and starts from their maximum.
 
 Every solver and validator reads its table through one bit kernel,
 ``tables._TableBits``: rank order, value masks and the ones mask, all
@@ -249,8 +247,8 @@ BRUTEFORCE_LIMITS = (
     f"and k <= {BRUTEFORCE_MAX_K}"
 )
 _NO_SUBSET = "no subset satisfied the predicate; full column set should"
-# fewer than MIN_LANES row questions get the scalar walk each; a lane walk
-# hands its open lanes to the scalar walk once its stored masks pass WALK_BYTES
+# fewer than MIN_LANES row questions get the scalar walk each; a walk of several
+# lanes hands each open lane to a walk of it alone once its stored masks pass WALK_BYTES
 MIN_LANES = 8
 WALK_BYTES = 1 << 21
 
@@ -401,15 +399,16 @@ def _lane_walk(
     wide: list[int],
     low: int,
     open_: int,
-    scalar: Callable[[int], tuple[int, int]],
     within: int = -1,
     cap: float = math.inf,
 ) -> list[tuple[int, int] | None]:
     """Per lane, (cost, column-rank mask) of the first subset S of the
     order inside ``within`` at which the lane turns constant, or None for
-    a lane that does not ask and for one still open when an answer
-    reaches ``cap``: the walk stops there, and the lanes it leaves open
-    cost at least ``cap``.
+    a lane that does not ask and for one left unanswered once an answer
+    reaches ``cap``, where the walk stops.  Given a ``cap`` that no
+    lane's answer exceeds, reading each asking lane left unanswered as
+    costing ``cap`` gives the lanes' maximum and the first lane that
+    attains it.
 
     Lane j, the ``width`` bits from bit j * ``width`` on, holds one
     query: one sub-lane of n row bits below a guard bit that stays 0, or
@@ -422,10 +421,11 @@ def _lane_walk(
     sub-lane, carries into a sub-lane's guard bit exactly when it holds
     one.  ``open_`` holds the low guard bit of each lane that asks.
     An entry outside ``within`` gets no masks: no subset below it in the
-    order lies inside either.  ``scalar(j)`` answers each open lane j
-    instead, from the start of the order, once the stored masks pass
-    ``WALK_BYTES``, and once one lane is left open before half the
-    order is walked; it answers the lane of a one-lane block too.
+    order lies inside either.  A walk of several lanes hands each lane
+    still open to a walk of that lane alone, from the start of the
+    order, once its stored masks pass ``WALK_BYTES``, and at once when
+    it starts with one lane open.  A walk of one lane stores one narrow
+    int per entry, as ``_first_constant`` does, and has no budget.
     """
     answers: list[tuple[int, int] | None] = [None] * lanes
     if not open_:
@@ -433,9 +433,10 @@ def _lane_walk(
     parents, lasts, masks, costs = order.parents, order.lasts, order.masks, order.costs
     outside = ~within
     agree: list[int] = []
-    # one open lane gets the scalar walk; an int of lanes * width bits
-    # takes about that many bits / 8 + 28 bytes, and its list slot 8 more
-    room = WALK_BYTES // (lanes * width // 8 + 36) if open_ & open_ - 1 else 0
+    # Entries the walk may store: a walk of one lane has no budget; one open lane among several
+    # gets none, so it walks alone at once; else an int of lanes * width bits takes about that
+    # many bits / 8 + 28 bytes, and its list slot 8 more.
+    room = math.inf if lanes == 1 else WALK_BYTES // (lanes * width // 8 + 36) if open_ & open_ - 1 else 0
     for i in order.walk():
         if masks[i] & outside:
             agree.append(0)
@@ -455,11 +456,15 @@ def _lane_walk(
             open_ = live
             if answer[0] >= cap or not open_:
                 return answers
-            if not open_ & open_ - 1 and 2 * i < 1 << len(order.attrs):
-                break  # redoing the entries walked on one narrow lane costs less than what may be left
     del agree
+    lane = (1 << width) - 1
     for j in _set_lanes(open_, width):
-        answers[j] = scalar(j)
+        at = j * width
+        alone = [x >> at & lane for x in wide]
+        answers[j] = _lane_walk(
+            order, 1, width, shift, start >> at & lane, alone, low >> at & lane,
+            open_ >> at & lane, within, cap,
+        )[0]
         if answers[j][0] >= cap:
             break
     return answers
@@ -509,22 +514,19 @@ def _row_walks(
     row.  So n labels ask one question of each row, and 2n labels ask two
     in one walk.  Fewer than ``MIN_LANES`` questions get the scalar walk
     each; more are walked in chunks of as many questions as fit one wide
-    mask of ``LANE_BITS``.  ``within`` and ``cap`` apply to every walk,
-    and no question is asked after an answer reaches ``cap``.  A caller
-    that walks one table's rows many times passes a dict as
-    ``chunk_lanes``, which keeps each chunk's lanes, by first question,
-    between the calls.
+    mask of ``LANE_BITS``, one ``_lane_walk`` per chunk, which answers
+    every question of its chunk itself.  ``within`` and ``cap`` apply to
+    every walk, and no question is asked after an answer reaches
+    ``cap``.  A caller that walks one table's rows many times passes a
+    dict as ``chunk_lanes``, which keeps each chunk's lanes, by first
+    question, between the calls.
     """
     full, rows = bits.full, bits.table.rows
     n, count = len(rows), len(labels)
     answers: list[tuple[int, int] | None] = [None] * count
-
-    def scalar_walk(q: int) -> tuple[int, int]:
-        return _first_constant(order, full, bits.rank_values(rows[q % n]), labels[q], within)
-
     if asking.bit_count() < MIN_LANES:
         for q in _set_lanes(asking, 1):
-            answers[q] = scalar_walk(q)
+            answers[q] = _first_constant(order, full, bits.rank_values(rows[q % n]), labels[q], within)
             if answers[q][0] >= cap:
                 break
         return answers
@@ -544,10 +546,7 @@ def _row_walks(
             wide = bits.row_lanes(first, stop)
             if chunk_lanes is not None:
                 chunk_lanes[first] = wide
-        walked = _lane_walk(
-            order, stop - first, width, 0, start, wide, low, open_,
-            lambda j, first=first: scalar_walk(first + j), within, cap,
-        )
+        walked = _lane_walk(order, stop - first, width, 0, start, wide, low, open_, within, cap)
         answers[first:stop] = walked
         if any(a is not None and a[0] >= cap for a in walked):
             break
@@ -646,29 +645,27 @@ def closure_separation_cost(measure: ComplexityMeasure, table: DecisionTable) ->
     merge into one projected row, whose separators are the subsets of C
     on which it agrees with no row outside that class.
     """
-    return _closure_sweep(measure, table, None)
+    return _closure_sweep(measure, table, table_separation_cost(measure, table))
 
 
-def _closure_sweep(measure: ComplexityMeasure, table: DecisionTable, separation: int | None) -> int:
-    """``closure_separation_cost``, given the table's separation cost, or
-    None to solve it as the projection keeping every column.  That
-    projection is the table itself, so a sweep given the separation cost
-    starts from it and never walks the full column set."""
+def _closure_sweep(measure: ComplexityMeasure, table: DecisionTable, separation: int) -> int:
+    """``closure_separation_cost``, given the table's separation cost.
+    That is the value of the projection keeping every column, the table
+    itself, so the sweep starts from it and never walks the full column
+    set."""
     if table.is_empty:
         return 0
-    if table.n_cols > MAX_SUBSET_COLUMNS:
-        raise TooLarge(f"projection sweep over {table.n_cols} columns is too large")
     order = _subset_order(measure, table.columns)
     order.complete()
     bits = _bits_of(table)
     full = bits.full
-    best, seeded = (0, -1) if separation is None else (separation, (1 << table.n_cols) - 1)
-    row_values: list[list[int]] = []  # built at the first set walked: most seeded sweeps walk none
+    best, every = separation, (1 << table.n_cols) - 1
+    row_values: list[list[int]] = []  # built at the first set walked: most sweeps walk none
     chunk_lanes: dict[int, list[int]] = {}  # a tall table's row lanes, built once for every C
     for cost_c, c in zip(reversed(order.costs), reversed(order.masks)):
         if cost_c <= best:
             break  # C separates every projected row, so no set from here on can raise best
-        if c == seeded:
+        if c == every:
             continue  # under tied costs the full set need not come first
         if not row_values:
             row_values = [bits.rank_values(row) for row in table.rows]
@@ -770,18 +767,12 @@ def _fixing_sweep(
     open_ = (1 << n) * every
     for prefix in product(range(k), repeat=fixed):
         wide = [per_value[p][prefix[p]] if p < fixed else varying[p] for p in bits.ranks]
-
-        def values_of(t: int, prefix=prefix) -> tuple[int, ...]:
-            return prefix + tuple(t // k ** (d - 1 - q) % k for q in range(d))
-
-        def scalar(t: int) -> tuple[int, int]:
-            return _first_constant(order, full, bits.rank_values(values_of(t)), ones)
-
-        answers = _lane_walk(order, lanes, width, sub, start, wide, low, open_, scalar, cap=cap)
+        answers = _lane_walk(order, lanes, width, sub, start, wide, low, open_, cap=cap)
         costs = [cap if a is None else a[0] for a in answers]  # a lane left open costs the cap
         top = max(costs)
         if top > best:
-            best, worst_tuple = top, values_of(costs.index(top))
+            t = costs.index(top)  # the block's worst tuple: its varying digits are t's base-k digits
+            best, worst_tuple = top, prefix + tuple(t // k ** (d - 1 - q) % k for q in range(d))
             if best >= cap:
                 break
     return best, worst_tuple

@@ -204,6 +204,15 @@ class DecisionTable(_WeakReferable):
         return f"DecisionTable(k={self.k}, cols=[{cols}], rows={self.n_rows})"
 
 
+def _check_count(name: str, value, least: int | None = 0) -> None:
+    """Raise a ``DtError`` naming ``name`` unless ``value`` is an int of at
+    least ``least`` (of any size when None); a bool is not, as in
+    ``_in_alphabet``."""
+    if not isinstance(value, int) or isinstance(value, bool) or least is not None and value < least:
+        what = "an integer" if least is None else "a nonnegative integer" if least == 0 else f"an integer >= {least}"
+        raise DtError(f"{name} must be {what}, got {value!r}")
+
+
 def _in_alphabet(value, k: int) -> bool:
     """Is ``value`` an int of E_k?  A bool is not: ``True`` equals 1 but
     prints, parses and keys as ``True``."""

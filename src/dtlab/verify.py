@@ -222,32 +222,27 @@ def shrink_table(table: DecisionTable, fails: Callable[[DecisionTable], bool]) -
     return current
 
 
-def transfer_findings(
-    measure: ComplexityMeasure, table: DecisionTable, report: ParameterReport | None = None
-) -> list[str]:
+def transfer_findings(measure: ComplexityMeasure, table: DecisionTable, report: ParameterReport) -> list[str]:
     """A cheapest deterministic tree for the test-collapsed table must
     also be a deterministic tree for the original table.
 
-    ``report``, when given, is ``parameter_report(measure, table)``, and
-    its results are reused: the test is its minimal-test witness.  When
-    that test keeps every column, the collapsed table equals the table,
-    so the tree to check is the report's own det tree, and the report's
+    ``report`` is ``parameter_report(measure, table)``, and its results
+    are reused: the test is its minimal-test witness.  When that test
+    keeps every column, the collapsed table equals the table, so the tree
+    to check is the report's own det tree, and the report's
     ``det-witness-validates`` check has already validated it against the
     table; only a failed check is validated again, for its diagnostics.
     A measure with an opaque part has no report tree, and the tree search
-    raises ``NotDecomposable`` as it does without a report.  The collapsed
-    table depends only on the table and the removed columns, so it is
-    built once and kept on the table's kernel, where the transfers under
-    the other measures find it, and with it its own kernel in the slot.
+    raises ``NotDecomposable``.  The collapsed table depends only on the
+    table and the removed columns, so it is built once and kept on the
+    table's kernel, where the transfers under the other measures find it,
+    and with it its own kernel in the slot.
     """
     if table.is_empty or table.n_cols == 0:
         return []
-    test = min_test_cost(measure, table)[1] if report is None else report.test_witness
-    if not test:
-        test = (table.columns[0],)
-    keep = set(test)
+    keep = set(report.test_witness or table.columns[:1])
     removed = tuple(a for a in table.columns if a not in keep)
-    if removed or report is None or report.det_tree is None:
+    if removed or report.det_tree is None:
         kept = _bits_of(table).collapsed
         collapsed = kept.get(removed)
         if collapsed is None:

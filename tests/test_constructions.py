@@ -321,6 +321,12 @@ def test_unit_rows_family_rejects_bad_phi():
         unit_rows_family([0, 1, 4], 0)
 
 
+@pytest.mark.parametrize("m", [2.0, 0, True])
+def test_identity_table_rejects_m_that_is_no_positive_integer(m):
+    with pytest.raises(DtError, match="^m must be an integer >= 1"):
+        identity_table(m)
+
+
 def test_identity_table():
     t = identity_table(3)
     assert t.n_rows == 4 and t.n_cols == 3

@@ -185,3 +185,9 @@ def test_class_stats_solves_separation_once_per_base(monkeypatch):
 def test_class_stats_rejects_unbounded():
     with pytest.raises(UnboundedMeasure):
         class_stats([identity_table(2)], max_weight(), n=1)
+
+
+@pytest.mark.parametrize("run", [lambda m: growth("FW", [], m, 2), lambda m: class_stats([], m, 1)], ids=["growth", "class_stats"])
+def test_a_measure_that_is_no_measure_is_named(run):
+    with pytest.raises(DtError, match="^measure must be a ComplexityMeasure, got None"):
+        run(None)

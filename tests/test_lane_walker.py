@@ -184,30 +184,33 @@ def test_tuple_spaces_of_several_blocks(monkeypatch, cols, rows):
     assert fixing_cost(depth(), table) == want
 
 
-def test_last_open_lane_goes_to_the_scalar_walk(monkeypatch):
-    """The unit rows of the staircase stand alone on one column each; the
-    zero row, the one lane then left open, needs every column.  It is
-    left open after 10 of the 512 entries, so one scalar walk starts it
-    over instead of the wide masks walking on."""
+def test_one_open_lane_walks_alone(monkeypatch):
+    """A walk of several lanes that starts with one lane open hands that
+    lane, cut out of the wide masks, to a walk of it alone from the start
+    of the order.  The zero row of the staircase needs every column; the
+    walk of its lane alone stores masks of one lane's width only."""
     table = identity_table(9)
-    lane_walks = count_calls(monkeypatch, "_lane_walk")
-    scalar_walks = count_calls(monkeypatch, "_first_constant")
-    assert _row_separations(depth(), table) == Reference(depth(), table).row_separations()
-    assert (len(lane_walks), len(scalar_walks)) == (1, 1)
+    n = table.n_rows
+    width = n + 1
+    measure = depth()  # the order refers to its measure weakly
+    order = solvers._subset_order(measure, table.columns)
+    bits = _bits_of(table)
+    walks = []
+    real = solvers._lane_walk
 
+    def recorded(order, lanes, width, shift, start, wide, low, open_, *rest, **kwargs):
+        walks.append((lanes, max(x.bit_length() for x in (start, low, open_, *wide))))
+        return real(order, lanes, width, shift, start, wide, low, open_, *rest, **kwargs)
 
-def test_last_open_lane_late_in_the_order_walks_on(monkeypatch):
-    """One row of this table needs all 5 columns; it is left open alone
-    only once its rows of cost 4 are answered, past half of the 32
-    entries, so it finishes in the wide masks and no scalar walk starts
-    it over."""
-    table = random_table(2, 5, 20, seed=0)
-    lane_walks = count_calls(monkeypatch, "_lane_walk")
-    scalar_walks = count_calls(monkeypatch, "_first_constant")
-    seps = _row_separations(depth(), table)
-    assert seps == Reference(depth(), table).row_separations()
-    assert sorted(c for c, _ in seps)[-2:] == [4, 5]
-    assert (len(lane_walks), len(scalar_walks)) == (1, 0)
+    monkeypatch.setattr(solvers, "_lane_walk", recorded)
+    low = bits.full * sum(1 << j * width for j in range(n))
+    start = low ^ sum(1 << j << j * width for j in range(n))  # each row's label is the row alone
+    got = solvers._lane_walk(order, n, width, 0, start, bits.row_lanes(0, n), low, 1 << n)
+    want = Reference(measure, table).row_separations()[0]
+    assert want[0] == 9
+    assert got == [(want[0], (1 << 9) - 1)] + [None] * (n - 1)
+    assert [lanes for lanes, _ in walks] == [n, 1]
+    assert walks[1][1] <= width < walks[0][1]
 
 
 @pytest.mark.parametrize("budget", [1, 3000, 40000])
@@ -225,6 +228,77 @@ def test_hand_off_by_stored_bytes(monkeypatch, budget):
             assert closure_separation_cost(measure, table) == oracles.brute_closure_separation(
                 measure, table
             )
+
+
+SMALL_ORDERS = [
+    random_table(2, 3, 6, seed=1),
+    random_table(3, 3, 12, seed=2),
+    random_table(2, 4, 11, seed=4),
+    identity_table(4),
+]
+
+
+@pytest.mark.parametrize("t", range(len(SMALL_ORDERS)))
+def test_hand_off_by_stored_bytes_after_every_entry_count(monkeypatch, t):
+    """For each count e of entries of the order, every walk of several
+    lanes gets a byte budget of e entries, so it hands its open lanes to
+    walks of one lane each after e entries.  Row lanes, lanes restricted
+    to each column set, tuple lanes and capped walks all keep the
+    reference's answers."""
+    table = SMALL_ORDERS[t]
+    n = table.n_rows
+    bits = _bits_of(table)
+    real = solvers._lane_walk
+    alone = []
+
+    def budgeted(order, lanes, width, *rest, **kwargs):
+        if lanes > 1:  # the walker's bytes per stored entry, times the entries allowed
+            monkeypatch.setattr(solvers, "WALK_BYTES", entries * (lanes * width // 8 + 36))
+        else:
+            alone.append(entries)
+        return real(order, lanes, width, *rest, **kwargs)
+
+    monkeypatch.setattr(solvers, "_lane_walk", budgeted)
+    monkeypatch.setattr(solvers, "MIN_LANES", 1)  # every row question goes to a lane walk
+    for _, measure in MEASURES:
+        ref = Reference(measure, table)
+        order = solvers._subset_order(measure, table.columns)
+        order.complete()
+
+        def as_mask(answer):
+            return answer[0], sum(1 << order.attrs.index(a) for a in answer[1])
+
+        seps = ref.row_separations()
+        top = max(c for c, _ in seps)
+        two = len(set(table.decisions)) == 2
+        rules, fixing = (ref.rules(), ref.fixing()) if two else (None, None)
+        closure = oracles.brute_closure_separation(measure, table)
+        restricted = []  # per kept column set: its labels and each row's answer inside it
+        for within in range(1 << table.n_cols):
+            kept = {order.attrs[r] for r in range(table.n_cols) if within >> r & 1}
+            labels = [
+                sum(1 << i for i, other in enumerate(table.rows) if all(
+                    other[table.column_position(a)] == row[table.column_position(a)] for a in kept
+                ))
+                for row in table.rows
+            ]
+            want = [as_mask(ref.first(row, labels[j], kept)) for j, row in enumerate(table.rows)]
+            restricted.append((within, labels, want))
+        for entries in range(len(order.masks) + 1):
+            assert _row_separations(measure, table) == seps
+            for within, labels, want in restricted:
+                assert solvers._row_walks(order, bits, bits.full, labels, within) == want
+            # capped at the separation cost: a lane left unanswered reads as the cap
+            got = solvers._row_walks(order, bits, bits.full, [1 << j for j in range(n)], cap=top)
+            costs = [top if a is None else a[0] for a in got]
+            assert (max(costs), costs.index(max(costs))) == (top, [c for c, _ in seps].index(top))
+            assert all(a is None or a == as_mask(s) for a, s in zip(got, seps))
+            if two:
+                assert snd_tree_cost(measure, table)[0] == max(c for c, _ in rules)
+                assert _fixing_sweep(measure, table, 10**9) == fixing
+                assert fixing_cost(measure, table) == fixing  # capped at the min test cost
+            assert closure_separation_cost(measure, table) == closure
+    assert 0 in alone and len(set(alone)) > 1
 
 
 @pytest.mark.parametrize("t", [3, 11, 22, 31, 40])
@@ -258,14 +332,8 @@ def test_within_restricts_every_lane(t):
         labels = [classes[j] | rng.below(1 << n) for j in range(n)]
         start = sum(((1 << n) - 1 ^ labels[j]) << j * width for j in range(n))
         open_ = sum(1 << j * width + n for j in asking)
-
-        def scalar(j):
-            return solvers._first_constant(
-                order, bits.full, bits.rank_values(table.rows[j]), labels[j], within
-            )
-
         low = bits.full * sum(1 << j * width for j in range(n))
-        got = solvers._lane_walk(order, n, width, 0, start, wide, low, open_, scalar, within)
+        got = solvers._lane_walk(order, n, width, 0, start, wide, low, open_, within)
         for j in range(n):
             want = None
             if j in asking:

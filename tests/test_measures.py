@@ -205,6 +205,12 @@ def test_format_parse_roundtrip(weighted):
     assert parse_measure(format_measure(m)) == m
 
 
+@pytest.mark.parametrize("spec", ["sum:", "max:a.cm,", "sum:,b.cm"])
+def test_measure_spec_with_an_empty_part_is_named(spec):
+    with pytest.raises(MeasureError, match=f"^measure spec '{spec}' has an empty part"):
+        load_measure_spec(spec)
+
+
 def test_measure_spec_builtin_and_combinators(tmp_path, weighted):
     assert load_measure_spec("h") == depth()
     assert load_measure_spec("depth") == depth()

@@ -9,7 +9,7 @@ from dtlab.randgen import (
     enumerate_small_tables,
     random_table,
 )
-from dtlab.tables import TooLarge, canonical_key, empty_table, validate
+from dtlab.tables import DtError, TooLarge, canonical_key, empty_table, validate
 
 
 def test_splitmix64_reference_vector():
@@ -109,3 +109,32 @@ def test_enumerate_shape_order():
 def test_enumerate_cap():
     with pytest.raises(TooLarge):
         list(enumerate_small_tables(3, 5, 12, max_count=1000))
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: random_table(2, 2, 1.5), "rows"),
+        (lambda: random_table(2, 2.0, 1), "cols"),
+        (lambda: random_table(2, 2, 1, seed="x"), "seed"),
+        (lambda: random_table(2, 2, 1, seed=True), "seed"),
+        (lambda: random_table(2, 2, 1, p1="x"), "p1"),
+        (lambda: random_table(True, 2, 1), "k"),
+        (lambda: list(enumerate_small_tables(1, 1, 1)), "k"),
+        (lambda: list(enumerate_small_tables(2, 1.5, 1)), "max_cols"),
+        (lambda: list(enumerate_small_tables(2, 1, True)), "max_rows"),
+    ],
+    ids=["rows-float", "cols-float", "seed-str", "seed-bool", "p1-str", "k-bool", "enum-k1", "enum-cols-float", "enum-rows-bool"],
+)
+def test_malformed_arguments_raise_a_named_dt_error(call, name):
+    with pytest.raises(DtError, match=f"^{name} must be"):
+        call()
+
+
+def test_argument_checks_come_before_any_draw():
+    """A valid call after a rejected one on the same stream draws what it
+    would have drawn on a fresh one."""
+    rng = SplitMix64(5)
+    with pytest.raises(DtError):
+        random_table(2, 3, 4, p1="x", seed=rng)
+    assert random_table(2, 3, 4, seed=rng) == random_table(2, 3, 4, seed=5)

@@ -5,6 +5,7 @@ import pytest
 from dtlab import verify
 from dtlab.constructions import BLUE
 from dtlab.measures import depth
+from dtlab.solvers import parameter_report
 from dtlab.tables import DtError, is_constant, validate
 from dtlab.verify import (
     ScenarioCheck,
@@ -200,7 +201,8 @@ def test_lemma_findings_clean_on_example(example6):
 
 
 def test_transfer_findings_clean(example6):
-    assert transfer_findings(depth(), example6) == []
+    report = parameter_report(depth(), example6)
+    assert transfer_findings(depth(), example6, report) == []
 
 
 def test_shrink_table_minimizes():
