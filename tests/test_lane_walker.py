@@ -213,6 +213,44 @@ def test_one_open_lane_walks_alone(monkeypatch):
     assert walks[1][1] <= width < walks[0][1]
 
 
+def test_last_open_lane_goes_to_the_scalar_walk(monkeypatch):
+    """The unit rows of the staircase stand alone on one column each; the
+    zero row, the one lane then left open, needs every column.  With room
+    for the 10 entries up to the last unit row, the wide walk stops there
+    and hands that lane to the walker's scalar walk: a walk of it alone,
+    one narrow int per entry, from the start of the order."""
+    table = identity_table(9)
+    n = table.n_rows
+    width = n + 1
+    monkeypatch.setattr(solvers, "WALK_BYTES", 10 * (n * width // 8 + 36))
+    lane_walks = []
+    real = solvers._lane_walk
+
+    def recorded(order, lanes, *rest, **kwargs):
+        lane_walks.append(lanes)
+        return real(order, lanes, *rest, **kwargs)
+
+    monkeypatch.setattr(solvers, "_lane_walk", recorded)
+    scalar_walks = count_calls(monkeypatch, "_first_constant")
+    seps = _row_separations(depth(), table)
+    assert seps == Reference(depth(), table).row_separations()
+    assert seps[0][0] == 9 and all(c == 1 for c, _ in seps[1:])
+    assert (lane_walks, len(scalar_walks)) == ([n, 1], 0)
+
+
+def test_last_open_lane_late_in_the_order_walks_on(monkeypatch):
+    """One row of this table needs all 5 columns; it is left open alone
+    once its rows of cost 4 are answered, and with the budget far off it
+    finishes in the wide masks: no walk of one lane starts it over."""
+    table = random_table(2, 5, 20, seed=0)
+    lane_walks = count_calls(monkeypatch, "_lane_walk")
+    scalar_walks = count_calls(monkeypatch, "_first_constant")
+    seps = _row_separations(depth(), table)
+    assert seps == Reference(depth(), table).row_separations()
+    assert sorted(c for c, _ in seps)[-2:] == [4, 5]
+    assert (len(lane_walks), len(scalar_walks)) == (1, 0)
+
+
 @pytest.mark.parametrize("budget", [1, 3000, 40000])
 def test_hand_off_by_stored_bytes(monkeypatch, budget):
     """Past the byte budget every open lane goes to the scalar walk, and
