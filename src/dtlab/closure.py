@@ -20,9 +20,9 @@ decision vector.  Bases within one column count are distinct, bases of
 different column counts have different column tuples, and the canonical
 key of a table with at least one row spells out its columns, rows and
 decisions.  So only zero-row members can coincide: they all share the key
-of the empty table, and only the first of them is emitted: the labelling
-list of zero rows is ``[()]`` until one zero-row member is built and
-empty from then on.
+of the empty table, and only the first of them is emitted: each call's
+labellings of zero rows are ``((),)`` until one zero-row member is
+built and empty from then on.
 
 A member stores only its table and provenance, in slots with no
 ``__dict__``.  Its canonical key and relabeling bits are read from the
@@ -44,9 +44,7 @@ only while neither class has a ``__post_init__`` or any other check in
 its constructor, and while the passes set exactly the fields the
 dataclass constructor sets, no more and no fewer;
 ``tests/test_closure_kernel.py`` compares every member with a
-constructor-built twin.  The decision tuples (the labellings) are
-built once per row count in each call and shared by every base with
-that many rows.
+constructor-built twin.
 On one pass of the ``closure`` benchmark (about 35k members), setting
 the fields by ``object.__setattr__`` instead of calling the constructors
 took the pass from 82-92 ms to 68-73 ms, and setting them through the
@@ -56,6 +54,23 @@ runs, not normalised).  The map passes, with the loop's bytecode gone,
 took the benchmark's normalised ``wall_s`` a further 12% down (median
 0.078 to 0.069 s, better in 9 of 10 paired 20 s runs; ``BENCH_21.json``).
 
+The decision tuples (the labellings) depend on the row count alone, so
+``tables._labellings`` builds all labellings of each row count up to
+``_SHARED_ROWS`` = 16 once per process and shares them, in one tuple
+that no caller can change, with every later call, base and small-table
+enumeration.  The kept
+tuples take 21 MiB for every count up to 16, 11 MiB of it for 16 rows
+(tracemalloc), less than the members of one 16-row base.  Labellings
+that ``max_tables`` cuts short are built for their call only and never
+kept, since a later call would read them as complete.  Each call keeps
+its own labellings by row count too: there the zero-row switch, a cut
+tuple and any tuple past the bound live.  A labelling is one
+allocation, the reversed copy of ``product``'s reused result tuple.  On
+the ``closure`` benchmark's seed-7 inputs this took the first call in a
+fresh process from 13.8 to 12.8 ms and the second, whose 14-row
+labellings the first left, from 19.4 to 14.9 ms (2-vCPU Xeon VM,
+Python 3.11.7, medians of 15 processes).
+
 The cyclic garbage collector is paused while the members are built.
 Members, bases and the returned enumeration hold no reference cycles,
 so reference counting frees everything the walk drops, and a collection
@@ -63,9 +78,11 @@ could only walk live members again and again.  Unpaused, a pass ran
 134 young, 12 middle and 1 full collection, which took 31 ms of a
 99-102 ms pass and freed nothing.  Paused, the new members are walked
 once, by the first young collection after the call returns: a
-``closure`` pass of two calls runs 2 collections, 12-14 ms of 54-73 ms
-(timed with ``gc.callbacks``).  The pause is process-wide: cyclic
-garbage that another thread makes meanwhile waits until the call
+``closure`` pass of two calls runs 1 collection, 1.5-3.4 ms of a
+20.6-24.4 ms pass, where it took 3.3-6.5 ms of 28.1-41.9 ms while each
+call built its own labellings (seed-7 inputs, 15 passes in each of three
+processes, timed with ``gc.callbacks``).  The pause is process-wide:
+cyclic garbage that another thread makes meanwhile waits until the call
 returns.  A collector that was off on entry stays off.
 
 That one walk stays.  Calling ``gc.freeze()`` then ``gc.unfreeze()`` on
@@ -98,7 +115,7 @@ import gc
 from dataclasses import dataclass, field
 from collections import deque
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from itertools import groupby, islice, product, repeat
+from itertools import groupby, repeat
 from operator import attrgetter
 
 from .tables import (
@@ -110,6 +127,7 @@ from .tables import (
     TableError,
     UnknownAttribute,
     _in_alphabet,
+    _labellings,
     as_attribute,
     canonical_key,
     empty_table,
@@ -281,8 +299,8 @@ def _base_tables(members: Iterable[ClosureMember]) -> Iterator[list[DecisionTabl
     are compared by value, so members out of emission order or holding
     copied tuples still group.
     """
-    for _, run in groupby(members, key=attrgetter("table.columns", "table.rows")):
-        yield [m.table for m in run]
+    for _, run in groupby(map(attrgetter("table"), members), key=attrgetter("columns", "rows")):
+        yield list(run)
 
 
 def enumerate_closure(
@@ -325,7 +343,9 @@ def _enumerate(generators: Sequence[DecisionTable], limits: ClosureLimits) -> Cl
     if col_ceiling < max_cols:
         out.exhausted = False
 
-    labellings: dict[int, list[tuple[int, ...]]] = {}  # by row count, shared by bases
+    # by row count, shared by bases: the zero-row switch, a cut tuple and
+    # tuples past the process-wide bound live here
+    labellings: dict[int, tuple[tuple[int, ...], ...]] = {}
     new, consume = object.__new__, deque(maxlen=0).extend
     # the bound setters of the slot descriptors, read at call time
     set_k, set_columns = DecisionTable.k.__set__, DecisionTable.columns.__set__
@@ -374,13 +394,10 @@ def _enumerate(generators: Sequence[DecisionTable], limits: ClosureLimits) -> Cl
                 out.exhausted = False
             labels = labellings.get(n)
             if labels is None:
-                # product counts with its last place fastest; reversed, bit
-                # j of the counter is the decision of sorted row j.  Only
-                # the last base walked is truncated, so a short list is
-                # never read again.
-                labels = labellings[n] = [
-                    b[::-1] for b in islice(product((0, 1), repeat=n), take)
-                ]
+                # bit j of the counter is the decision of sorted row j.
+                # Only the last base walked is cut, so a short tuple is
+                # never read again
+                labels = labellings[n] = _labellings(n, take)
             # the fields the dataclass constructors set, one map pass per
             # field; a zero-row repeat has no labelling left and builds nothing
             take = min(take, len(labels))
@@ -395,7 +412,7 @@ def _enumerate(generators: Sequence[DecisionTable], limits: ClosureLimits) -> Cl
             consume(map(set_removed, members, repeat(removed)))
             out.members.extend(members)
             if not n:  # every zero-row table has the empty table's key
-                labellings[0] = []
+                labellings[0] = ()
             if stopped:
                 return out
         if level_complete and out.complete_column_count == c - 1:

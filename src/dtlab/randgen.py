@@ -15,7 +15,16 @@ from itertools import combinations, product
 from math import comb
 from typing import Iterator
 
-from .tables import Attribute, DecisionTable, DtError, TooLarge, _check_count, empty_table, validate
+from .tables import (
+    Attribute,
+    DecisionTable,
+    DtError,
+    TooLarge,
+    _check_count,
+    _labellings,
+    empty_table,
+    validate,
+)
 
 _MASK64 = (1 << 64) - 1
 
@@ -122,7 +131,7 @@ def enumerate_small_tables(
     and then a decision vector hits each row-permutation class exactly
     once.  Order: column count, then row count, then row sets
     lexicographically, then decisions in binary counter order (bit j of
-    the counter labels sorted row j).
+    the counter labels sorted row j), the closure's labellings.
     """
     total = count_small_tables(k, max_cols, max_rows, include_empty)
     if total > max_count:
@@ -135,7 +144,9 @@ def enumerate_small_tables(
         attrs = tuple(Attribute(i) for i in range(c))
         space = sorted(product(range(k), repeat=c))
         for r in range(1, min(max_rows, len(space)) + 1):
+            # 17 rows take a cap above 3^17 tables; past the shared bound
+            # the labellings are built for this call
+            labels = _labellings(r, 1 << r)
             for rows in combinations(space, r):
-                for counter in range(1 << r):
-                    decisions = tuple((counter >> j) & 1 for j in range(r))
+                for decisions in labels:
                     yield DecisionTable(k, attrs, rows, decisions)

@@ -16,7 +16,7 @@ from itertools import combinations
 
 import pytest
 
-from dtlab import closure
+from dtlab import closure, tables
 from dtlab.closure import (
     ClosureLimits,
     ClosureMember,
@@ -297,3 +297,78 @@ def test_walk_extends_only_fitting_column_sets(monkeypatch, max_rows, calls_made
     assert (len(calls), len(enum.members)) == (calls_made, members)
     monkeypatch.undo()
     assert summary(enum) == reference_closure([table], ClosureLimits(max_rows=max_rows))
+
+
+# The labellings of each row count are kept process-wide (tables._labellings).
+# A binary table of three columns and six rows: no projection onto two
+# columns has more than four rows, so its one six-row base is walked last.
+LAST_BASE_ALONE = [random_table(2, 3, 6, seed=30)]
+
+
+@pytest.fixture
+def store(monkeypatch):
+    """An empty process-wide labelling store for the test's calls."""
+    fresh = {}
+    monkeypatch.setattr(tables, "_shared_labellings", fresh)
+    return fresh
+
+
+def test_last_base_alone_is_walked_last():
+    rows = [m.table.n_rows for m in enumerate_closure(LAST_BASE_ALONE).members]
+    assert rows[-64:] == [6] * 64 and max(rows[:-64]) < 6
+
+
+@pytest.mark.parametrize("cut_first", [True, False], ids=["cut-first", "full-first"])
+def test_cut_and_full_enumerations_in_one_process(store, cut_first):
+    total = len(reference_closure(LAST_BASE_ALONE)[0])
+    cut = ClosureLimits(max_tables=total - 5)  # five short of the last base's end
+    for limits in [cut, ClosureLimits()] if cut_first else [ClosureLimits(), cut]:
+        assert_same(LAST_BASE_ALONE, limits)
+    assert len(store[6]) == 64
+
+
+def test_cut_labellings_are_never_kept(store):
+    total = len(reference_closure(LAST_BASE_ALONE)[0])
+    for max_tables in range(total + 2):
+        store.clear()
+        enumerate_closure(LAST_BASE_ALONE, ClosureLimits(max_tables=max_tables))
+        assert all(len(labels) == 1 << n for n, labels in store.items())
+        assert (6 in store) == (max_tables >= total)
+
+
+@pytest.mark.parametrize("name", ["zero-rows-twice", "zero-rows-around"])
+def test_consecutive_calls_each_emit_one_zero_row_member(store, name):
+    for _ in range(2):
+        enum = assert_same(GENERATOR_SETS[name])
+        assert sum(m.table.is_empty for m in enum.members) == 1
+        assert store[0] == ((),)  # the switch to no labelling stays in the call
+
+
+def test_generators_share_decision_tuples_by_identity(store):
+    # a binary three-column and a ternary two-column generator, each with
+    # one six-row base
+    first = enumerate_closure(LAST_BASE_ALONE)
+    second = enumerate_closure([random_table(3, 2, 6, seed=31)])
+    decisions = [
+        [m.table.decisions for m in enum.members if m.table.n_rows == 6] for enum in (first, second)
+    ]
+    assert len(decisions[0]) == len(decisions[1]) == 64
+    for a, b, kept in zip(*decisions, store[6]):
+        assert a is b is kept
+
+
+def test_no_labellings_past_the_bound_are_kept(store, monkeypatch):
+    monkeypatch.setattr(tables, "_SHARED_ROWS", 2)
+    generators = [random_table(2, 4, 8, seed=12)]
+    for limits in (ClosureLimits(), ClosureLimits(), ClosureLimits(max_tables=40)):
+        enum = assert_same(generators, limits)
+        assert max(m.table.n_rows for m in enum.members) > 2
+        assert max(store) == 2
+
+
+def test_kept_labellings_equal_the_counter_construction(store):
+    for n in range(13):
+        want = tuple(tuple((counter >> j) & 1 for j in range(n)) for counter in range(1 << n))
+        got = tables._labellings(n, 1 << n)
+        assert got == want and store[n] is got
+        assert tables._labellings(n, 1) is got  # a later cut reads the kept tuple

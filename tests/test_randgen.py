@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -9,7 +10,7 @@ from dtlab.randgen import (
     enumerate_small_tables,
     random_table,
 )
-from dtlab.tables import DtError, TooLarge, canonical_key, empty_table, validate
+from dtlab.tables import Attribute, DecisionTable, DtError, TooLarge, canonical_key, empty_table, validate
 
 
 def test_splitmix64_reference_vector():
@@ -104,6 +105,22 @@ def test_enumerate_all_keys_distinct():
 def test_enumerate_shape_order():
     shapes = [(t.n_cols, t.n_rows) for t in enumerate_small_tables(2, 2, 2)]
     assert shapes == sorted(shapes)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 4), (3, 2, 3), (2, 3, 2)])
+def test_enumerate_decisions_count_in_binary(shape):
+    """The stream equals one built table by table from the counter, with
+    bit j labelling sorted row j."""
+    k, max_cols, max_rows = shape
+    want = [empty_table(k)]
+    for c in range(1, max_cols + 1):
+        space = sorted(product(range(k), repeat=c))
+        for r in range(1, min(max_rows, len(space)) + 1):
+            for rows in combinations(space, r):
+                for counter in range(1 << r):
+                    decisions = tuple((counter >> j) & 1 for j in range(r))
+                    want.append(DecisionTable(k, tuple(Attribute(i) for i in range(c)), rows, decisions))
+    assert list(enumerate_small_tables(k, max_cols, max_rows)) == want
 
 
 def test_enumerate_cap():
