@@ -57,39 +57,38 @@ of the order at which it turns constant, which is exactly the scalar
 walk's answer, so every value, witness and tie-break is that of one
 ``_first_constant`` per query.
 
-Row separations (label: the row alone), the 1-rows' minimal rules
-(label: the 1-rows; the 0-rows' lanes start done) and closure separation
-(label: the row's class on the kept column set; merged rows start done)
-walk the kernel's row lanes, in chunks of as many questions as fit one
-wide mask.  Separations and rules read the same agreeing rows along the
-same order, so ``parameter_report`` asks both in one walk: question q
-asks of row q mod n, the first n questions are the separations and
-question n + j is 1-row j's rule, so the 2n lanes are the row lanes
-twice over.  ``_snd_tree`` glues the rules into the snd tree there and
-in ``snd_tree_cost``.  The fixing sweep first walks the tuple
-(0, ..., 0) alone, then the value tuples in blocks of k^d tuples in
-product order, one lane each.  A block's masks are value masks times
-repeated-lane constants, with no Python loop over tuples; only its
-worst tuple, the lowest lane of the block's maximum cost, is decoded.  A walk given a cap (the min
-test cost for the sweep, cost(C) for a kept column set C) stops at the
-first answer that reaches it: no lane can cost more, so the maximum is
-the cap, and the first lane that costs it is the lowest one answered
-at the cap or left unanswered.  The sweep stops after the first block
-that reaches it.
+Row separations (label: the row alone) and the 1-rows' minimal rules
+(label: the 1-rows; the 0-rows' lanes start done) walk the kernel's row
+lanes, in chunks of as many questions as fit one wide mask.  Separations
+and rules read the same agreeing rows along the same order, so
+``parameter_report`` asks both in one walk: question q asks of row q mod
+n, the first n questions are the separations and question n + j is 1-row
+j's rule, so the 2n lanes are the row lanes twice over.  ``_snd_tree``
+glues the rules into the snd tree there and in ``snd_tree_cost``.  The
+fixing sweep first walks the tuple (0, ..., 0) alone, then the value
+tuples in blocks of k^d tuples in product order, one lane each.  A
+block's masks are value masks times repeated-lane constants, with no
+Python loop over tuples; only its worst tuple, the lowest lane of the
+block's maximum cost, is decoded.  A walk given a cap, the min test cost,
+stops at the first answer that reaches it: no lane can cost more, so the
+maximum is the cap, and the first lane that costs it is the lowest one
+answered at the cap or left unanswered.  The sweep stops after the first
+block that reaches it.
 
 The walker's bounds are constants, timed interleaved in one process
 (2-vCPU VM, Python 3.11.7).  A wide mask holds at most
-``tables.LANE_BITS`` = 2^12 bits; without a bound, the 2^14 value
-tuples of a 14-column binary table would form one block of 2^14 lanes.
-The bounds 2^11, 2^12, 2^13 and 2^14 took a ``params`` pass 9.2, 9.2,
-9.5 and 9.4 ms, within the noise; the fixing sweeps of six k=2 tables
-of 9-11 columns 7.9, 8.1, 9.5 and 12.7 ms, as smaller blocks stop
-sooner once one reaches the cap; and the row and closure separations of
-three tables of 150-300 rows 480, 327, 286 and 356 ms, as narrower
-chunks take more walks and wider ones a smaller entry budget (median of
-16 and of 8).  2^16 took those sweeps 24 ms and those separations
-1.99 s.  ``identity_table(14)`` does not tell the bounds apart: its 15
-rows fit one mask under each, and its first tuple settles its sweep.
+``tables.LANE_BITS`` = 2^12 bits; without a bound, the 2^14 value tuples
+of a 14-column binary table would form one block of 2^14 lanes.  The
+bounds 2^11, 2^12, 2^13 and 2^14 took a ``params`` pass 9.2, 9.2, 9.5
+and 9.4 ms, within the noise; the fixing sweeps of six k=2 tables of
+9-11 columns 7.9, 8.1, 9.5 and 12.7 ms, as smaller blocks stop sooner
+once one reaches the cap; and the row separations and the closure
+separations, which then walked lanes too, of three tables of 150-300
+rows 480, 327, 286 and 356 ms, as narrower chunks take more walks and
+wider ones a smaller entry budget (median of 16 and of 8).  2^16 took
+those sweeps 24 ms and those separations 1.99 s.  ``identity_table(14)``
+does not tell the bounds apart: its 15 rows fit one mask under each, and
+its first tuple settles its sweep.
 
 Fewer than ``MIN_LANES`` = 8 row questions get a scalar walk each, and
 so does the first tuple of the sweep, which settles it on 314 of the
@@ -110,42 +109,49 @@ hand off its last few lanes: handing them off once at most 1/4, 1/16 or
 and 9.7 ms, the six sweeps 16.3, 9.3, 7.8 and 8.0 ms and the three
 separations 1.21, 0.54, 0.32 and 0.34 s.
 
-A walk inside a column set C stores no masks for the entries outside
-C, since every entry below one of them in the order lies outside too,
-so the budget counts subsets of C only.  Under depth, the closure
-separation of ``random_table(2, 11, 200, seed=11)``, which walks 67
-kept column sets, took 0.92 s counting every entry against the budget,
-0.47 s skipping those outside C and 4.04 s as one scalar walk per row
-(median of 3, busier host).  The budget bounds memory, not time: on the
-14-column table of the zero row, the all-ones row, the unit rows and
-their complements, whose first two rows stay open through all 16,384
-entries, row separations took 8.7 ms under 1 MiB, 10.7 ms under 2 MiB
-(cut after about 13,800 entries, both lanes then walked again alone),
-4.9 ms under 4 MiB or no bound and 3.9 ms as scalar walks, with
-tracemalloc peaks of 1.08, 2.17, 2.56 and 0.66 MB (median of 10, 2-vCPU
-VM, Python 3.11.7).  Handing the two lanes to ``_first_constant``
-instead took 5.2 and 7.6 ms: a walk of one lane tests its guard bit and
-its budget at every entry, but no benchmark workload hands a lane off.
+The budget bounds memory, not time: on the 14-column table of the zero
+row, the all-ones row, the unit rows and their complements, whose first
+two rows stay open through all 16,384 entries, row separations took
+8.7 ms under 1 MiB, 10.7 ms under 2 MiB (cut after about 13,800
+entries, both lanes then walked again alone), 4.9 ms under 4 MiB or no
+bound and 3.9 ms as scalar walks, with tracemalloc peaks of 1.08,
+2.17, 2.56 and 0.66 MB (median of 10, 2-vCPU VM, Python 3.11.7).
+Handing the two lanes to ``_first_constant`` instead took 5.2 and
+7.6 ms: a walk of one lane tests its guard bit and its budget at every
+entry, but no benchmark workload hands a lane off.
 
-Closure separation never builds a projection.  For a kept column
-set C, the rows agreeing with a row on C form one projected row, stood
-for by its lowest row, and that row's separators in the projection are
-the subsets of C on which it agrees with no other class: one lane walk
-per C, restricted to subsets of C, with each lowest row's class as its
-lane's label.  That restriction is exactly the order the projection
-would build, because a key depends only on the attribute set.  C itself
-separates every projected row, so the projection keeping C costs at
-most cost(C).  The sweep therefore takes the kept column sets from the
-dearest down and stops at the first one no dearer than the best value
-so far: no later set can raise it.  The projection keeping every column
-is the table itself, so ``parameter_report`` starts the sweep at the
-separation cost it has just solved and never walks the full set,
-wherever it sits among the sets that tie at the top cost under max
-weights.  On the 96 ``params`` reports of the 16 variants the value is
-the separation cost in 84, and the sweeps walk 12 kept column sets
-instead of 108; on a ``verify`` pass (seed 3), 678 instead of 1,802.
-``closure_separation_cost`` on its own seeds the sweep the same way: it
-solves the table's row separations first and starts from their maximum.
+Closure separation builds no projection and walks no lanes.  Call a
+column set G irredundant for a row r when each g in G has a private
+row, one that differs from r at g and agrees with r on G - {g}.  The
+closure separation cost is the largest cost(G) over every row r and
+every G irredundant for r, the upper irredundance of a hypergraph
+(Cockayne, Hedetniemi and Miller, Canad. Math. Bull. 1978).  Let A_r(S)
+be the rows agreeing with r on S: in the projection keeping C, a subset
+S of C separates r's projected row exactly when A_r(S) = A_r(C).
+
+* (>=) Keep C = G.  Each g's private row lies in A_r(G - {g}) but not
+  in A_r(G), so no proper subset of G separates r, and r's projected
+  row costs cost(G).
+* (<=) For any C and r, an inclusion-minimal S inside C with
+  A_r(S) = A_r(C) is irredundant for r, since dropping any s from S
+  lets in a row that differs from r at s; and r's projected row costs
+  at most cost(S).
+
+The sweep takes the column sets from the dearest down and returns the
+cost of the first one irredundant for some row, which ``_irredundant``
+tests with prefix and suffix ANDs of the row's agreeing rows.  It stops
+at the first set no dearer than the table's separation cost, a lower
+bound on the value, and returns that cost when no dearer set is
+irredundant.  ``parameter_report`` passes the separation cost it has
+just solved; ``closure_separation_cost`` on its own solves the row
+separations first.  The sweep never tests the full column set: that
+set is irredundant for r only when r's separation cost in the table is
+cost(full set), and then the separation cost reaches the cost of every
+set, so the sweep stops before it.  On the 96 ``params`` reports of the
+16 variants the value is the separation cost in 84.  Under depth,
+``random_table(2, 16, 100, seed=1)`` took 86 s with one lane walk per
+kept set restricted to its subsets, and 4.0 s with irredundance tests
+(2-vCPU VM, Python 3.11.7).
 
 Every solver and validator reads its table through one bit kernel,
 ``tables._TableBits``: rank order, value masks and the ones mask, all
@@ -349,25 +355,25 @@ def _subset_order(
 
 
 def _first_constant(
-    order: _SubsetOrder, full: int, rank_values: list[int], labels: int, within: int = -1
+    order: _SubsetOrder, full: int, rank_values: list[int], labels: int
 ) -> tuple[int, int]:
-    """(cost, column-rank mask) of the first subset S of the order inside
-    ``within`` whose agreeing rows all lie in ``labels`` or all outside it.
+    """(cost, column-rank mask) of the first subset S of the order whose
+    agreeing rows all lie in ``labels`` or all outside it.
 
     ``rank_values[r]`` is the mask of the rows that agree at column rank
     r, and ``full`` the mask of every row.  A subset's agreeing rows are
     its parent's, narrowed at its highest rank, so each entry of the
     order costs one AND.
     """
-    parents, lasts, masks = order.parents, order.lasts, order.masks
+    parents, lasts = order.parents, order.lasts
     agree: list[int] = []
     for i in order.walk():
         p = parents[i]
         m = full if p < 0 else agree[p] & rank_values[lasts[i]]
         agree.append(m)
         x = m & labels
-        if (x == 0 or x == m) and masks[i] & within == masks[i]:
-            return order.costs[i], masks[i]
+        if x == 0 or x == m:
+            return order.costs[i], order.masks[i]
     raise AssertionError(_NO_SUBSET)
 
 
@@ -399,11 +405,10 @@ def _lane_walk(
     wide: list[int],
     low: int,
     open_: int,
-    within: int = -1,
     cap: float = math.inf,
 ) -> list[tuple[int, int] | None]:
     """Per lane, (cost, column-rank mask) of the first subset S of the
-    order inside ``within`` at which the lane turns constant, or None for
+    order at which the lane turns constant, or None for
     a lane that does not ask and for one left unanswered once an answer
     reaches ``cap``, where the walk stops.  Given a ``cap`` that no
     lane's answer exceeds, reading each asking lane left unanswered as
@@ -419,28 +424,23 @@ def _lane_walk(
     with one AND, for every lane at once.  A lane is open while each of
     its sub-lanes holds a row: adding ``low``, the row bits of every
     sub-lane, carries into a sub-lane's guard bit exactly when it holds
-    one.  ``open_`` holds the low guard bit of each lane that asks.
-    An entry outside ``within`` gets no masks: no subset below it in the
-    order lies inside either.  A walk of several lanes hands each lane
-    still open to a walk of that lane alone, from the start of the
-    order, once its stored masks pass ``WALK_BYTES``, and at once when
-    it starts with one lane open.  A walk of one lane stores one narrow
-    int per entry, as ``_first_constant`` does, and has no budget.
+    one.  ``open_`` holds the low guard bit of each lane that asks.  A
+    walk of several lanes hands each lane still open to a walk of that
+    lane alone, from the start of the order, once its stored masks pass
+    ``WALK_BYTES``, and at once when it starts with one lane open.  A
+    walk of one lane stores one narrow int per entry, as
+    ``_first_constant`` does, and has no budget.
     """
     answers: list[tuple[int, int] | None] = [None] * lanes
     if not open_:
         return answers
     parents, lasts, masks, costs = order.parents, order.lasts, order.masks, order.costs
-    outside = ~within
     agree: list[int] = []
     # Entries the walk may store: a walk of one lane has no budget; one open lane among several
     # gets none, so it walks alone at once; else an int of lanes * width bits takes about that
     # many bits / 8 + 28 bytes, and its list slot 8 more.
     room = math.inf if lanes == 1 else WALK_BYTES // (lanes * width // 8 + 36) if open_ & open_ - 1 else 0
     for i in order.walk():
-        if masks[i] & outside:
-            agree.append(0)
-            continue
         if not room:
             break
         room -= 1
@@ -463,7 +463,7 @@ def _lane_walk(
         alone = [x >> at & lane for x in wide]
         answers[j] = _lane_walk(
             order, 1, width, shift, start >> at & lane, alone, low >> at & lane,
-            open_ >> at & lane, within, cap,
+            open_ >> at & lane, cap,
         )[0]
         if answers[j][0] >= cap:
             break
@@ -497,13 +497,7 @@ def _fixings(
 
 
 def _row_walks(
-    order: _SubsetOrder,
-    bits: _TableBits,
-    asking: int,
-    labels: list[int],
-    within: int = -1,
-    cap: float = math.inf,
-    chunk_lanes: dict[int, list[int]] | None = None,
+    order: _SubsetOrder, bits: _TableBits, asking: int, labels: list[int]
 ) -> list[tuple[int, int] | None]:
     """Per question, the first subset answering it, as ``_lane_walk``
     gives it.
@@ -515,20 +509,14 @@ def _row_walks(
     in one walk.  Fewer than ``MIN_LANES`` questions get the scalar walk
     each; more are walked in chunks of as many questions as fit one wide
     mask of ``LANE_BITS``, one ``_lane_walk`` per chunk, which answers
-    every question of its chunk itself.  ``within`` and ``cap`` apply to
-    every walk, and no question is asked after an answer reaches
-    ``cap``.  A caller that walks one table's rows many times passes a
-    dict as ``chunk_lanes``, which keeps each chunk's lanes, by first
-    question, between the calls.
+    every question of its chunk itself.
     """
     full, rows = bits.full, bits.table.rows
     n, count = len(rows), len(labels)
     answers: list[tuple[int, int] | None] = [None] * count
     if asking.bit_count() < MIN_LANES:
         for q in _set_lanes(asking, 1):
-            answers[q] = _first_constant(order, full, bits.rank_values(rows[q % n]), labels[q], within)
-            if answers[q][0] >= cap:
-                break
+            answers[q] = _first_constant(order, full, bits.rank_values(rows[q % n]), labels[q])
         return answers
     width = n + 1
     size = max(1, LANE_BITS // width)
@@ -541,15 +529,8 @@ def _row_walks(
         # a lane keeps the agreeing rows outside its labels, so it empties when constant
         start = low ^ sum(m << j * width for j, m in enumerate(labels[first:stop]))
         open_ = sum(1 << j * width + n for j in _set_lanes(chunk, 1))  # the asking lanes' guard bits
-        wide = None if chunk_lanes is None else chunk_lanes.get(first)
-        if wide is None:
-            wide = bits.row_lanes(first, stop)
-            if chunk_lanes is not None:
-                chunk_lanes[first] = wide
-        walked = _lane_walk(order, stop - first, width, 0, start, wide, low, open_, within, cap)
-        answers[first:stop] = walked
-        if any(a is not None and a[0] >= cap for a in walked):
-            break
+        wide = bits.row_lanes(first, stop)
+        answers[first:stop] = _lane_walk(order, stop - first, width, 0, start, wide, low, open_)
     return answers
 
 
@@ -640,51 +621,53 @@ def closure_separation_cost(measure: ComplexityMeasure, table: DecisionTable) ->
 
     Relabelings never change which rows a projection has, and separation
     ignores decisions, so ranging over the 2^columns projections covers
-    the whole closure.  Each projection, named by its kept column set C,
-    is solved without building it: the rows agreeing with a row on C
-    merge into one projected row, whose separators are the subsets of C
-    on which it agrees with no row outside that class.
+    the whole closure.  No projection is built: the value is the largest
+    cost(G) over the rows r and the column sets G irredundant for r, in
+    which each column has a private row that differs from r there and
+    agrees with r on the rest of G (module docstring).
     """
     return _closure_sweep(measure, table, table_separation_cost(measure, table))
 
 
+def _irredundant(values: list[int], kept: list[int], full: int) -> bool:
+    """Whether the column ranks ``kept`` are irredundant for a row whose
+    ``rank_values`` are ``values``: each kept rank has a private row,
+    one that differs from the row there and agrees with it at every
+    other kept rank.  ``full`` is the mask of every row."""
+    before = [full]  # before[i]: the rows agreeing at kept[:i]
+    for r in kept[:-1]:
+        before.append(before[-1] & values[r])
+    after = full  # the rows agreeing at kept[i + 1:]
+    for i in range(len(kept) - 1, -1, -1):
+        if not before[i] & after & ~values[kept[i]]:
+            return False
+        after &= values[kept[i]]
+    return True
+
+
 def _closure_sweep(measure: ComplexityMeasure, table: DecisionTable, separation: int) -> int:
-    """``closure_separation_cost``, given the table's separation cost.
-    That is the value of the projection keeping every column, the table
-    itself, so the sweep starts from it and never walks the full column
-    set."""
+    """``closure_separation_cost``, given the table's separation cost, a
+    lower bound on it: the cost of the dearest column set that is
+    irredundant for some row, or the separation cost when no set dearer
+    than it is."""
     if table.is_empty:
         return 0
     order = _subset_order(measure, table.columns)
     order.complete()
     bits = _bits_of(table)
-    full = bits.full
-    best, every = separation, (1 << table.n_cols) - 1
-    row_values: list[list[int]] = []  # built at the first set walked: most sweeps walk none
-    chunk_lanes: dict[int, list[int]] = {}  # a tall table's row lanes, built once for every C
+    every = (1 << table.n_cols) - 1
+    row_values: list[list[int]] = []  # built at the first set tested: most sweeps test none
     for cost_c, c in zip(reversed(order.costs), reversed(order.masks)):
-        if cost_c <= best:
-            break  # C separates every projected row, so no set from here on can raise best
+        if cost_c <= separation:
+            break  # no set from here on can raise the value
         if c == every:
-            continue  # under tied costs the full set need not come first
+            continue  # irredundant only for a row it costs to separate: not above the seed
         if not row_values:
             row_values = [bits.rank_values(row) for row in table.rows]
         kept = [r for r in range(len(order.attrs)) if c >> r & 1]
-        merged = lowest = 0
-        classes = [0] * len(row_values)  # each projected row's class, at its lowest row
-        for a, values in enumerate(row_values):
-            if merged >> a & 1:
-                continue  # an earlier row stands for a's projected row
-            same = full
-            for r in kept:
-                same &= values[r]
-            merged |= same
-            lowest |= 1 << a
-            classes[a] = same
-        # no projected row costs more than C, so the walks stop at the first that does
-        answers = _row_walks(order, bits, lowest, classes, c, cost_c, chunk_lanes)
-        best = max(best, max(a[0] for a in answers if a is not None))
-    return best
+        if any(_irredundant(values, kept, bits.full) for values in row_values):
+            return cost_c
+    return separation
 
 
 def fixing_cost_for_tuple(

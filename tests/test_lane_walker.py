@@ -62,13 +62,11 @@ class Reference:
         ]
         self.ones = sum(d << i for i, d in enumerate(table.decisions))
 
-    def first(self, values, labels, within=None):
-        """(cost, attributes) of the first subset, inside ``within`` if
-        given, on which the rows agreeing with ``values`` all lie in the
-        row mask ``labels`` or all outside it."""
+    def first(self, values, labels):
+        """(cost, attributes) of the first subset on which the rows
+        agreeing with ``values`` all lie in the row mask ``labels`` or all
+        outside it."""
         for cost, attrs, positions in self.subsets:
-            if within is not None and not set(attrs) <= within:
-                continue
             agree = (1 << self.table.n_rows) - 1
             for p in positions:
                 agree &= self.value_rows[p][values[p]]
@@ -280,12 +278,9 @@ SMALL_ORDERS = [
 def test_hand_off_by_stored_bytes_after_every_entry_count(monkeypatch, t):
     """For each count e of entries of the order, every walk of several
     lanes gets a byte budget of e entries, so it hands its open lanes to
-    walks of one lane each after e entries.  Row lanes, lanes restricted
-    to each column set, tuple lanes and capped walks all keep the
-    reference's answers."""
+    walks of one lane each after e entries.  Row lanes, tuple lanes and
+    the fixing sweep's capped walks all keep the reference's answers."""
     table = SMALL_ORDERS[t]
-    n = table.n_rows
-    bits = _bits_of(table)
     real = solvers._lane_walk
     alone = []
 
@@ -302,113 +297,18 @@ def test_hand_off_by_stored_bytes_after_every_entry_count(monkeypatch, t):
         ref = Reference(measure, table)
         order = solvers._subset_order(measure, table.columns)
         order.complete()
-
-        def as_mask(answer):
-            return answer[0], sum(1 << order.attrs.index(a) for a in answer[1])
-
         seps = ref.row_separations()
-        top = max(c for c, _ in seps)
         two = len(set(table.decisions)) == 2
         rules, fixing = (ref.rules(), ref.fixing()) if two else (None, None)
         closure = oracles.brute_closure_separation(measure, table)
-        restricted = []  # per kept column set: its labels and each row's answer inside it
-        for within in range(1 << table.n_cols):
-            kept = {order.attrs[r] for r in range(table.n_cols) if within >> r & 1}
-            labels = [
-                sum(1 << i for i, other in enumerate(table.rows) if all(
-                    other[table.column_position(a)] == row[table.column_position(a)] for a in kept
-                ))
-                for row in table.rows
-            ]
-            want = [as_mask(ref.first(row, labels[j], kept)) for j, row in enumerate(table.rows)]
-            restricted.append((within, labels, want))
         for entries in range(len(order.masks) + 1):
             assert _row_separations(measure, table) == seps
-            for within, labels, want in restricted:
-                assert solvers._row_walks(order, bits, bits.full, labels, within) == want
-            # capped at the separation cost: a lane left unanswered reads as the cap
-            got = solvers._row_walks(order, bits, bits.full, [1 << j for j in range(n)], cap=top)
-            costs = [top if a is None else a[0] for a in got]
-            assert (max(costs), costs.index(max(costs))) == (top, [c for c, _ in seps].index(top))
-            assert all(a is None or a == as_mask(s) for a, s in zip(got, seps))
             if two:
                 assert snd_tree_cost(measure, table)[0] == max(c for c, _ in rules)
                 assert _fixing_sweep(measure, table, 10**9) == fixing
                 assert fixing_cost(measure, table) == fixing  # capped at the min test cost
             assert closure_separation_cost(measure, table) == closure
     assert 0 in alone and len(set(alone)) > 1
-
-
-@pytest.mark.parametrize("t", [3, 11, 22, 31, 40])
-def test_within_restricts_every_lane(t):
-    """Row lanes built here, walked inside each column set in turn."""
-    table = TABLES[t]
-    n = table.n_rows
-    width = n + 1
-    measure = MEASURES[1][1]
-    ref = Reference(measure, table)
-    order = solvers._subset_order(measure, table.columns)
-    order.complete()
-    bits = _bits_of(table)
-    ranks = sorted(range(table.n_cols), key=lambda p: table.columns[p].index)
-    wide = [
-        sum(ref.value_rows[p][row[p]] << j * width for j, row in enumerate(table.rows))
-        for p in ranks
-    ]
-    rng = SplitMix64(t)
-    for _ in range(6):
-        within = rng.below(1 << table.n_cols)
-        kept = {order.attrs[r] for r in range(table.n_cols) if within >> r & 1}
-        asking = [j for j in range(n) if rng.below(3)]
-        # each label holds row j's class on the kept columns, so they answer every lane
-        classes = [
-            sum(1 << i for i, other in enumerate(table.rows) if all(
-                other[table.column_position(a)] == row[table.column_position(a)] for a in kept
-            ))
-            for row in table.rows
-        ]
-        labels = [classes[j] | rng.below(1 << n) for j in range(n)]
-        start = sum(((1 << n) - 1 ^ labels[j]) << j * width for j in range(n))
-        open_ = sum(1 << j * width + n for j in asking)
-        low = bits.full * sum(1 << j * width for j in range(n))
-        got = solvers._lane_walk(order, n, width, 0, start, wide, low, open_, within)
-        for j in range(n):
-            want = None
-            if j in asking:
-                cost, attrs = ref.first(table.rows[j], labels[j], kept)
-                want = (cost, sum(1 << order.attrs.index(a) for a in attrs))
-            assert got[j] == want
-
-
-@pytest.mark.parametrize("lane_bits", [64, 256])
-def test_chunk_lanes_kept_across_walks(monkeypatch, lane_bits):
-    """Rows in several chunks, walked inside one column set after another
-    with one dict keeping the chunk lanes, as the closure sweep walks
-    them: every row's answer is the reference's."""
-    monkeypatch.setattr(solvers, "LANE_BITS", lane_bits)
-    table = random_table(3, 4, 30, seed=5)
-    n = table.n_rows
-    measure = MEASURES[1][1]
-    ref = Reference(measure, table)
-    order = solvers._subset_order(measure, table.columns)
-    order.complete()
-    bits = _bits_of(table)
-    chunk_lanes = {}
-    rng = SplitMix64(lane_bits)
-    for _ in range(8):
-        within = rng.below(1 << table.n_cols)
-        kept = {order.attrs[r] for r in range(table.n_cols) if within >> r & 1}
-        labels = [
-            sum(1 << i for i, other in enumerate(table.rows) if all(
-                other[table.column_position(a)] == row[table.column_position(a)] for a in kept
-            )) | rng.below(1 << n)
-            for row in table.rows
-        ]
-        got = solvers._row_walks(order, bits, bits.full, labels, within, chunk_lanes=chunk_lanes)
-        for j, row in enumerate(table.rows):
-            cost, attrs = ref.first(row, labels[j], kept)
-            assert got[j] == (cost, sum(1 << order.attrs.index(a) for a in attrs))
-    assert len(chunk_lanes) > 1
 
 
 @pytest.mark.parametrize(
@@ -428,6 +328,4 @@ def test_no_wide_mask_passes_the_width_bound(monkeypatch, table):
     _row_separations(depth(), table)
     snd_tree_cost(depth(), table)
     _fixing_sweep(depth(), table, 10**9)
-    if table.n_cols <= 11:
-        closure_separation_cost(depth(), table)
     assert widest and max(widest) <= LANE_BITS

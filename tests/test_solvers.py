@@ -136,9 +136,58 @@ tie_heavy_st = st.one_of(
 @settings(max_examples=150)
 @given(tables_st(max_cols=4, max_rows=6), tie_heavy_st)
 def test_closure_separation_sweep_matches_oracle(table, measure):
-    assert closure_separation_cost(measure, table) == oracles.brute_closure_separation(
-        measure, table
-    )
+    want = oracles.brute_closure_separation(measure, table)
+    assert closure_separation_cost(measure, table) == want
+    assert parameter_report(measure, table).closure_separation_cost == want
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        random_table(2, 4, 9, seed=1),
+        random_table(3, 3, 12, seed=2),
+        random_table(2, 5, 20, seed=3),
+        random_table(4, 2, 1, seed=4),
+        identity_table(4),
+    ],
+    ids=["2-4-9", "3-3-12", "2-5-20", "one-row", "identity4"],
+)
+def test_irredundant_matches_the_definition(table):
+    """Every column-rank mask, for every row: each kept column has a
+    private row, found here by comparing row tuples, exactly when
+    ``_irredundant`` says so."""
+    bits = solvers._bits_of(table)
+    seen = set()
+    for mask in range(1 << table.n_cols):
+        kept = [r for r in range(table.n_cols) if mask >> r & 1]
+        positions = [bits.ranks[r] for r in kept]
+        for row in table.rows:
+            want = all(
+                any(
+                    other[g] != row[g] and all(other[h] == row[h] for h in positions if h != g)
+                    for other in table.rows
+                )
+                for g in positions
+            )
+            assert solvers._irredundant(bits.rank_values(row), kept, bits.full) == want
+            seen.add((len(kept), want))
+    # the empty set is irredundant for every row; a lone row has no private rows
+    assert (0, True) in seen
+    if table.n_rows > 1:
+        assert (1, True) in seen and any(not irr for _, irr in seen)
+    else:
+        assert seen == {(size, size == 0) for size in range(table.n_cols + 1)}
+
+
+@pytest.mark.parametrize(
+    "shape, seed, value",
+    [((2, 14, 60), 5, 7), ((3, 12, 200), 1, 6)],
+    ids=["2-14-60", "3-12-200"],
+)
+def test_closure_separation_of_tall_wide_tables(shape, seed, value):
+    """Tables with thousands of kept column sets dearer than their
+    separation cost: the values stay what the per-set walks gave."""
+    assert closure_separation_cost(depth(), random_table(*shape, seed=seed)) == value
 
 
 def _count_calls(monkeypatch, name):
@@ -157,7 +206,7 @@ def _count_calls(monkeypatch, name):
 def test_closure_separation_stops_at_the_dearest_set(m):
     """The zero row of the m-column staircase needs every column, so the
     separation cost m, where the sweep starts, is already the value and
-    the sweep walks no kept column set.  The public value is the report's
+    the sweep tests no kept column set.  The public value is the report's
     and the brute-force oracle's.  The oracle solves every projection and
     takes seconds past 9 columns, so there the test checks the value m it
     gives."""
@@ -170,15 +219,15 @@ def test_closure_separation_stops_at_the_dearest_set(m):
 
 def test_report_closure_sweep_walks_no_full_column_set(monkeypatch, example6, weighted):
     """The report's closure separation is the public function's value,
-    and its sweep, seeded with the report's row separations, walks no
-    kept column set that is the full one, even where max weights tie
-    the full set with others at the top cost."""
-    walked = []
-    real = solvers._row_walks
+    and its sweep, seeded with the report's row separations, tests no
+    kept column set that is the full one for irredundance, even where
+    max weights tie the full set with others at the top cost."""
+    tested = []
+    real = solvers._irredundant
 
-    def recorded(order, bits, asking, labels, within=-1, *rest, **kwargs):
-        walked.append(within)
-        return real(order, bits, asking, labels, within, *rest, **kwargs)
+    def recorded(values, kept, full):
+        tested.append(sum(1 << r for r in kept))
+        return real(values, kept, full)
 
     tables = [example6, random_table(2, 6, 6, seed=0), random_table(2, 6, 32, seed=3), identity_table(5)]
     measures = [depth(), weighted, max_weight({0: 3, 1: 1}, 2), max_of(max_weight({2: 3}), depth())]
@@ -186,14 +235,14 @@ def test_report_closure_sweep_walks_no_full_column_set(monkeypatch, example6, we
     for table in tables:
         every = (1 << table.n_cols) - 1
         for measure in measures:
-            monkeypatch.setattr(solvers, "_row_walks", recorded)
-            walked.clear()
+            monkeypatch.setattr(solvers, "_irredundant", recorded)
+            tested.clear()
             report = parameter_report(measure, table)
-            assert every not in walked
-            swept += sum(w != -1 for w in walked)
-            monkeypatch.setattr(solvers, "_row_walks", real)
+            assert every not in tested
+            swept += len(tested)
+            monkeypatch.setattr(solvers, "_irredundant", real)
             assert report.closure_separation_cost == closure_separation_cost(measure, table)
-    assert swept  # some report's sweep walked a kept column set
+    assert swept  # some report's sweep tested a kept column set
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +574,8 @@ def test_report_witness_checks_do_not_use_the_walker(monkeypatch):
         mask ^= 1 << (mask.bit_length() - 1)
         return order.costs[order.masks.index(mask)], mask
 
-    def wrong_scalar(order, full, rank_values, labels, within=-1):
-        answer = scalar(order, full, rank_values, labels, within)
+    def wrong_scalar(order, full, rank_values, labels):
+        answer = scalar(order, full, rank_values, labels)
         return answer if labels == ones else drop_highest(order, answer)  # fixings and rules stay right
 
     def wrong_lanes(order, count, width, shift, *rest, **kwargs):
