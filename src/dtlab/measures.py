@@ -70,21 +70,34 @@ class ComplexityMeasure:
     default_weight: int = 1
     children: tuple["ComplexityMeasure", ...] = ()
     cost_fn: Callable | None = field(default=None, compare=False)
-    # Subset orders of the solvers, grown lazily and kept per instance
+    # Subset orders of the solvers, with the tree search's move tables,
+    # grown lazily and kept per instance
     # (not per value: opaque measures compare equal whatever cost_fn is).
     # The memo is not locked: solve with one instance in one thread at a time.
     subset_orders: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # weight_items as a dict, built once; the first item of an index wins
+    # weight_items as a dict, built once
     _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # describe()'s string, built at its first call; every field it reads is immutable
+    _label: str = field(default="", init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise MeasureError(f"unknown measure kind {self.kind!r}")
-        for w in (self.default_weight, *(w for _, w in self.weight_items)):
+        for name in ("weight_items", "children"):  # a list could change under the kept label
+            if not isinstance(getattr(self, name), tuple):
+                raise MeasureError(f"{name} must be a tuple, got {getattr(self, name)!r}")
+        for item in self.weight_items:
+            if not (isinstance(item, tuple) and len(item) == 2):
+                raise MeasureError(f"weight items must be (index, weight) pairs, got {item!r}")
+            i, w = item
+            if not isinstance(i, int) or isinstance(i, bool) or i < 0:
+                raise MeasureError(f"weighted attribute indices must be nonnegative integers, got {i!r}")
+            if i in self._weights:
+                raise MeasureError(f"attribute index {i} is weighted twice")
+            self._weights[i] = w
+        for w in (self.default_weight, *self._weights.values()):
             if not isinstance(w, int) or isinstance(w, bool) or w < 1:
                 raise MeasureError(f"weights must be positive integers, got {w!r}")
-        for i, w in self.weight_items:
-            self._weights.setdefault(i, w)
 
     # -- basic costs
 
@@ -169,15 +182,17 @@ class ComplexityMeasure:
         return False
 
     def describe(self) -> str:
-        if self.kind == "depth":
-            return "depth"
+        if self._label:
+            return self._label
         if self.kind in ("additive", "maxw"):
-            ws = ",".join(f"f{i}={w}" for i, w in self.weight_items)
-            body = ws if ws else ""
-            return f"{self.kind}(default={self.default_weight}{',' if body else ''}{body})"
-        if self.kind in ("sum", "max"):
-            return f"{self.kind}({','.join(c.describe() for c in self.children)})"
-        return "opaque"
+            ws = "".join(f",f{i}={w}" for i, w in self.weight_items)
+            label = f"{self.kind}(default={self.default_weight}{ws})"
+        elif self.kind in ("sum", "max"):
+            label = f"{self.kind}({','.join(c.describe() for c in self.children)})"
+        else:
+            label = self.kind  # depth or opaque
+        object.__setattr__(self, "_label", label)
+        return label
 
 
 def depth() -> ComplexityMeasure:

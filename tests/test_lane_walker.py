@@ -15,7 +15,6 @@ from dtlab.constructions import identity_table
 from dtlab.measures import depth
 from dtlab.randgen import SplitMix64, random_table
 from dtlab.solvers import (
-    _fixing_sweep,
     _row_separations,
     closure_separation_cost,
     fixing_cost,
@@ -28,6 +27,11 @@ from dtlab.verify import standard_measures
 import oracles
 
 MEASURES = standard_measures()
+
+
+def full_sweep(measure, table):
+    """The fixing sweep under a cap that no tuple reaches."""
+    return solvers._fixing_sweep(solvers._subset_order(measure, table.columns), table, 10**9)
 
 
 def seeded_tables():
@@ -149,7 +153,7 @@ def test_lanes_past_a_small_width_bound(monkeypatch, lane_bits):
             ref = Reference(measure, table)
             assert _row_separations(measure, table) == ref.row_separations()
             if len(set(table.decisions)) == 2:
-                assert _fixing_sweep(measure, table, 10**9) == ref.fixing()
+                assert full_sweep(measure, table) == ref.fixing()
                 assert snd_tree_cost(measure, table)[0] == max(c for c, _ in ref.rules())
             assert closure_separation_cost(measure, table) == oracles.brute_closure_separation(
                 measure, table
@@ -164,7 +168,7 @@ def test_full_fixing_sweep_matches_the_reference(t):
     for _, measure in MEASURES:
         want = Reference(measure, table).fixing()
         # a cap no tuple reaches makes the sweep visit every block
-        assert _fixing_sweep(measure, table, 10**9) == want
+        assert full_sweep(measure, table) == want
         # no tuple costs more than the min test cost, so the capped sweep agrees
         assert fixing_cost(measure, table) == want
 
@@ -176,7 +180,7 @@ def test_tuple_spaces_of_several_blocks(monkeypatch, cols, rows):
     assert 2**cols > 2 * lanes  # at least three blocks
     walks = count_calls(monkeypatch, "_lane_walk")
     want = Reference(depth(), table).fixing()
-    assert _fixing_sweep(depth(), table, 10**9) == want
+    assert full_sweep(depth(), table) == want
     assert len(walks) == 2**cols // 2 ** (lanes.bit_length() - 1)  # one per block
     # no tuple costs more than the min test cost, so the capped sweep agrees
     assert fixing_cost(depth(), table) == want
@@ -259,7 +263,7 @@ def test_hand_off_by_stored_bytes(monkeypatch, budget):
             ref = Reference(measure, table)
             assert _row_separations(measure, table) == ref.row_separations()
             if len(set(table.decisions)) == 2:
-                assert _fixing_sweep(measure, table, 10**9) == ref.fixing()
+                assert full_sweep(measure, table) == ref.fixing()
                 assert snd_tree_cost(measure, table)[0] == max(c for c, _ in ref.rules())
             assert closure_separation_cost(measure, table) == oracles.brute_closure_separation(
                 measure, table
@@ -305,7 +309,7 @@ def test_hand_off_by_stored_bytes_after_every_entry_count(monkeypatch, t):
             assert _row_separations(measure, table) == seps
             if two:
                 assert snd_tree_cost(measure, table)[0] == max(c for c, _ in rules)
-                assert _fixing_sweep(measure, table, 10**9) == fixing
+                assert full_sweep(measure, table) == fixing
                 assert fixing_cost(measure, table) == fixing  # capped at the min test cost
             assert closure_separation_cost(measure, table) == closure
     assert 0 in alone and len(set(alone)) > 1
@@ -327,5 +331,5 @@ def test_no_wide_mask_passes_the_width_bound(monkeypatch, table):
     monkeypatch.setattr(solvers, "_lane_walk", measured)
     _row_separations(depth(), table)
     snd_tree_cost(depth(), table)
-    _fixing_sweep(depth(), table, 10**9)
+    full_sweep(depth(), table)
     assert widest and max(widest) <= LANE_BITS

@@ -79,6 +79,40 @@ def test_weights_must_be_integers(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "items",
+    [((True, 3),), ((0, 1), (0, 2)), ((-1, 2),), (("a", 2),), ((1,),), [(0, 2)]],
+    ids=["bool-index", "repeated-index", "negative-index", "str-index", "not-a-pair", "list"],
+)
+def test_weight_items_must_be_index_weight_pairs(items):
+    # the label names every item, so an item the weights read otherwise would be misdescribed
+    with pytest.raises(MeasureError):
+        ComplexityMeasure("additive", items)
+
+
+def test_children_must_be_a_tuple():
+    with pytest.raises(MeasureError):
+        ComplexityMeasure("sum", children=[depth()])
+
+
+def test_describe_is_kept_and_names_every_kind():
+    """Each measure's label is built once and kept, and it is the string
+    the label has always been, for every kind and nested combinators."""
+    fn = lambda idx: len(idx)  # noqa: E731
+    labels = [
+        (depth(), "depth"),
+        (additive({3: 4, 0: 1}, 2), "additive(default=2,f0=1,f3=4)"),
+        (max_weight(), "maxw(default=1)"),
+        (opaque(fn), "opaque"),
+        (sum_of(depth(), max_weight({1: 5})), "sum(depth,maxw(default=1,f1=5))"),
+        (max_of(sum_of(additive({2: 3}), depth()), opaque(fn)), "max(sum(additive(default=1,f2=3),depth),opaque)"),
+    ]
+    for measure, label in labels:
+        first = measure.describe()
+        assert first == label
+        assert measure.describe() is first
+
+
 def test_table_costs(example6, weighted):
     assert table_costs(depth(), example6) == (3, 1)
     assert table_costs(weighted, example6) == (6, 3)

@@ -61,6 +61,26 @@ def test_solvers_and_validators_leave_no_cycles():
         gc.enable()
 
 
+def test_report_batches_under_fresh_measures_leave_no_cycles():
+    """A measure keeps its label and its subset orders with their move
+    tables, and a kernel its last witness trees that validated; a batch
+    of reports under three measures built and dropped with the collector
+    off leaves them all to reference counting."""
+    gc.collect()
+    gc.disable()
+    try:
+        for _, measure in standard_measures():
+            for seed in range(6):
+                table = random_table(2, 4, 7, seed=seed)
+                report = parameter_report(measure, table)
+                lemma_findings(measure, table)
+            assert report.measure == measure.describe()
+        del measure, table, report
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def invalid_trees(tree):
     """Trees failing the shape checks, the root-edge and duplicate-value
     checks, and the path checks of both validators."""

@@ -245,6 +245,25 @@ def test_report_closure_sweep_walks_no_full_column_set(monkeypatch, example6, we
     assert swept  # some report's sweep tested a kept column set
 
 
+def test_closure_sweep_tests_no_set_with_as_many_columns_as_rows(monkeypatch):
+    """A set irredundant for a row needs as many private rows, distinct
+    and other than the row, as it has columns, so the sweep tests no set
+    of n or more columns on an n-row table: none on two rows, and only
+    the cost-2 sets of two columns on three rows under depth."""
+    kept_sizes = []
+    real = solvers._irredundant
+
+    def recorded(values, kept, full):
+        kept_sizes.append(len(kept))
+        return real(values, kept, full)
+
+    monkeypatch.setattr(solvers, "_irredundant", recorded)
+    assert closure_separation_cost(depth(), random_table(2, 16, 2, seed=1)) == 1
+    assert kept_sizes == []
+    assert closure_separation_cost(depth(), random_table(2, 14, 3, seed=1)) == 2
+    assert kept_sizes and set(kept_sizes) == {2}
+
+
 # ---------------------------------------------------------------------------
 # fixing costs
 
