@@ -125,7 +125,6 @@ from .tables import (
     DecisionTable,
     DtError,
     TableError,
-    UnknownAttribute,
     _in_alphabet,
     _labellings,
     as_attribute,

@@ -97,28 +97,29 @@ so does the first tuple of the sweep, which settles it on 314 of the
 made the 900 reports 141.5 ms instead of 155.7 ms (fastest of 10), with
 ``params`` unchanged, and 16 and 32 measured within the noise of 8.
 
-The walker has one hand-off rule, and it hands work back only to
-itself.  A walk of several lanes hands each lane still open, cut out of
-the wide masks, to a walk of that lane alone from the start of the
-order, once its stored masks pass ``WALK_BYTES`` = 2 MiB, and at once
-when it starts with one lane open.  A walk of one lane stores one
-narrow int per entry, as ``_first_constant`` does, and has no budget.
-A handed-off lane is walked again from the start, so a walk does not
-hand off its last few lanes: handing them off once at most 1/4, 1/16 or
-1/64 of them were open, or never, took a ``params`` pass 10.4, 9.4, 9.1
-and 9.7 ms, the six sweeps 16.3, 9.3, 7.8 and 8.0 ms and the three
+One question is one ``_first_constant`` walk, and several questions
+are one lane walk, which has one hand-off rule.  It hands each lane
+still open, cut out of the wide masks, to ``_first_constant``, from the
+start of the order, once its stored masks pass ``WALK_BYTES`` = 2 MiB,
+and at once when it starts with one lane open, as a chunk or block of
+one lane does on a table of several hundred rows or more.  The scalar
+walk stores one narrow int per entry and has no budget.  A
+handed-off lane is walked again from the start, so a walk does not
+hand off its last few lanes: handing them off once at most 1/4, 1/16
+or 1/64 of them were open, or never, took a ``params`` pass 10.4, 9.4,
+9.1 and 9.7 ms, the six sweeps 16.3, 9.3, 7.8 and 8.0 ms and the three
 separations 1.21, 0.54, 0.32 and 0.34 s.
 
 The budget bounds memory, not time: on the 14-column table of the zero
 row, the all-ones row, the unit rows and their complements, whose first
 two rows stay open through all 16,384 entries, row separations took
-8.7 ms under 1 MiB, 10.7 ms under 2 MiB (cut after about 13,800
-entries, both lanes then walked again alone), 4.9 ms under 4 MiB or no
-bound and 3.9 ms as scalar walks, with tracemalloc peaks of 1.08,
-2.17, 2.56 and 0.66 MB (median of 10, 2-vCPU VM, Python 3.11.7).
-Handing the two lanes to ``_first_constant`` instead took 5.2 and
-7.6 ms: a walk of one lane tests its guard bit and its budget at every
-entry, but no benchmark workload hands a lane off.
+6.3 ms under 1 MiB, 8.6 ms under 2 MiB (cut after about 13,800
+entries, both lanes then walked again by ``_first_constant``), 5.2 ms
+under 4 MiB or no bound and 4.5 ms as scalar walks, with tracemalloc
+peaks of 1.08, 2.17, 2.56 and 0.66 MB (median of 31, 2-vCPU VM,
+Python 3.11.7).  Handing the two lanes instead to a lane walk of one
+lane each, which tests its guard bit and its budget at every entry,
+took 8.9 and 11.4 ms.  No benchmark workload hands a lane off.
 
 Closure separation builds no projection and walks no lanes.  Call a
 column set G irredundant for a row r when each g in G has a private
@@ -264,8 +265,8 @@ BRUTEFORCE_LIMITS = (
     f"and k <= {BRUTEFORCE_MAX_K}"
 )
 _NO_SUBSET = "no subset satisfied the predicate; full column set should"
-# fewer than MIN_LANES row questions get the scalar walk each; a walk of several
-# lanes hands each open lane to a walk of it alone once its stored masks pass WALK_BYTES
+# fewer than MIN_LANES row questions get the scalar walk each; a lane walk hands
+# each open lane to the scalar walk once its stored masks pass WALK_BYTES
 MIN_LANES = 8
 WALK_BYTES = 1 << 21
 
@@ -397,21 +398,12 @@ def _first_constant(
 
 @lru_cache(maxsize=1024)
 def _repeat(width: int, count: int, unit: int = 1) -> int:
-    """``unit`` in each of ``count`` lanes of ``width`` bits.  The default
-    unit 1 gives bit 0 of each lane: times a value below 2^width, it
-    copies the value into every lane.  Built by doubling, in O(log count)
-    shifts, with no product of two wide ints, and kept for the next walk
-    of the same shape."""
-    out, block, size, done = 0, unit, 1, 0  # block holds size lanes
-    while count:
-        if count & 1:
-            out |= block << done * width
-            done += size
-        count >>= 1
-        if count:
-            block |= block << size * width
-            size *= 2
-    return out
+    """``unit`` in each of ``count`` lanes of ``width`` bits, for a
+    ``unit`` below 2^width, so that the copies do not overlap.  The
+    default unit 1 gives bit 0 of each lane: times a value below
+    2^width, it copies the value into every lane.  Kept for the next
+    walk of the same shape."""
+    return unit * (((1 << width * count) - 1) // ((1 << width) - 1))
 
 
 def _lane_walk(
@@ -442,22 +434,26 @@ def _lane_walk(
     with one AND, for every lane at once.  A lane is open while each of
     its sub-lanes holds a row: adding ``low``, the row bits of every
     sub-lane, carries into a sub-lane's guard bit exactly when it holds
-    one.  ``open_`` holds the low guard bit of each lane that asks.  A
-    walk of several lanes hands each lane still open to a walk of that
-    lane alone, from the start of the order, once its stored masks pass
-    ``WALK_BYTES``, and at once when it starts with one lane open.  A
-    walk of one lane stores one narrow int per entry, as
-    ``_first_constant`` does, and has no budget.
+    one.  ``open_`` holds the low guard bit of each lane that asks.
+
+    The walk hands each lane still open to ``_first_constant`` once its
+    stored masks pass ``WALK_BYTES``, and at once when it starts with
+    one lane open.  The scalar walk reads the lane's low sub-lane: of
+    ``low`` as its rows, of each ``wide[r]`` as its rows agreeing at
+    rank r, and of ``start`` as its label.  For a tuple lane that is its
+    1-rows.  For a row lane it is the rows outside the question's label,
+    which gives the same answer, since the scalar walk asks whether the
+    agreeing rows lie all inside its label or all outside it.  Each lane
+    left open costs one scalar walk, lowest first, until an answer
+    reaches ``cap``.
     """
     answers: list[tuple[int, int] | None] = [None] * lanes
-    if not open_:
-        return answers
     parents, lasts, masks, costs = order.parents, order.lasts, order.masks, order.costs
     agree: list[int] = []
-    # Entries the walk may store: a walk of one lane has no budget; one open lane among several
-    # gets none, so it walks alone at once; else an int of lanes * width bits takes about that
-    # many bits / 8 + 28 bytes, and its list slot 8 more.
-    room = math.inf if lanes == 1 else WALK_BYTES // (lanes * width // 8 + 36) if open_ & open_ - 1 else 0
+    # Entries the walk may store: one open lane gets none, so it goes to the scalar walk at once;
+    # else an int of lanes * width bits takes about that many bits / 8 + 28 bytes, and its list
+    # slot 8 more.
+    room = WALK_BYTES // (lanes * width // 8 + 36) if open_ & open_ - 1 else 0
     for i in order.walk():
         if not room:
             break
@@ -475,14 +471,11 @@ def _lane_walk(
             if answer[0] >= cap or not open_:
                 return answers
     del agree
-    lane = (1 << width) - 1
+    part = (1 << (shift or width)) - 1  # a lane's low sub-lane
     for j in _set_lanes(open_, width):
         at = j * width
-        alone = [x >> at & lane for x in wide]
-        answers[j] = _lane_walk(
-            order, 1, width, shift, start >> at & lane, alone, low >> at & lane,
-            open_ >> at & lane, cap,
-        )[0]
+        rows, labels = low >> at & part, start >> at & part
+        answers[j] = _first_constant(order, rows, [x >> at & part for x in wide], labels)
         if answers[j][0] >= cap:
             break
     return answers
@@ -526,8 +519,8 @@ def _row_walks(
     row.  So n labels ask one question of each row, and 2n labels ask two
     in one walk.  Fewer than ``MIN_LANES`` questions get the scalar walk
     each; more are walked in chunks of as many questions as fit one wide
-    mask of ``LANE_BITS``, one ``_lane_walk`` per chunk, which answers
-    every question of its chunk itself.
+    mask of ``LANE_BITS``, one ``_lane_walk`` per chunk, which hands each
+    question it stops carrying to the scalar walk.
     """
     full, rows = bits.full, bits.table.rows
     n, count = len(rows), len(labels)

@@ -344,6 +344,8 @@ def format_tree(tree: DecisionTree) -> str:
     except (DtError, AttributeError, TypeError, ValueError) as exc:  # a malformed part, or unreadable text
         problems = structural_problems(tree)
         raise TreeFormatError(problems[0] if problems else str(exc)) from None
+    except RecursionError:
+        raise TreeFormatError("tree is nested too deeply to write") from None
     return text
 
 

@@ -229,32 +229,28 @@ def transfer_findings(measure: ComplexityMeasure, table: DecisionTable, report: 
     ``report`` is ``parameter_report(measure, table)``, and its results
     are reused: the test is its minimal-test witness.  When that test
     keeps every column, the collapsed table equals the table, so the tree
-    to check is the report's own det tree, and the report's
-    ``det-witness-validates`` check has already validated it against the
-    table; only a failed check is validated again, for its diagnostics.
-    A searched tree equal to the last det tree that validated on the
-    table's kernel is not walked again (``trees._validated``).
-    A measure with an opaque part has no report tree, and the tree search
-    raises ``NotDecomposable``.  The collapsed table depends only on the
-    table and the removed columns, so it is built once and kept on the
-    table's kernel, where the transfers under the other measures find it,
-    and with it its own kernel in the slot.
+    to check is the report's own det tree.  A tree equal to the last det
+    tree that validated on the table's kernel is not walked again
+    (``trees._validated``): neither the report's tree, which its
+    ``det-witness-validates`` check has just validated and kept, nor a
+    searched tree equal to it.  A tree that failed is walked again, for
+    its diagnostics.  A measure with an opaque part has no report tree,
+    and the tree search raises ``NotDecomposable``.  The collapsed table
+    depends only on the table and the removed columns, so it is built
+    once and kept on the table's kernel, where the transfers under the
+    other measures find it, and with it its own kernel in the slot.
     """
     if table.is_empty or table.n_cols == 0:
         return []
     keep = set(report.test_witness or table.columns[:1])
     removed = tuple(a for a in table.columns if a not in keep)
-    if removed or report.det_tree is None:
+    tree = report.det_tree
+    if removed or tree is None:
         kept = _bits_of(table).collapsed
         collapsed = kept.get(removed)
         if collapsed is None:
             collapsed = kept[removed] = remove_columns(removed, table)
         _, tree = det_tree_cost(measure, collapsed)
-    else:
-        check = "det-witness-validates"
-        if check in report.checks and check not in report.failed_checks:
-            return []
-        tree = report.det_tree
     result = _validated(tree, table)
     if not result:
         return ["det-tree-transfer: " + "; ".join(result.diagnostics)]

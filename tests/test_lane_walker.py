@@ -6,9 +6,12 @@ agreeing rows all carry the query's label or none do.  It shares no code
 with the solvers' subset order or walkers.
 """
 
+import math
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dtlab import solvers
 from dtlab.constructions import identity_table
@@ -25,6 +28,7 @@ from dtlab.trees import complete_paths
 from dtlab.verify import standard_measures
 
 import oracles
+from conftest import tables_st
 
 MEASURES = standard_measures()
 
@@ -187,57 +191,54 @@ def test_tuple_spaces_of_several_blocks(monkeypatch, cols, rows):
 
 
 def test_one_open_lane_walks_alone(monkeypatch):
-    """A walk of several lanes that starts with one lane open hands that
-    lane, cut out of the wide masks, to a walk of it alone from the start
-    of the order.  The zero row of the staircase needs every column; the
-    walk of its lane alone stores masks of one lane's width only."""
+    """A walk of several lanes that starts with one lane open stores no
+    entry, however large its budget: it hands that lane at once to one
+    ``_first_constant`` walk, cut out of the wide masks into the row
+    bits and agreeing rows of a scalar query of the row, with the rows
+    outside its label, which answer as the label does.  The zero row of
+    the staircase needs every column."""
     table = identity_table(9)
     n = table.n_rows
     width = n + 1
     measure = depth()  # the order refers to its measure weakly
     order = solvers._subset_order(measure, table.columns)
     bits = _bits_of(table)
-    walks = []
-    real = solvers._lane_walk
+    monkeypatch.setattr(solvers, "WALK_BYTES", 10**12)
+    lane_walks = count_calls(monkeypatch, "_lane_walk")
+    scalar = []
+    real = solvers._first_constant
 
-    def recorded(order, lanes, width, shift, start, wide, low, open_, *rest, **kwargs):
-        walks.append((lanes, max(x.bit_length() for x in (start, low, open_, *wide))))
-        return real(order, lanes, width, shift, start, wide, low, open_, *rest, **kwargs)
+    def recorded(order, full, rank_values, labels):
+        scalar.append((full, list(rank_values), labels))
+        return real(order, full, rank_values, labels)
 
-    monkeypatch.setattr(solvers, "_lane_walk", recorded)
+    monkeypatch.setattr(solvers, "_first_constant", recorded)
     low = bits.full * sum(1 << j * width for j in range(n))
     start = low ^ sum(1 << j << j * width for j in range(n))  # each row's label is the row alone
     got = solvers._lane_walk(order, n, width, 0, start, bits.row_lanes(0, n), low, 1 << n)
     want = Reference(measure, table).row_separations()[0]
     assert want[0] == 9
     assert got == [(want[0], (1 << 9) - 1)] + [None] * (n - 1)
-    assert [lanes for lanes, _ in walks] == [n, 1]
-    assert walks[1][1] <= width < walks[0][1]
+    assert len(lane_walks) == 1  # no walk of the lane alone
+    assert scalar == [(bits.full, bits.rank_values(table.rows[0]), bits.full ^ 1)]
+    assert real(order, bits.full, bits.rank_values(table.rows[0]), 1) == got[0]
 
 
 def test_last_open_lane_goes_to_the_scalar_walk(monkeypatch):
     """The unit rows of the staircase stand alone on one column each; the
     zero row, the one lane then left open, needs every column.  With room
     for the 10 entries up to the last unit row, the wide walk stops there
-    and hands that lane to the walker's scalar walk: a walk of it alone,
-    one narrow int per entry, from the start of the order."""
+    and hands that lane to one ``_first_constant`` walk."""
     table = identity_table(9)
     n = table.n_rows
     width = n + 1
     monkeypatch.setattr(solvers, "WALK_BYTES", 10 * (n * width // 8 + 36))
-    lane_walks = []
-    real = solvers._lane_walk
-
-    def recorded(order, lanes, *rest, **kwargs):
-        lane_walks.append(lanes)
-        return real(order, lanes, *rest, **kwargs)
-
-    monkeypatch.setattr(solvers, "_lane_walk", recorded)
+    lane_walks = count_calls(monkeypatch, "_lane_walk")
     scalar_walks = count_calls(monkeypatch, "_first_constant")
     seps = _row_separations(depth(), table)
     assert seps == Reference(depth(), table).row_separations()
     assert seps[0][0] == 9 and all(c == 1 for c, _ in seps[1:])
-    assert (lane_walks, len(scalar_walks)) == ([n, 1], 0)
+    assert (len(lane_walks), len(scalar_walks)) == (1, 1)
 
 
 def test_last_open_lane_late_in_the_order_walks_on(monkeypatch):
@@ -278,25 +279,42 @@ SMALL_ORDERS = [
 ]
 
 
-@pytest.mark.parametrize("t", range(len(SMALL_ORDERS)))
-def test_hand_off_by_stored_bytes_after_every_entry_count(monkeypatch, t):
-    """For each count e of entries of the order, every walk of several
-    lanes gets a byte budget of e entries, so it hands its open lanes to
-    walks of one lane each after e entries.  Row lanes, tuple lanes and
-    the fixing sweep's capped walks all keep the reference's answers."""
-    table = SMALL_ORDERS[t]
+def budget_in_entries(monkeypatch, entries):
+    """Give every lane walk a byte budget of ``entries`` entries of the
+    order, and check that it hands each lane it stops carrying to one
+    ``_first_constant`` walk, lowest first, until an answer reaches the
+    cap.  Returns the hand-offs of each walk."""
     real = solvers._lane_walk
-    alone = []
+    scalar = count_calls(monkeypatch, "_first_constant")
+    handed = []
 
-    def budgeted(order, lanes, width, *rest, **kwargs):
-        if lanes > 1:  # the walker's bytes per stored entry, times the entries allowed
-            monkeypatch.setattr(solvers, "WALK_BYTES", entries * (lanes * width // 8 + 36))
-        else:
-            alone.append(entries)
-        return real(order, lanes, width, *rest, **kwargs)
+    def budgeted(order, lanes, width, shift, start, wide, low, open_, cap=math.inf):
+        # the walker's bytes per stored entry, times the entries allowed
+        monkeypatch.setattr(solvers, "WALK_BYTES", entries * (lanes * width // 8 + 36))
+        before = len(scalar)
+        answers = real(order, lanes, width, shift, start, wide, low, open_, cap)
+        room = entries if open_ & open_ - 1 else 0  # one open lane is handed off at once
+        # a lane answered past the stored entries was handed off; a lane left None never was
+        late = [a for a in answers if a is not None and order.masks.index(a[1]) >= room]
+        assert len(scalar) - before == len(late)
+        assert all(a[0] < cap for a in late[:-1])
+        handed.append(len(late))
+        return answers
 
     monkeypatch.setattr(solvers, "_lane_walk", budgeted)
+    return handed
+
+
+@pytest.mark.parametrize("t", range(len(SMALL_ORDERS)))
+def test_hand_off_by_stored_bytes_after_every_entry_count(monkeypatch, t):
+    """For each count e of entries of the order, every lane walk gets a
+    byte budget of e entries, so it hands its open lanes to the scalar
+    walk after e entries, one ``_first_constant`` call per lane until an
+    answer reaches the cap.  Row lanes, tuple lanes and the fixing
+    sweep's capped walks all keep the reference's answers."""
+    table = SMALL_ORDERS[t]
     monkeypatch.setattr(solvers, "MIN_LANES", 1)  # every row question goes to a lane walk
+    handed = {}
     for _, measure in MEASURES:
         ref = Reference(measure, table)
         order = solvers._subset_order(measure, table.columns)
@@ -306,13 +324,44 @@ def test_hand_off_by_stored_bytes_after_every_entry_count(monkeypatch, t):
         rules, fixing = (ref.rules(), ref.fixing()) if two else (None, None)
         closure = oracles.brute_closure_separation(measure, table)
         for entries in range(len(order.masks) + 1):
-            assert _row_separations(measure, table) == seps
+            with pytest.MonkeyPatch.context() as mp:
+                walks = budget_in_entries(mp, entries)
+                assert _row_separations(measure, table) == seps
+                if two:
+                    assert snd_tree_cost(measure, table)[0] == max(c for c, _ in rules)
+                    assert full_sweep(measure, table) == fixing
+                    assert fixing_cost(measure, table) == fixing  # capped at the min test cost
+                assert closure_separation_cost(measure, table) == closure
+            handed[entries] = handed.get(entries, 0) + sum(walks)
+    assert handed[0] > 0 and handed[max(handed)] == 0  # none once the whole order fits
+
+
+@given(tables_st(max_k=3, max_cols=7, max_rows=10), st.data())
+def test_any_budget_keeps_the_reference_answers(table, data):
+    """Under any budget of 0 entries up to the whole order, the report's
+    2n row questions, the snd tree and the fixing sweep, capped and
+    uncapped, answer as the per-query reference."""
+    n, bits = table.n_rows, _bits_of(table)
+    two = len(set(table.decisions)) == 2
+    for _, measure in MEASURES:
+        ref = Reference(measure, table)
+        order = solvers._subset_order(measure, table.columns)
+        order.complete()
+        entries = data.draw(st.integers(0, len(order.masks)), label="entries")
+        rules = ref.rules() if two else []
+        ruled = iter([(c, tuple(a for a, _ in fx)) for c, fx in rules])
+        want = ref.row_separations() + [next(ruled) if two and d else None for d in table.decisions]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "MIN_LANES", 1)
+            budget_in_entries(mp, entries)
+            asking = bits.full | bits.ones << n if two else bits.full
+            walked = solvers._row_walks(order, bits, asking, [1 << j for j in range(n)] + [bits.ones] * n)
+            assert [None if a is None else (a[0], bits.columns_of(a[1])) for a in walked] == want
             if two:
                 assert snd_tree_cost(measure, table)[0] == max(c for c, _ in rules)
+                fixing = ref.fixing()
                 assert full_sweep(measure, table) == fixing
-                assert fixing_cost(measure, table) == fixing  # capped at the min test cost
-            assert closure_separation_cost(measure, table) == closure
-    assert 0 in alone and len(set(alone)) > 1
+                assert fixing_cost(measure, table) == fixing
 
 
 @pytest.mark.parametrize(
@@ -333,3 +382,24 @@ def test_no_wide_mask_passes_the_width_bound(monkeypatch, table):
     snd_tree_cost(depth(), table)
     full_sweep(depth(), table)
     assert widest and max(widest) <= LANE_BITS
+
+
+def copies(unit, width, count):
+    return sum(unit << i * width for i in range(count))
+
+
+def test_repeat_is_the_sum_of_its_copies():
+    for width in range(1, 41):
+        for count in range(71):
+            for unit in {1, 5 % (1 << width), (1 << width) - 1}:  # each below 2^width
+                assert solvers._repeat(width, count, unit) == copies(unit, width, count)
+    # the fixing sweep's nested units: a run of span lanes, repeated k^q times
+    for k in (2, 3, 4):
+        for sub in (2, 5, 9):
+            width, both = 2 * sub, 1 | 1 << sub
+            for d in range(1, 5):
+                for q in range(d):
+                    span = k ** (d - 1 - q)
+                    unit = solvers._repeat(width, span, both)
+                    assert unit == copies(both, width, span)
+                    assert solvers._repeat(k * span * width, k**q, unit) == copies(unit, k * span * width, k**q)

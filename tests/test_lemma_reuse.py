@@ -10,6 +10,7 @@ import dataclasses
 
 import pytest
 
+from dtlab import trees, verify
 from dtlab.closure import remove_columns
 from dtlab.measures import NotDecomposable, depth, opaque, sum_of
 from dtlab.randgen import SplitMix64, enumerate_small_tables, random_table
@@ -99,6 +100,51 @@ def test_failed_det_witness_keeps_its_diagnostics():
     want = ["det-tree-transfer: " + "; ".join(bad.diagnostics)]
     assert transfer_findings(measure, table, planted) == want
     assert transfer_findings(measure, table, report) == []
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_passing_report_tree_is_not_walked_again(monkeypatch):
+    """With nothing removed, the transfer checks the report's det tree,
+    which the report's passing check kept on the table's kernel: no
+    search and no walk."""
+    table = validate(2, [0, 1], [((0, 0), 0), ((0, 1), 1), ((1, 0), 1), ((1, 1), 0)])
+    measure = depth()
+    report = parameter_report(measure, table)
+    assert set(report.test_witness) == set(table.columns)
+    assert "det-witness-validates" in report.checks and not report.failed_checks
+    searches = count_calls(monkeypatch, verify, "det_tree_cost")
+    walks = count_calls(monkeypatch, trees, "_walk")
+    assert transfer_findings(measure, table, report) == []
+    assert (len(searches), len(walks)) == (0, 0)
+
+
+def test_planted_failed_check_walks_the_tree(monkeypatch):
+    """With the report's det check planted to fail on a tree that does
+    not validate, the transfer walks that tree and returns its
+    diagnostics, with no search."""
+    table = validate(2, [0, 1], [((0, 0), 0), ((0, 1), 1), ((1, 0), 1), ((1, 1), 0)])
+    measure = depth()
+    report = parameter_report(measure, table)
+    broken = DecisionTree(2, (Node(table.columns[0], ((0, Leaf(0)), (1, Leaf(1)))),))
+    bad = validate_deterministic(broken, table)
+    planted = dataclasses.replace(
+        report, det_tree=broken, failed_checks=report.failed_checks + ("det-witness-validates",)
+    )
+    searches = count_calls(monkeypatch, verify, "det_tree_cost")
+    walks = count_calls(monkeypatch, trees, "_walk")
+    assert transfer_findings(measure, table, planted) == ["det-tree-transfer: " + "; ".join(bad.diagnostics)]
+    assert (len(searches), len(walks)) == (0, 1)
 
 
 def separation_tables():

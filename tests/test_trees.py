@@ -332,6 +332,20 @@ def test_format_tree_rejects_text_that_does_not_read_back():
         format_tree(tree)
 
 
+def test_a_tree_too_deep_to_write_names_its_nesting(tmp_path):
+    # a chain of 3,000 attribute nodes: its cost is defined, but its text nests past the recursion limit
+    node = Leaf(1)
+    for i in range(3000):
+        node = Node(Attribute(i % 3), ((0, node), (1, Leaf(0))))
+    tree = DecisionTree(2, (node,))
+    assert tree_cost(depth(), tree) == 3000
+    path = tmp_path / "out.tree"
+    for write in (format_tree, lambda t: save_tree(t, path)):
+        with pytest.raises(TreeFormatError, match="^tree is nested too deeply to write$"):
+            write(tree)
+    assert not path.exists()
+
+
 def test_root_children_are_read_once(example6):
     # an iterator of children is walked once, and the root edge count comes from that walk
     tree = DecisionTree(2, iter(det_example_tree().children))
