@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import constructions, verify
-from .closure import ClosureLimits, enumerate_closure
+from .closure import ClosureLimits, enumerate_closure, nu_bits
 from .explorer import GROWTH_FUNCTIONS, growth
 from .measures import (
     ComplexityMeasure,
@@ -125,13 +125,16 @@ def _cmd_closure(args) -> int:
         f"# closure of {args.table}",
         f"# members {len(enum.members)} exhausted {'yes' if enum.exhausted else 'no'}",
     ]
+    starts = {b.start: b for b in enum.bases}
+    base = None
     for i, member in enumerate(enum.members):
+        base = starts.get(i, base)
         name = f"{i:04d}.dt"
-        save_table(member.table, outdir / name)
-        removed = ",".join(a.name for a in member.removed) or "-"
-        nu = member.nu_bits or "-"
+        save_table(member, outdir / name)
+        removed = ",".join(a.name for a in base.removed) or "-"
+        nu = nu_bits(member) or "-"
         index_lines.append(
-            f"{i} {name} gen={member.generator_index} removed={removed} "
+            f"{i} {name} gen={base.generator_index} removed={removed} "
             f"nu={nu} key={member.key}"
         )
     (outdir / "index.txt").write_text("\n".join(index_lines) + "\n", encoding="utf-8")

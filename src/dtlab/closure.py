@@ -24,35 +24,39 @@ of the empty table, and only the first of them is emitted: each call's
 labellings of zero rows are ``((),)`` until one zero-row member is
 built and empty from then on.
 
-A member stores only its table and provenance, in slots with no
-``__dict__``.  Its canonical key and relabeling bits are read from the
-table on demand: only ``dt closure``'s index prints them, while growth
-sweeps and suites read the tables alone, so building them for every
-member would be wasted work.
+A member is its table alone, in slots with no ``__dict__``.  Its
+provenance, the generator it was projected from and the columns
+removed, is the same for every member of its base, so the enumeration
+keeps one ``ClosureBase`` record per base that emitted a member, holding
+the position of the base's first member.  A member's canonical key
+(``DecisionTable.key``) and relabeling bits (``nu_bits``) are read from
+the table on demand: only ``dt closure``'s index prints them, while
+growth sweeps and suites read the tables alone, so building them for
+every member would be wasted work.
 
 Building members is nearly all the work of an enumeration, so each
 base's members are built in map passes that call no constructor and run
 no bytecode per member: ``object.__new__`` mapped over the class makes
 the base's tables, then one pass per field maps the bound ``__set__`` of
 that field's slot descriptor over the tables and the field's values
-(``repeat`` of the shared columns and rows, the labellings for the
-decisions), drained by a zero-length ``deque``; the members follow in
-the same way.  That saves two ``__init__`` frames per member, and a
-descriptor's setter writes its slot directly, where
-``object.__setattr__`` first looks the name up on the type.  It is sound
-only while neither class has a ``__post_init__`` or any other check in
-its constructor, and while the passes set exactly the fields the
-dataclass constructor sets, no more and no fewer;
-``tests/test_closure_kernel.py`` compares every member with a
-constructor-built twin.
-On one pass of the ``closure`` benchmark (about 35k members), setting
-the fields by ``object.__setattr__`` instead of calling the constructors
-took the pass from 82-92 ms to 68-73 ms, and setting them through the
-slot descriptors in a per-member loop took it from 50-57 ms to 35-44 ms
-(2-vCPU Xeon VM, Python 3.11.7, medians of 15 passes in each of three
-runs, not normalised).  The map passes, with the loop's bytecode gone,
-took the benchmark's normalised ``wall_s`` a further 12% down (median
-0.078 to 0.069 s, better in 9 of 10 paired 20 s runs; ``BENCH_21.json``).
+(``repeat`` of the shared alphabet, columns and rows, the labellings for
+the decisions), drained by a zero-length ``deque``.  That saves an
+``__init__`` frame per member, and a descriptor's setter writes its slot
+directly, where ``object.__setattr__`` first looks the name up on the
+type.  It is sound only while ``DecisionTable`` has no
+``__post_init__`` or any other check in its constructor, and while the
+passes set exactly the fields the dataclass constructor sets, no more
+and no fewer; ``tests/test_closure_kernel.py`` compares every member
+with a constructor-built twin.
+Setting the fields by ``object.__setattr__``, then through the slot
+descriptors in a per-member loop, then in map passes each took time off
+the ``closure`` benchmark (``BENCH_21.json``).  Members were then still
+two objects each: the table, and a slotted wrapper holding the base's
+provenance again for every member.  Keeping the provenance once per
+base took one pass of the benchmark's seed-7 inputs (about 35k members,
+two calls) from 21.5-32.6 ms to 12.6-16.1 ms (2-vCPU Xeon VM, Python
+3.11.7, medians of 15 passes in each of three processes, not
+normalised).
 
 The decision tuples (the labellings) depend on the row count alone, so
 ``tables._labellings`` builds all labellings of each row count up to
@@ -72,18 +76,18 @@ labellings the first left, from 19.4 to 14.9 ms (2-vCPU Xeon VM,
 Python 3.11.7, medians of 15 processes).
 
 The cyclic garbage collector is paused while the members are built.
-Members, bases and the returned enumeration hold no reference cycles,
-so reference counting frees everything the walk drops, and a collection
-could only walk live members again and again.  Unpaused, a pass ran
-134 young, 12 middle and 1 full collection, which took 31 ms of a
-99-102 ms pass and freed nothing.  Paused, the new members are walked
-once, by the first young collection after the call returns: a
-``closure`` pass of two calls runs 1 collection, 1.5-3.4 ms of a
-20.6-24.4 ms pass, where it took 3.3-6.5 ms of 28.1-41.9 ms while each
-call built its own labellings (seed-7 inputs, 15 passes in each of three
-processes, timed with ``gc.callbacks``).  The pause is process-wide:
-cyclic garbage that another thread makes meanwhile waits until the call
-returns.  A collector that was off on entry stays off.
+Members, base records and the returned enumeration hold no reference
+cycles, so reference counting frees everything the walk drops, and a
+collection could only walk live members again and again.  Unpaused, a
+pass ran 46 young and 4 middle collections, which took 2.2-2.5 ms of a
+13.4-14.4 ms pass and freed nothing.  Paused, the new members are
+walked once, by the first young collection after the call returns: one
+tracked object per member, which takes that collection 1.0-1.4 ms,
+where the wrapped members, two tracked objects each, took it 1.8-2.8 ms
+(seed-7 inputs, 15 passes in each of three processes, timed with
+``gc.callbacks``).  The pause is process-wide: cyclic garbage that
+another thread makes meanwhile waits until the call returns.  A
+collector that was off on entry stays off.
 
 That one walk stays.  Calling ``gc.freeze()`` then ``gc.unfreeze()`` on
 exit would skip it, by moving every tracked object in the process to the
@@ -106,7 +110,9 @@ where no set fits.
 
 Members come out base by base, so a run of members with equal columns
 and rows is (part of) one base; ``_base_tables`` is the one grouping of
-members into bases that the growth sweeps read.
+members into bases that the growth sweeps read.  It groups by value and
+never reads the base records, which describe the members only in
+emission order.
 """
 
 from __future__ import annotations
@@ -128,7 +134,6 @@ from .tables import (
     _in_alphabet,
     _labellings,
     as_attribute,
-    canonical_key,
     empty_table,
 )
 
@@ -242,63 +247,58 @@ class ClosureLimits:
 
 
 @dataclass(frozen=True, slots=True)
-class ClosureMember:
-    """One emitted closure member with its provenance.
+class ClosureBase:
+    """The provenance of one base's members in an enumeration.
 
-    ``removed`` is the column set deleted from the generator.  The key
-    and ``nu_bits``, the decision string over the member's canonically
-    sorted rows (leftmost character = first sorted row), are derived from
-    the table on each read, so members that nobody prints cost nothing
-    beyond their table.
-
-    Enumeration builds members and their tables without calling
-    ``__init__``, through their slot descriptors (see the module
-    docstring): a field added here or to ``DecisionTable`` must be set
-    in those map passes too, and a ``__post_init__`` would never run there.
+    ``generator_index`` names the generator the base was first projected
+    from and ``removed`` the column set deleted from it; ``start`` is the
+    position of the base's first member.
     """
 
-    table: DecisionTable
+    start: int
     generator_index: int
     removed: tuple[Attribute, ...]
 
-    @property
-    def key(self) -> CanonicalKey:
-        return canonical_key(self.table)
 
-    @property
-    def nu_bits(self) -> str:
-        return "".join(str(d) for _, d in sorted(self.table.entries()))
+def nu_bits(table: DecisionTable) -> str:
+    """The decision string over the canonically sorted rows (leftmost
+    character = first sorted row): a closure member's relabeling."""
+    return "".join(str(d) for _, d in sorted(table.entries()))
 
 
 @dataclass
 class ClosureEnumeration:
     """Materialized closure with exhaustion bookkeeping.
 
+    ``members`` are the member tables.  ``bases`` describes the members
+    in emission order, one record per base that emitted a member: base
+    i's members are ``members[bases[i].start:bases[i + 1].start]``, the
+    last base's run to the end.  Reordering or replacing the members
+    leaves the records stale, so nothing that reads members in another
+    order may read ``bases``.
     ``exhausted`` is True only when no limit truncated anything.
     ``complete_column_count`` is the largest c such that every closure
     member with at most c columns was emitted.
     """
 
-    members: list[ClosureMember] = field(default_factory=list)
+    members: list[DecisionTable] = field(default_factory=list)
+    bases: list[ClosureBase] = field(default_factory=list)
     exhausted: bool = True
     complete_column_count: int = -1
 
     def keys(self) -> set[CanonicalKey]:
         return {m.key for m in self.members}
 
-    def tables(self) -> list[DecisionTable]:
-        return [m.table for m in self.members]
 
-
-def _base_tables(members: Iterable[ClosureMember]) -> Iterator[list[DecisionTable]]:
-    """The member tables of each run of members with equal columns and rows.
+def _base_tables(members: Iterable[DecisionTable]) -> Iterator[list[DecisionTable]]:
+    """The tables of each run of members with equal columns and rows.
 
     A base is a column set with its rows, and its members differ only in
     their decisions, so each run is (part of) one base.  Columns and rows
     are compared by value, so members out of emission order or holding
     copied tuples still group.
     """
-    for _, run in groupby(map(attrgetter("table"), members), key=attrgetter("columns", "rows")):
+    for _, run in groupby(members, key=attrgetter("columns", "rows")):
         yield list(run)
 
 
@@ -349,9 +349,6 @@ def _enumerate(generators: Sequence[DecisionTable], limits: ClosureLimits) -> Cl
     # the bound setters of the slot descriptors, read at call time
     set_k, set_columns = DecisionTable.k.__set__, DecisionTable.columns.__set__
     set_rows, set_decisions = DecisionTable.rows.__set__, DecisionTable.decisions.__set__
-    set_table = ClosureMember.table.__set__
-    set_generator_index = ClosureMember.generator_index.__set__
-    set_removed = ClosureMember.removed.__set__
     # per generator, the kept column positions to project at this count
     candidates: list[list[tuple[int, ...]]] = [[()] for _ in generators]
     for c in range(col_ceiling + 1):
@@ -397,19 +394,17 @@ def _enumerate(generators: Sequence[DecisionTable], limits: ClosureLimits) -> Cl
                 # Only the last base walked is cut, so a short tuple is
                 # never read again
                 labels = labellings[n] = _labellings(n, take)
-            # the fields the dataclass constructors set, one map pass per
+            # the fields the dataclass constructor sets, one map pass per
             # field; a zero-row repeat has no labelling left and builds nothing
             take = min(take, len(labels))
+            if take:
+                out.bases.append(ClosureBase(len(out.members), gi, removed))
             tables = list(map(new, repeat(DecisionTable, take)))
             consume(map(set_k, tables, repeat(k)))
             consume(map(set_columns, tables, repeat(cols)))
             consume(map(set_rows, tables, repeat(rows)))
             consume(map(set_decisions, tables, labels))
-            members = list(map(new, repeat(ClosureMember, take)))
-            consume(map(set_table, members, tables))
-            consume(map(set_generator_index, members, repeat(gi)))
-            consume(map(set_removed, members, repeat(removed)))
-            out.members.extend(members)
+            out.members.extend(tables)
             if not n:  # every zero-row table has the empty table's key
                 labellings[0] = ()
             if stopped:

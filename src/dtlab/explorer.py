@@ -19,9 +19,11 @@ with at most n columns were seen, because a bounded measure forces a
 member with column-set cost at most n to have at most n columns.  Points
 that are not exhausted are certified lower bounds.
 
-``growth`` sweeps the members once, base by base (a base is a column
-set with its rows; its members differ only in their decisions; the runs
-come from ``closure._base_tables``), keeping the running value best[n]
+``growth`` sweeps the member tables once, base by base (a base is a
+column set with its rows; its members differ only in their decisions;
+``closure._base_tables`` groups the runs by value, never from the
+enumeration's provenance records, so members that a caller reordered or
+copied still group), keeping the running value best[n]
 of every point n <= max_n.  A member with filter value f can only raise
 the points n >= f, and best is nondecreasing in n, so its objective is
 solved only when f <= max_n and an upper bound on the objective exceeds

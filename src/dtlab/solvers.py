@@ -1137,7 +1137,6 @@ def inequality_findings(measure: ComplexityMeasure, table: DecisionTable, vals: 
     if vals["fixing_cost"] == 0:
         check("fixing0=>det0", vals["det_cost"] == 0)
     else:
-        assert n > 1, "a fixable non-constant table must have at least two rows"
         check("2^det<=rows^fixing", 2 ** vals["det_cost"] <= n ** vals["fixing_cost"])
     check("det<=test", vals["det_cost"] <= vals["min_test_cost"])
     if not is_constant(table):

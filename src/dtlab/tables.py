@@ -170,8 +170,8 @@ class DecisionTable(_WeakReferable):
     A table keeps its four fields in slots and has no ``__dict__``, so
     nothing else can be stored on it; it can still be pickled, copied,
     hashed and weakly referenced.  Closure enumeration builds its
-    members' tables by setting the four slots through their descriptors,
-    without ``__init__``, so this class has no ``__post_init__``.
+    members by setting the four slots through their descriptors, without
+    ``__init__``, so this class has no ``__post_init__``.
     """
 
     k: int
@@ -190,6 +190,11 @@ class DecisionTable(_WeakReferable):
     @property
     def is_empty(self) -> bool:
         return not self.rows
+
+    @property
+    def key(self) -> CanonicalKey:
+        """The :func:`canonical_key`, derived on each read."""
+        return canonical_key(self)
 
     def column_position(self, attr) -> int:
         attr = as_attribute(attr)

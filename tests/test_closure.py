@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from dtlab.closure import (
     BadLimit,
+    ClosureBase,
     ClosureLimits,
-    ClosureMember,
     PartialRelabeling,
     enumerate_closure,
     is_critical,
+    nu_bits,
     relabel,
     remove_columns,
 )
@@ -132,18 +133,18 @@ def test_closure_of_empty_table():
 
 def test_closure_contains_or_image_with_provenance(example6, or_image):
     enum = enumerate_closure([example6])
-    hits = [m for m in enum.members if m.key == canonical_key(or_image)]
+    hits = [i for i, m in enumerate(enum.members) if m.key == canonical_key(or_image)]
     assert len(hits) == 1
-    member = hits[0]
-    assert member.removed == (Attribute(4),)
-    assert member.nu_bits == "0111"
+    base = [b for b in enum.bases if b.start <= hits[0]][-1]
+    assert base.removed == (Attribute(4),)
+    assert nu_bits(enum.members[hits[0]]) == "0111"
 
 
 def test_closure_emission_order_and_uniqueness(example6):
     enum = enumerate_closure([example6, single_column_table(2)])
     keys = [m.key for m in enum.members]
     assert len(keys) == len(set(keys))
-    shapes = [(m.table.n_cols, m.table.n_rows) for m in enum.members]
+    shapes = [(m.n_cols, m.n_rows) for m in enum.members]
     assert shapes == sorted(shapes)
 
 
@@ -162,7 +163,7 @@ def test_closure_matches_definition_oracle():
 @given(tables_st(max_cols=2, max_rows=3))
 def test_closure_is_idempotent(table):
     first = enumerate_closure([table])
-    again = enumerate_closure(first.tables())
+    again = enumerate_closure(first.members)
     assert again.keys() == first.keys()
 
 
@@ -184,7 +185,7 @@ def test_closure_complete_column_count_tracks_truncation(example6):
 def test_closure_max_rows_limit(example6):
     enum = enumerate_closure([example6], ClosureLimits(max_rows=4))
     assert not enum.exhausted
-    assert all(m.table.n_rows <= 4 for m in enum.members)
+    assert all(m.n_rows <= 4 for m in enum.members)
 
 
 @pytest.mark.parametrize("field", ["max_tables", "max_columns", "max_rows"])
@@ -216,35 +217,30 @@ def test_closure_arguments_of_the_wrong_type_rejected(monkeypatch, generators, l
         enumerate_closure(generators, limits)
 
 
-def test_closure_member_is_slotted_and_frozen(example6):
-    members = enumerate_closure([example6]).members
-    member = members[-1]
-    assert not hasattr(member, "__dict__")
+def test_closure_base_is_slotted_and_frozen(example6):
+    bases = enumerate_closure([example6]).bases
+    base = bases[-1]
+    assert not hasattr(base, "__dict__")
     with pytest.raises(dataclasses.FrozenInstanceError):
-        member.generator_index = 1
+        base.generator_index = 1
     # a name that is no field has no slot; CPython 3.11's frozen __setattr__
     # raises TypeError for it on a slotted class, FrozenInstanceError before
     with pytest.raises((AttributeError, TypeError)):
-        member.extra = 1
-    assert not hasattr(member, "extra")
+        base.extra = 1
+    assert not hasattr(base, "extra")
     for twin in (
-        pickle.loads(pickle.dumps(member)),
-        copy.deepcopy(member),
-        dataclasses.replace(member),
+        pickle.loads(pickle.dumps(base)),
+        copy.deepcopy(base),
+        dataclasses.replace(base),
     ):
-        assert type(twin) is ClosureMember
-        assert twin == member and hash(twin) == hash(member)
-        assert (twin.table, twin.generator_index, twin.removed) == (
-            member.table,
-            member.generator_index,
-            member.removed,
-        )
-        assert (twin.key, twin.nu_bits) == (member.key, member.nu_bits)
-    # equality and hash are the field tuple's, as before slots
-    assert hash(member) == hash((member.table, member.generator_index, member.removed))
-    assert member != members[-2]
-    moved = dataclasses.replace(member, generator_index=1)
-    assert moved != member and moved.table == member.table
+        assert type(twin) is ClosureBase
+        assert twin == base and hash(twin) == hash(base)
+        assert dataclasses.astuple(twin) == (base.start, base.generator_index, base.removed)
+    # equality and hash are the field tuple's
+    assert hash(base) == hash((base.start, base.generator_index, base.removed))
+    assert base != bases[-2]
+    moved = dataclasses.replace(base, generator_index=1)
+    assert moved != base and moved.removed == base.removed
 
 
 def test_is_critical_projection(example6):

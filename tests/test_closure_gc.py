@@ -10,9 +10,9 @@ import weakref
 
 import pytest
 
-from dtlab import closure
 from dtlab.closure import enumerate_closure
 from dtlab.randgen import random_table
+from dtlab.tables import DecisionTable
 
 TABLE = random_table(2, 3, 5, seed=7)
 
@@ -37,24 +37,20 @@ def test_collector_state_restored(collector, enabled):
 
 def test_collector_restored_after_exception(collector, monkeypatch):
     # members are built by setting their fields, so the failure is planted
-    # in the setter of a member's first field: the constructor of the
-    # zero-row member and the loop that builds the others both call it
+    # in the setter of a table's first field: the constructor of each
+    # projection and the map pass that builds the members both call it
     paused = []
-    slot = closure.ClosureMember.table
+    slot = DecisionTable.k
 
-    def set_table(member, table):
+    def set_k(table, k):
         if len(paused) == 4:
-            raise RuntimeError("fifth member")
+            raise RuntimeError("fifth table")
         paused.append(not gc.isenabled())
-        slot.__set__(member, table)
+        slot.__set__(table, k)
 
-    class Failing(closure.ClosureMember):
-        __slots__ = ()
-        table = property(slot.__get__, set_table)
-
-    monkeypatch.setattr(closure, "ClosureMember", Failing)
+    monkeypatch.setattr(DecisionTable, "k", property(slot.__get__, set_k))
     gc.enable()
-    with pytest.raises(RuntimeError, match="fifth member"):
+    with pytest.raises(RuntimeError, match="fifth table"):
         enumerate_closure([TABLE])
     assert paused == [True] * 4
     assert gc.isenabled()

@@ -1,12 +1,13 @@
 """Closure enumeration against a naive per-member reference.
 
-``enumerate_closure`` stores only each member's table and provenance,
-derives its key and ``nu_bits`` on read, and keeps no set of seen keys.
-The reference below builds every member directly, with one
-``canonical_key`` per member, its own bit string and a visited set.  Both
-must emit the same ``(table, key, generator_index, removed, nu_bits)``
-tuples in the same order and report the same truncation bookkeeping
-under every limit.
+``enumerate_closure`` stores each member as its table alone, keeps the
+provenance once per base, derives keys and ``nu_bits`` on read, and
+keeps no set of seen keys.  The reference below builds every member
+directly, with one ``canonical_key`` per member, its own bit string and
+a visited set.  Both must emit the same ``(table, key, generator_index,
+removed, nu_bits)`` tuples in the same order, the enumeration reading
+each member's provenance from its base's record, and report the same
+truncation bookkeeping under every limit.
 """
 
 import dataclasses
@@ -19,8 +20,8 @@ import pytest
 from dtlab import closure, tables
 from dtlab.closure import (
     ClosureLimits,
-    ClosureMember,
     enumerate_closure,
+    nu_bits,
     remove_columns,
 )
 from dtlab.randgen import random_table
@@ -84,23 +85,43 @@ def reference_closure(generators, limits=ClosureLimits()):
     return members, exhausted, complete_column_count
 
 
+def base_spans(enum):
+    """Each base record with its run of members, after checking that the
+    records tile the members: starts from 0, strictly increasing, every
+    run non-empty and of one column set with one row tuple."""
+    starts = [b.start for b in enum.bases]
+    assert starts[:1] == ([0] if enum.members else [])
+    assert all(a < b for a, b in zip(starts, starts[1:]))
+    ends = starts[1:] + [len(enum.members)]
+    spans = [(b, enum.members[b.start : end]) for b, end in zip(enum.bases, ends)]
+    for _, run in spans:
+        assert run and len({(t.columns, t.rows) for t in run}) == 1
+    # in emission order the growth sweeps' grouping finds the same runs
+    assert list(closure._base_tables(enum.members)) == [run for _, run in spans]
+    return spans
+
+
+def provenance(enum):
+    """Each member with its base's (generator_index, removed)."""
+    return [(t, b.generator_index, b.removed) for b, run in base_spans(enum) for t in run]
+
+
 def summary(enum):
-    members = [(m.table, m.key, m.generator_index, m.removed, m.nu_bits) for m in enum.members]
+    members = [(t, t.key, gi, removed, nu_bits(t)) for t, gi, removed in provenance(enum)]
     return members, enum.exhausted, enum.complete_column_count
 
 
 def assert_same(generators, limits=ClosureLimits()):
-    """Same members as the reference, each as its constructors would build it."""
+    """Same members as the reference, each as its constructor would build it."""
     got = enumerate_closure(generators, limits)
     assert summary(got) == reference_closure(generators, limits)
     for m in got.members:
-        assert type(m) is ClosureMember and type(m.table) is DecisionTable
+        assert type(m) is DecisionTable
         # slotted: a table holds its four fields and nothing else
-        assert not hasattr(m.table, "__dict__")
-        t = m.table
-        twin = ClosureMember(DecisionTable(t.k, t.columns, t.rows, t.decisions), m.generator_index, m.removed)
+        assert not hasattr(m, "__dict__")
+        twin = DecisionTable(m.k, m.columns, m.rows, m.decisions)
         assert m == twin and hash(m) == hash(twin)
-        assert m.key == canonical_key(m.table)
+        assert m.key == canonical_key(m)
     return got
 
 
@@ -134,22 +155,23 @@ def test_members_are_built_without_their_constructors(monkeypatch, name):
     # only the remove_columns projections go through a constructor; every
     # member, the zero-row one included, is built field by field
     inits = Counter()
-    for cls in (DecisionTable, ClosureMember):
-        def counting(self, *args, _real=cls.__init__, _cls=cls):
-            inits[_cls] += 1
-            _real(self, *args)
+    projecting_now = []
 
-        monkeypatch.setattr(cls, "__init__", counting)
-    projections = []
+    def counting(self, *args, _real=DecisionTable.__init__):
+        inits["inside" if projecting_now else "outside"] += 1
+        _real(self, *args)
 
     def projecting(removed, table):
-        projections.append(removed)
-        return remove_columns(removed, table)
+        projecting_now.append(removed)
+        try:
+            return remove_columns(removed, table)
+        finally:
+            projecting_now.pop()
 
+    monkeypatch.setattr(DecisionTable, "__init__", counting)
     monkeypatch.setattr(closure, "remove_columns", projecting)
-    enumerate_closure(GENERATOR_SETS[name])
-    assert inits[ClosureMember] == 0
-    assert inits[DecisionTable] <= len(projections)
+    enum = enumerate_closure(GENERATOR_SETS[name])
+    assert enum.members and inits["outside"] == 0
 
 
 def runs_by_value(members):
@@ -157,10 +179,10 @@ def runs_by_value(members):
     rows, grouped one member at a time."""
     runs = []
     for m in members:
-        if runs and (runs[-1][-1].columns, runs[-1][-1].rows) == (m.table.columns, m.table.rows):
-            runs[-1].append(m.table)
+        if runs and (runs[-1][-1].columns, runs[-1][-1].rows) == (m.columns, m.rows):
+            runs[-1].append(m)
         else:
-            runs.append([m.table])
+            runs.append([m])
     return runs
 
 
@@ -168,7 +190,7 @@ def runs_by_value(members):
 @pytest.mark.parametrize("name", sorted(GENERATOR_SETS))
 def test_base_tables_groups_runs_by_value(name, order):
     members = enumerate_closure(GENERATOR_SETS[name]).members
-    bases = {(m.table.columns, m.table.rows) for m in members}
+    bases = {(m.columns, m.rows) for m in members}
     if order == "reversed":
         members = members[::-1]
     elif order == "shuffled":
@@ -176,22 +198,20 @@ def test_base_tables_groups_runs_by_value(name, order):
         random.Random(20261019).shuffle(members)
     elif order == "copied":  # equal columns and rows held in distinct tuples
         members = [
-            dataclasses.replace(m, table=dataclasses.replace(
-                m.table, columns=tuple(list(m.table.columns)), rows=tuple(list(m.table.rows))
-            ))
+            dataclasses.replace(m, columns=tuple(list(m.columns)), rows=tuple(list(m.rows)))
             for m in members
         ]
     got = list(closure._base_tables(members))
     assert got == runs_by_value(members)
-    # the members' own tables, in member order
-    assert [id(t) for run in got for t in run] == [id(m.table) for m in members]
+    # the member tables themselves, in member order
+    assert [id(t) for run in got for t in run] == [id(m) for m in members]
     if order != "shuffled":  # each base's members are one run
         assert len(got) == len(bases)
 
 
 def base_ends(enum):
     """Member counts at which one base's relabelings end and the next begin."""
-    bases = [(m.table.columns, m.table.rows) for m in enum.members]
+    bases = [(m.columns, m.rows) for m in enum.members]
     return [i for i in range(1, len(bases)) if bases[i] != bases[i - 1]]
 
 
@@ -217,9 +237,7 @@ def test_table_limits_match_reference(name):
             continue
         got = enumerate_closure(generators, limits)
         members, exhausted, complete_column_count = reference_closure(generators, limits)
-        assert [(m.table, m.generator_index, m.removed) for m in got.members] == [
-            (table, gi, removed) for table, _, gi, removed, _ in members
-        ]
+        assert provenance(got) == [(table, gi, removed) for table, _, gi, removed, _ in members]
         assert (got.exhausted, got.complete_column_count) == (exhausted, complete_column_count)
 
 
@@ -235,7 +253,7 @@ def test_row_and_column_limits_match_reference(name):
 def test_zero_row_members_emitted_once():
     for name in ("zero-rows-first", "zero-rows-twice", "zero-rows-around"):
         enum = assert_same(GENERATOR_SETS[name])
-        empties = [m for m in enum.members if m.table.is_empty]
+        empties = [m for m in enum.members if m.is_empty]
         assert len(empties) == 1
         assert empties[0].key == "empty"
 
@@ -276,7 +294,7 @@ def test_max_rows_stop_skips_later_levels(monkeypatch):
     monkeypatch.setattr(closure, "remove_columns", counting)
     table = random_table(2, 18, 3, seed=1)
     enum = enumerate_closure([table], ClosureLimits(max_tables=100000, max_rows=0))
-    assert [m.table.n_rows for m in enum.members] == [0]
+    assert [m.n_rows for m in enum.members] == [0]
     assert (enum.exhausted, enum.complete_column_count) == (False, 0)
     assert len(calls) == 1 + 18
 
@@ -314,7 +332,7 @@ def store(monkeypatch):
 
 
 def test_last_base_alone_is_walked_last():
-    rows = [m.table.n_rows for m in enumerate_closure(LAST_BASE_ALONE).members]
+    rows = [m.n_rows for m in enumerate_closure(LAST_BASE_ALONE).members]
     assert rows[-64:] == [6] * 64 and max(rows[:-64]) < 6
 
 
@@ -340,7 +358,7 @@ def test_cut_labellings_are_never_kept(store):
 def test_consecutive_calls_each_emit_one_zero_row_member(store, name):
     for _ in range(2):
         enum = assert_same(GENERATOR_SETS[name])
-        assert sum(m.table.is_empty for m in enum.members) == 1
+        assert sum(m.is_empty for m in enum.members) == 1
         assert store[0] == ((),)  # the switch to no labelling stays in the call
 
 
@@ -350,7 +368,7 @@ def test_generators_share_decision_tuples_by_identity(store):
     first = enumerate_closure(LAST_BASE_ALONE)
     second = enumerate_closure([random_table(3, 2, 6, seed=31)])
     decisions = [
-        [m.table.decisions for m in enum.members if m.table.n_rows == 6] for enum in (first, second)
+        [m.decisions for m in enum.members if m.n_rows == 6] for enum in (first, second)
     ]
     assert len(decisions[0]) == len(decisions[1]) == 64
     for a, b, kept in zip(*decisions, store[6]):
@@ -362,7 +380,7 @@ def test_no_labellings_past_the_bound_are_kept(store, monkeypatch):
     generators = [random_table(2, 4, 8, seed=12)]
     for limits in (ClosureLimits(), ClosureLimits(), ClosureLimits(max_tables=40)):
         enum = assert_same(generators, limits)
-        assert max(m.table.n_rows for m in enum.members) > 2
+        assert max(m.n_rows for m in enum.members) > 2
         assert max(store) == 2
 
 

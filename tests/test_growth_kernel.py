@@ -52,7 +52,7 @@ def _member_stats(measure, table, fn):
 
 def reference_reports(fn, enum, measure, max_ns, label=""):
     """The report of every max_n in ``max_ns``, solving every member once."""
-    pairs = [_member_stats(measure, m.table, fn) for m in enum.members]
+    pairs = [_member_stats(measure, m, fn) for m in enum.members]
     reports = {}
     for max_n in max_ns:
         points = []
@@ -237,7 +237,7 @@ def test_fw_solves_parity_lead_once():
 
 
 def _bases(enum):
-    return {(m.table.columns, m.table.rows) for m in enum.members}
+    return {(m.columns, m.rows) for m in enum.members}
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -280,7 +280,7 @@ def test_fw_value_above_worst_row_separation():
 def test_sweep_matches_reference_without_one_1_row_members(gens_name, fn):
     """An enumeration need not hold the member a base's sweep tries first."""
     gens, enum = seeded_case(gens_name, "full")
-    members = [m for m in enum.members if sum(m.table.decisions) != 1]
+    members = [m for m in enum.members if sum(m.decisions) != 1]
     assert_matches(fn, gens, depth(), dataclasses.replace(enum, members=members), MAX_NS)
 
 
@@ -291,9 +291,9 @@ def test_sweep_matches_reference_adjacent_bases_on_one_column_set(fn):
     sparse = validate(2, range(3), [((0, 0, 0), 1), ((0, 1, 1), 0), ((1, 0, 1), 0), ((1, 1, 0), 0)])
     dense = validate(2, range(3), [((0, 0, 0), 1), ((0, 0, 1), 0), ((0, 1, 0), 0), ((1, 0, 0), 0)])
     assert solvers.table_separation_cost(depth(), sparse) < solvers.table_separation_cost(depth(), dense)
-    full = [[m for m in enumerate_closure([g]).members if m.table.n_cols == 3] for g in (sparse, dense)]
-    shared = full[0][0].table.columns  # one column tuple object for both bases
-    full[1] = [dataclasses.replace(m, table=dataclasses.replace(m.table, columns=shared)) for m in full[1]]
+    full = [[m for m in enumerate_closure([g]).members if m.n_cols == 3] for g in (sparse, dense)]
+    shared = full[0][0].columns  # one column tuple object for both bases
+    full[1] = [dataclasses.replace(m, columns=shared) for m in full[1]]
     for members in (full[0] + full[1], full[1] + full[0]):
         enum = dataclasses.replace(enumerate_closure([sparse]), members=members)
         assert_matches(fn, [sparse, dense], depth(), enum, [3])
@@ -303,7 +303,7 @@ def test_sweep_matches_reference_adjacent_bases_on_one_column_set(fn):
 def test_zero_row_member_with_columns(fn):
     """A zero-row table has no row to separate; its tree costs are 0."""
     gens, enum = seeded_case("k2", "full")
-    blank = dataclasses.replace(enum.members[-1], table=validate(2, range(3), []))
+    blank = validate(2, range(3), [])
     enum = dataclasses.replace(enum, members=[blank] + enum.members)
     assert_matches(fn, gens, depth(), enum, MAX_NS)
 
@@ -331,9 +331,7 @@ def test_sweep_matches_reference_out_of_emission_order(order, fn):
         random.Random(20261018).shuffle(members)
     else:
         members = [
-            dataclasses.replace(m, table=dataclasses.replace(
-                m.table, columns=tuple(list(m.table.columns)), rows=tuple(list(m.table.rows))
-            ))
+            dataclasses.replace(m, columns=tuple(list(m.columns)), rows=tuple(list(m.rows)))
             for m in members
         ]
     moved = dataclasses.replace(enum, members=members)

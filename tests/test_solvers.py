@@ -536,6 +536,18 @@ def test_report_empty_table():
     assert report.consistent
 
 
+def test_planted_fixing_on_a_one_row_table_is_a_failed_check():
+    # a one-row table is constant, so det is 0; a fixing cost of 1 handed
+    # to the checks must fail det>=fixing, not stop them
+    table = validate(2, [0, 1], [((1, 0), 1)])
+    for _, measure in standard_measures():
+        vals = parameter_report(measure, table).values()
+        assert (vals["det_cost"], vals["fixing_cost"]) == (0, 0)
+        checks, failed = solvers.inequality_findings(measure, table, {**vals, "fixing_cost": 1})
+        assert "det>=fixing" in failed
+        assert set(failed) <= set(checks)
+
+
 def test_report_or_image_cross_checked(or_image):
     report = parameter_report(depth(), or_image)
     assert report.values() == {

@@ -643,7 +643,7 @@ def test_growth_leaves_member_tables_slotted_and_equal_to_their_twins():
     enum = enumerate_closure([gen])
     for fn in GROWTH_FUNCTIONS:
         growth(fn, [gen], depth(), 3, enumeration=enum)
-    for t in [gen, *enum.tables()]:
+    for t in [gen, *enum.members]:
         assert not hasattr(t, "__dict__")
         twin = DecisionTable(t.k, t.columns, t.rows, t.decisions)
         assert t == twin and hash(t) == hash(twin)

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dtlab.closure import ClosureMember, enumerate_closure
+from dtlab.closure import enumerate_closure
 from dtlab.measures import additive, depth
+from dtlab.randgen import random_table
 from dtlab.tables import (
     Attribute,
     BadDecision,
@@ -125,12 +126,24 @@ def test_table_is_slotted_frozen_and_still_a_value(example6):
     assert ref() is example6
 
 
-def test_closure_member_pickles_with_its_slotted_table(example6):
+def test_closure_members_pickle_and_copy_as_slotted_tables(example6):
     for member in enumerate_closure([example6]).members[::7]:
-        copied = pickle.loads(pickle.dumps(member))
-        assert type(copied) is ClosureMember and type(copied.table) is DecisionTable
-        assert copied == member and hash(copied) == hash(member)
-        assert not hasattr(copied.table, "__dict__")
+        for copied in (pickle.loads(pickle.dumps(member)), copy.deepcopy(member)):
+            assert type(copied) is DecisionTable and copied is not member
+            assert copied == member and hash(copied) == hash(member)
+            assert not hasattr(copied, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            member.decisions = ()
+
+
+def test_key_property_is_the_canonical_key():
+    seeded = [random_table(k, c, r, seed=s) for s, (k, c, r) in enumerate([(2, 3, 5), (3, 2, 7), (2, 4, 1)])]
+    for table in seeded + [empty_table(), empty_table(3), validate(2, ["f0", "f1"], [])]:
+        assert table.key == canonical_key(table)
+    assert empty_table().key == "empty"
+    # a row permutation keeps the key
+    t = seeded[0]
+    assert dataclasses.replace(t, rows=t.rows[::-1], decisions=t.decisions[::-1]).key == t.key
 
 
 def test_restrict_single_fixing(example6):
