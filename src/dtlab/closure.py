@@ -108,11 +108,20 @@ marks the enumeration and its column count incomplete where it is
 projected and never becomes a base.  The walk stops at the first count
 where no set fits.
 
-Members come out base by base, so a run of members with equal columns
-and rows is (part of) one base; ``_base_tables`` is the one grouping of
-members into bases that the growth sweeps read.  It groups by value and
-never reads the base records, which describe the members only in
-emission order.
+The growth sweeps and ``class_stats`` read the members base by base,
+through ``ClosureEnumeration.base_runs``.  The enumeration keeps each
+base's member list, which it builds anyway, and while ``members`` still
+equals their concatenation, checked in one C-level pass per base, each
+base's run is cut where it was built.  On the closure of ``explore``
+benchmark variant 3 (2,801 members, 16 bases) that, with each lead
+member looked up at its index, took an FW call from 0.65 to 0.40 ms and
+a G call from 0.74 to 0.51 ms against grouping every call by value
+(2-vCPU Xeon VM, Python 3.11.7, medians over eight alternating
+processes of each one's median of 31 calls).  A member list that a
+caller reordered, replaced, added to or cut goes to ``_base_tables``,
+which groups runs of equal columns and rows by value; so does the list
+of an enumeration built by ``dataclasses.replace``, which drops the
+private record.
 """
 
 from __future__ import annotations
@@ -274,8 +283,8 @@ class ClosureEnumeration:
     in emission order, one record per base that emitted a member: base
     i's members are ``members[bases[i].start:bases[i + 1].start]``, the
     last base's run to the end.  Reordering or replacing the members
-    leaves the records stale, so nothing that reads members in another
-    order may read ``bases``.
+    leaves the records stale; ``base_runs`` checks for that and reads
+    the runs by value then.
     ``exhausted`` is True only when no limit truncated anything.
     ``complete_column_count`` is the largest c such that every closure
     member with at most c columns was emitted.
@@ -285,9 +294,37 @@ class ClosureEnumeration:
     bases: list[ClosureBase] = field(default_factory=list)
     exhausted: bool = True
     complete_column_count: int = -1
+    # each base's member list as the enumeration built it, set by the
+    # enumeration alone: the constructor and ``dataclasses.replace``
+    # leave it None
+    _runs: list[list[DecisionTable]] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def keys(self) -> set[CanonicalKey]:
         return {m.key for m in self.members}
+
+    def base_runs(self) -> Iterator[list[DecisionTable]]:
+        """The member tables of each base, in member order.
+
+        While ``members`` equals the tables the enumeration emitted, in
+        emission order, each base's run is cut where the enumeration
+        cut it, and member t of a run carries labelling t.  The list
+        comparison takes the identity of each untouched member as
+        equality, so it is one C-level pass per base.  Otherwise, after
+        a caller reordered, replaced, added or removed members, the runs
+        are grouped by value as ``_base_tables`` does.
+        """
+        members, emitted = self.members, self._runs
+        if emitted is not None:
+            runs, start = [], 0
+            for run in emitted:
+                runs.append(members[start : start + len(run)])
+                start += len(run)
+            if start == len(members) and runs == emitted:
+                yield from runs
+                return
+        yield from _base_tables(members)
 
 
 def _base_tables(members: Iterable[DecisionTable]) -> Iterator[list[DecisionTable]]:
@@ -337,6 +374,7 @@ def _enumerate(generators: Sequence[DecisionTable], limits: ClosureLimits) -> Cl
         raise TableError("closure generators must share one value alphabet")
 
     out = ClosureEnumeration()
+    out._runs = []
     max_cols = max((g.n_cols for g in generators), default=0)
     col_ceiling = max_cols if limits.max_columns is None else min(max_cols, limits.max_columns)
     if col_ceiling < max_cols:
@@ -397,13 +435,14 @@ def _enumerate(generators: Sequence[DecisionTable], limits: ClosureLimits) -> Cl
             # the fields the dataclass constructor sets, one map pass per
             # field; a zero-row repeat has no labelling left and builds nothing
             take = min(take, len(labels))
-            if take:
-                out.bases.append(ClosureBase(len(out.members), gi, removed))
             tables = list(map(new, repeat(DecisionTable, take)))
             consume(map(set_k, tables, repeat(k)))
             consume(map(set_columns, tables, repeat(cols)))
             consume(map(set_rows, tables, repeat(rows)))
             consume(map(set_decisions, tables, labels))
+            if take:
+                out.bases.append(ClosureBase(len(out.members), gi, removed))
+                out._runs.append(tables)
             out.members.extend(tables)
             if not n:  # every zero-row table has the empty table's key
                 labellings[0] = ()

@@ -1,6 +1,7 @@
 import pytest
 
 from dtlab.cli import main
+from dtlab.explorer import MAX_GROWTH_N
 from dtlab.measures import MAX_SPEC_NESTING, format_measure, load_measure
 from dtlab.tables import canonical_key, format_table, load_table, validate
 from dtlab.trees import load_tree, validate_deterministic
@@ -118,6 +119,14 @@ def test_explore_bad_input_exits_2(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
+def test_explore_max_n_past_the_guard_rail_exits_2(capsys):
+    assert main(["explore", "--fn", "FW", "--gen", "builtin:id2", "--max-n", "100000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: max_n 100000000 exceeds")
+    assert f"the {MAX_GROWTH_N}-point guard rail" in captured.err
     assert captured.out == ""
 
 

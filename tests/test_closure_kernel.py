@@ -96,7 +96,12 @@ def base_spans(enum):
     spans = [(b, enum.members[b.start : end]) for b, end in zip(enum.bases, ends)]
     for _, run in spans:
         assert run and len({(t.columns, t.rows) for t in run}) == 1
-    # in emission order the growth sweeps' grouping finds the same runs
+        # member t of a run carries labelling t over its sorted rows
+        assert run[0].rows == tuple(sorted(run[0].rows))
+        assert [sum(d << j for j, d in enumerate(t.decisions)) for t in run] == list(range(len(run)))
+    # the runs the growth sweeps read, and in emission order the grouping
+    # by value finds them too
+    assert list(enum.base_runs()) == [run for _, run in spans]
     assert list(closure._base_tables(enum.members)) == [run for _, run in spans]
     return spans
 

@@ -10,6 +10,11 @@ loop it replaced: filter and objective for every member, then a max per
 point.
 Both must give the same report, raise where the other raises, and the
 inequalities the bound rests on are pinned here as well.
+
+A fresh enumeration hands the sweeps each base from its own records;
+members that a caller reordered, replaced, added or removed are grouped
+by value instead.  ``class_stats`` reads the same runs and is checked
+against a per-member reference too.
 """
 
 import dataclasses
@@ -17,11 +22,21 @@ import random
 from functools import lru_cache
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from dtlab import explorer, solvers
+from dtlab import closure, explorer, solvers
 from dtlab.closure import ClosureLimits, enumerate_closure
 from dtlab.constructions import identity_table, single_attribute_generators, unit_rows_family
-from dtlab.explorer import GROWTH_FUNCTIONS, GrowthPoint, GrowthReport, growth
+from dtlab.explorer import (
+    GROWTH_FUNCTIONS,
+    MAX_GROWTH_N,
+    ClassStats,
+    GrowthPoint,
+    GrowthReport,
+    class_stats,
+    growth,
+)
 from dtlab.measures import (
     NotDecomposable,
     additive,
@@ -35,6 +50,8 @@ from dtlab.randgen import SplitMix64, random_table
 from dtlab.solvers import det_tree_cost, min_test_cost, snd_tree_cost
 from dtlab.tables import DtError, TooLarge, validate
 from dtlab.verify import standard_measures
+
+from conftest import tables_st
 
 
 def _member_stats(measure, table, fn):
@@ -381,3 +398,164 @@ def test_separation_bound_seeded():
             lead = dataclasses.replace(table, decisions=tuple(int(i == j) for i in range(table.n_rows)))
             assert snd_tree_cost(measure, lead)[0] == max(seps), (name, table)
             assert det_tree_cost(measure, lead)[0] >= max(seps), (name, table)
+
+
+def reference_class_stats(enum, measure, n):
+    """Count and extremes over every member whose single attributes cost at most n."""
+    kept = [m for m in enum.members if table_costs(measure, m)[1] <= n]
+    return ClassStats(
+        members=len(kept),
+        max_separation=max((solvers.table_separation_cost(depth(), m) for m in kept), default=0),
+        max_rows=max((m.n_rows for m in kept), default=0),
+        exhausted=enum.exhausted,
+    )
+
+
+STATS_NS = (0, 1, 2, 3, 8)
+
+
+def assert_everything_matches(gens, measure, enum):
+    """Every growth function and ``class_stats`` against their references."""
+    for fn in GROWTH_FUNCTIONS:
+        assert_matches(fn, gens, measure, enum, MAX_NS)
+    for n in STATS_NS:
+        got = class_stats(gens, measure, n, enumeration=enum)
+        assert got == reference_class_stats(enum, measure, n), n
+
+
+def refuse_grouping(monkeypatch):
+    def refuse(members):
+        raise AssertionError("members grouped by value")
+
+    monkeypatch.setattr(closure, "_base_tables", refuse)
+
+
+def count_grouping(monkeypatch):
+    calls = []
+    group = closure._base_tables
+    monkeypatch.setattr(closure, "_base_tables", lambda members: calls.append(1) or group(members))
+    return calls
+
+
+@pytest.mark.parametrize("measure_name", MEASURES)
+@pytest.mark.parametrize("limits_name", LIMITS)
+@pytest.mark.parametrize("gens_name", GENERATORS)
+def test_fresh_enumeration_reads_its_base_records(monkeypatch, gens_name, limits_name, measure_name):
+    gens, enum = seeded_case(gens_name, limits_name)
+    refuse_grouping(monkeypatch)
+    assert_everything_matches(gens, MEASURES[measure_name](), enum)
+
+
+@pytest.mark.parametrize("gens_name", GENERATORS)
+def test_stale_records_after_in_place_edits(monkeypatch, gens_name):
+    """The member list stays the caller's to change in place: a swap of
+    two members of different bases, an append and a pop all leave the
+    base records stale, and the sweeps group by value until the list
+    equals the emitted one again."""
+    gens = GENERATORS[gens_name]()
+    enum = enumerate_closure(gens)
+    members = enum.members
+    i, j = enum.bases[1].start + 1, enum.bases[-1].start + 1
+    assert (members[i].columns, members[i].rows) != (members[j].columns, members[j].rows)
+    calls = count_grouping(monkeypatch)
+    members[i], members[j] = members[j], members[i]
+    assert_everything_matches(gens, depth(), enum)
+    # a distinct copy of a member, equal by value
+    m = members[j]
+    members.append(dataclasses.replace(m, columns=tuple(list(m.columns)), rows=tuple(list(m.rows))))
+    assert_everything_matches(gens, depth(), enum)
+    members.pop()  # as long as the emitted list, still swapped
+    assert_everything_matches(gens, depth(), enum)
+    assert calls
+    members[i], members[j] = members[j], members[i]
+    refuse_grouping(monkeypatch)
+    assert_everything_matches(gens, depth(), enum)
+    # members replaced by equal tables in place: the records still hold
+    members[:] = [dataclasses.replace(m, decisions=tuple(list(m.decisions))) for m in members]
+    assert_everything_matches(gens, depth(), enum)
+
+
+def test_replaced_enumeration_carries_no_records(monkeypatch):
+    """``dataclasses.replace`` keeps ``bases`` but not the emitted members,
+    so even an unchanged member list is grouped by value."""
+    gens, enum = seeded_case("k2", "full")
+    moved = dataclasses.replace(enum, members=list(enum.members))
+    assert moved.bases == enum.bases and moved == enum
+    calls = count_grouping(monkeypatch)
+    assert_matches("G", gens, depth(), moved, MAX_NS)
+    assert calls
+
+
+def member_order(enum, order):
+    """The enumeration with its members fresh, reversed, shuffled, copied
+    (equal columns and rows in distinct tuples) or filtered."""
+    members = list(enum.members)
+    if order == "fresh":
+        return enum
+    if order == "reversed":
+        members.reverse()
+    elif order == "shuffled":
+        random.Random(20261032).shuffle(members)
+    elif order == "copied":
+        members = [
+            dataclasses.replace(m, columns=tuple(list(m.columns)), rows=tuple(list(m.rows)))
+            for m in members
+        ]
+    else:  # filtered: whole one-member bases go too
+        members = [m for i, m in enumerate(members) if i % 3]
+    return dataclasses.replace(enum, members=members)
+
+
+@pytest.mark.parametrize("order", ["fresh", "reversed", "shuffled", "copied", "filtered"])
+@pytest.mark.parametrize("limits_name", LIMITS)
+@pytest.mark.parametrize("gens_name", GENERATORS)
+def test_class_stats_matches_reference(gens_name, limits_name, order):
+    gens, enum = seeded_case(gens_name, limits_name)
+    enum = member_order(enum, order)
+    for measure_name, make in MEASURES.items():
+        for n in STATS_NS:
+            got = class_stats(gens, make(), n, enumeration=enum)
+            assert got == reference_class_stats(enum, make(), n), (measure_name, n)
+
+
+@st.composite
+def generator_sets(draw):
+    """One or two generators sharing k in {2, 3}, each of at most 3 columns
+    and 6 rows."""
+    first = draw(tables_st())
+    more = draw(st.lists(tables_st().filter(lambda t: t.k == first.k), max_size=1))
+    return [first, *more]
+
+
+@given(st.data())
+def test_sweep_matches_reference_property(data):
+    """A drawn closure cut by a drawn ``max_tables``, its members kept in
+    emission order, permuted or filtered: every growth function equals
+    the all-members reference."""
+    gens = data.draw(generator_sets(), label="generators")
+    limit = data.draw(st.none() | st.integers(0, 150), label="max_tables")
+    enum = enumerate_closure(gens, ClosureLimits(max_tables=limit))
+    order = data.draw(st.sampled_from(["emitted", "permuted", "filtered"]), label="order")
+    if order == "permuted":
+        enum = dataclasses.replace(enum, members=data.draw(st.permutations(enum.members)))
+    elif order == "filtered":
+        keep = data.draw(st.lists(st.booleans(), min_size=len(enum.members), max_size=len(enum.members)))
+        enum = dataclasses.replace(enum, members=[m for m, k in zip(enum.members, keep) if k])
+    measure = MEASURES[data.draw(st.sampled_from(sorted(MEASURES)), label="measure")]()
+    max_n = data.draw(st.integers(0, 4), label="max_n")
+    for fn in GROWTH_FUNCTIONS:
+        want = reference_reports(fn, enum, measure, [max_n])[max_n]
+        assert public(growth(fn, gens, measure, max_n, enumeration=enum)) == public(want), fn
+
+
+def test_max_n_past_the_guard_rail_raises_too_large(monkeypatch):
+    gens = [identity_table(2)]
+    assert len(growth("FW", gens, depth(), MAX_GROWTH_N).points) == MAX_GROWTH_N + 1
+
+    def refuse(*args):
+        raise AssertionError("enumerated a closure past the guard rail")
+
+    monkeypatch.setattr(explorer, "enumerate_closure", refuse)
+    for max_n in (MAX_GROWTH_N + 1, 10**8):
+        with pytest.raises(TooLarge, match=rf"^max_n {max_n} exceeds the {MAX_GROWTH_N}-point guard rail"):
+            growth("FW", gens, depth(), max_n)
